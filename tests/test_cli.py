@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from survkit import Dataset, ModelBounds, save_csv
+from survkit import bounds as bnd
 from survkit.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -187,6 +188,79 @@ class TestBoundsCommand:
 
     def test_unknown_name_is_runtime_error(self):
         assert run("bounds", "--name", "no-such-bound", "--quiet") == EXIT_RUNTIME
+
+
+# Non-default values for every `bounds` flag, so a flag read from the wrong
+# place shows up as a value mismatch.
+_BOUND_FLAGS = {
+    "zeta": 0.8, "alpha": 1.5, "beta": 0.05, "d": 5, "d1": 2, "d2": 3,
+    "m": 5000.0, "n": 400, "t": 0.05, "radius": 2.0, "lambda-min": 0.7,
+    "c": 1.3, "c1": 0.9, "c2": 1.1, "c-x": 1.2, "c-w": 0.8, "c-eps": 0.6,
+    "c-max": 1.4, "sigma-eps": 0.3, "sigma-minus-sq": 0.9, "alpha-shape": 1.5,
+    "c-alpha": 0.8, "beta-split": 0.4, "second-moment": 2.0,
+}
+
+
+def _direct_bound(name: str) -> dict:
+    f = {k.replace("-", "_"): v for k, v in _BOUND_FLAGS.items()}
+    spec = bnd.SpectrumInfo(f["lambda_min"])
+    tail = bnd.TailParams(f["c_x"], f["c_w"], f["c_eps"], f["sigma_eps"])
+
+    def scalar(value, constants):
+        return {"value": value, "side_conditions": {}, "constants_used": constants,
+                "vacuous": False}
+
+    def prob(r):
+        return {"value": r.value, "side_conditions": r.side_conditions,
+                "constants_used": r.constants, "vacuous": r.vacuous}
+
+    if name == "min-samples-gaussian":
+        return scalar(bnd.min_samples_gaussian(
+            spec, f["zeta"], f["alpha"], f["beta"], f["d"], f["c"]), {"c": f["c"]})
+    if name == "min-samples-laplace":
+        return scalar(bnd.min_samples_laplace(
+            spec, f["zeta"], f["alpha"], f["c_eps"], f["d"]), {})
+    if name == "error-bound-gaussian":
+        return scalar(bnd.error_bound_gaussian(
+            tail, spec, f["zeta"], f["alpha"], f["beta"], f["radius"], f["d"], f["m"],
+            f["c2"]), {"c2": f["c2"]})
+    if name == "error-bound-laplace":
+        return scalar(bnd.error_bound_laplace(
+            tail, spec, f["zeta"], f["alpha"], f["radius"], f["d"], f["m"], f["c2"]),
+            {"c2": f["c2"]})
+    if name == "lower-re":
+        re = bnd.lower_re_params(spec, f["c_max"], f["m"], f["d"], f["c1"])
+        return {"value": {"alpha_ell": re.alpha_ell, "tau_md": re.tau_md},
+                "side_conditions": {"feasible": re.feasible},
+                "constants_used": {"c1": f["c1"]}, "vacuous": False}
+    if name == "matrix-deviation-level":
+        return scalar(bnd.matrix_deviation_level(f["n"], f["d"], f["c_max"], f["c1"]),
+                      {"c1": f["c1"]})
+    if name == "subweibull-right-tail":
+        return prob(bnd.subweibull_right_tail(
+            f["n"], f["t"], f["alpha_shape"], f["c_alpha"], f["sigma_minus_sq"],
+            f["beta_split"]))
+    if name == "squared-subexp-tail":
+        return prob(bnd.squared_subexp_tail(f["n"], f["t"], f["c_x"], f["c"]))
+    if name == "one-sided-bernstein":
+        return prob(bnd.one_sided_bernstein(f["n"], f["t"], f["second_moment"]))
+    assert name == "matrix-deviation-bound"
+    return prob(bnd.matrix_deviation_bound(
+        f["n"], f["d1"], f["d2"], f["c_max"], f["t"], f["c"]))
+
+
+@pytest.mark.parametrize("name", [
+    "min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
+    "error-bound-laplace", "lower-re", "subweibull-right-tail", "squared-subexp-tail",
+    "one-sided-bernstein", "matrix-deviation-bound", "matrix-deviation-level",
+])
+def test_bounds_command_matches_direct_call(name, capsys):
+    flags = [tok for k, v in _BOUND_FLAGS.items() for tok in (f"--{k}", str(v))]
+    assert run("bounds", "--name", name, *flags) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    expect = _direct_bound(name)
+    for key in ("value", "side_conditions", "constants_used", "vacuous"):
+        assert payload[key] == expect[key], key
 
 
 class TestSweepCommand:
