@@ -4,20 +4,16 @@ and credibility testing of fitted linear models."""
 __version__ = "0.1.0"
 
 from .core import (
-    DataPoint,
     Dataset,
     ModelBounds,
     RngSpec,
     ValidationReport,
-    empirical_loss,
     mean_squared_loss,
     model_distance,
-    predict,
     validate_dataset,
 )
 from .mechanisms import (
     Accounting,
-    GaussianVarianceFormula,
     NoiseKind,
     NoiseSpec,
     PrivacyParams,
@@ -74,7 +70,6 @@ from .bounds import (
 )
 from .datagen import (
     ClipReport,
-    GeneratorSpec,
     LinearModelSource,
     clip_to_bounds,
     gen_synthetic1,

@@ -54,14 +54,6 @@ class TailParams:
         if min(self.c_x, self.c_w, self.c_eps) <= 0 or self.sigma_eps < 0:
             raise ValueError("tail scales must be positive (sigma_eps non-negative)")
 
-    @property
-    def c_max(self) -> float:
-        return max(self.c_x, self.c_w, self.c_eps)
-
-    @property
-    def c_z(self) -> float:
-        return self.c_x + self.c_w
-
 
 @dataclass(frozen=True)
 class SpectrumInfo:

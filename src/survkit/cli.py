@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .core import ModelBounds, RngSpec, validate_dataset
+from . import __version__, datagen
+from .core import Dataset, ModelBounds, RngSpec, validate_dataset
 from .datagen import (
-    GeneratorSpec,
     load_csv,
     load_private,
     save_csv,
@@ -34,7 +33,7 @@ from .datagen import (
 from .mechanisms import Accounting, NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, moments_from_arrays, solve
 from .tester import PooledSource, TestConfig, verify_private_survey, verify_survey
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import EXPERIMENTS, SweepSpec, run_sweep
 from . import bounds as bnd
 
 EXIT_OK = 0
@@ -117,44 +116,31 @@ def _cmd_gen(args) -> int:
     rng = RngSpec(args.seed)
     prefix = str(args.out)
     files = []
-    spec = GeneratorSpec(
-        kind=args.kind, d=args.d, m=args.m, rng=rng,
-        mu=args.mu, noise_kind=NoiseKind(args.noise),
-    )
+    # The generators are looked up on their module at call time, where the
+    # traced benchmark (bench/spans.py) wraps them.
     if args.kind == "synthetic1":
-        survey, theta_s, theta_star, sampler = spec.generate()
+        survey, theta_s, theta_star, sampler = datagen.gen_synthetic1(
+            args.d, args.m, args.mu, rng
+        )
         save_csv(survey, f"{prefix}_survey.csv")
-        files.append(f"{prefix}_survey.csv")
         _write_json(
             f"{prefix}_validation.json",
             {"generator": sampler.spec_dict(), "manifest": _manifest(args)},
         )
-        files.append(f"{prefix}_validation.json")
-        truth = {
-            "theta_s": _jsonable(theta_s),
-            "theta_star": _jsonable(theta_star),
-            "bounds": {
-                "zeta": survey.bounds.zeta,
-                "tau": survey.bounds.tau,
-                "radius": survey.bounds.radius,
-            },
-            "manifest": _manifest(args),
-        }
+        files += [f"{prefix}_survey.csv", f"{prefix}_validation.json"]
+        truth = {"theta_s": _jsonable(theta_s)}
     else:
-        clean, noisy, theta_star = spec.generate()
-        save_csv(clean, f"{prefix}_clean.csv")
-        files.append(f"{prefix}_clean.csv")
+        survey, noisy, theta_star = datagen.gen_synthetic2(
+            args.d, args.m, NoiseKind(args.noise), rng
+        )
+        save_csv(survey, f"{prefix}_clean.csv")
         csv_path, side = save_private(noisy, f"{prefix}_noisy.csv")
-        files += [str(csv_path), str(side)]
-        truth = {
-            "theta_star": _jsonable(theta_star),
-            "bounds": {
-                "zeta": clean.bounds.zeta,
-                "tau": clean.bounds.tau,
-                "radius": clean.bounds.radius,
-            },
-            "manifest": _manifest(args),
-        }
+        files += [f"{prefix}_clean.csv", str(csv_path), str(side)]
+        truth = {}
+    b = survey.bounds
+    truth["theta_star"] = _jsonable(theta_star)
+    truth["bounds"] = {"zeta": b.zeta, "tau": b.tau, "radius": b.radius}
+    truth["manifest"] = _manifest(args)
     _write_json(f"{prefix}_truth.json", truth)
     files.append(f"{prefix}_truth.json")
     _emit(args, {"files": files})
@@ -165,8 +151,7 @@ def _cmd_publish(args) -> int:
     _require(args, "input", "alpha", "zeta")
     raw = load_csv(args.input)
     tau = max(float(np.max(np.abs(raw.y))), 1e-12)
-    bounds = ModelBounds(args.zeta, tau, 1.0)
-    ds = load_csv(args.input, bounds)
+    ds = Dataset(raw.x, raw.y, ModelBounds(args.zeta, tau, 1.0))
     report = validate_dataset(ds)
     if not report.ok:
         first = report.violations[:5]
@@ -271,55 +256,71 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
+def _spectrum(args) -> bnd.SpectrumInfo:
+    return bnd.SpectrumInfo(args.lambda_min)
+
+
+def _tails(args) -> bnd.TailParams:
+    return bnd.TailParams(args.c_x, args.c_w, args.c_eps, args.sigma_eps)
+
+
+def _number(value, constants: dict) -> dict:
+    return {"value": value, "side_conditions": {}, "constants_used": constants, "vacuous": False}
+
+
+def _re_pair(re: bnd.LowerREParams, constants: dict) -> dict:
+    payload = _number({"alpha_ell": re.alpha_ell, "tau_md": re.tau_md}, constants)
+    payload["side_conditions"] = {"feasible": re.feasible}
+    return payload
+
+
+def _probability(r: bnd.BoundResult, _constants: dict) -> dict:
+    return {"value": r.value, "side_conditions": r.side_conditions,
+            "constants_used": r.constants, "vacuous": r.vacuous}
+
+
+# Bound name -> (survkit.bounds function name, arguments in call order,
+# constants reported, result shape).  An argument is a flag's dest, or a
+# function making a parameter object from flags, so a bound validates only
+# the flags it reads.  The function is looked up by name at call time, where the
+# traced benchmark (bench/spans.py) wraps it.
+_BOUNDS = {
+    "min-samples-gaussian": (
+        "min_samples_gaussian", (_spectrum, "zeta", "alpha", "beta", "d", "c"), ("c",), _number
+    ),
+    "min-samples-laplace": (
+        "min_samples_laplace", (_spectrum, "zeta", "alpha", "c_eps", "d"), (), _number
+    ),
+    "error-bound-gaussian": (
+        "error_bound_gaussian",
+        (_tails, _spectrum, "zeta", "alpha", "beta", "radius", "d", "m", "c2"), ("c2",), _number,
+    ),
+    "error-bound-laplace": (
+        "error_bound_laplace",
+        (_tails, _spectrum, "zeta", "alpha", "radius", "d", "m", "c2"), ("c2",), _number,
+    ),
+    "lower-re": ("lower_re_params", (_spectrum, "c_max", "m", "d", "c1"), ("c1",), _re_pair),
+    "subweibull-right-tail": (
+        "subweibull_right_tail",
+        ("n", "t", "alpha_shape", "c_alpha", "sigma_minus_sq", "beta_split"), (), _probability,
+    ),
+    "squared-subexp-tail": ("squared_subexp_tail", ("n", "t", "c_x", "c"), (), _probability),
+    "one-sided-bernstein": ("one_sided_bernstein", ("n", "t", "second_moment"), (), _probability),
+    "matrix-deviation-bound": (
+        "matrix_deviation_bound", ("n", "d1", "d2", "c_max", "t", "c"), (), _probability
+    ),
+    "matrix-deviation-level": (
+        "matrix_deviation_level", ("n", "d", "c_max", "c1"), ("c1",), _number
+    ),
+}
+
+
 def _bound_dispatch(args) -> dict:
-    name = args.name
-    spec = bnd.SpectrumInfo(args.lambda_min)
-    if name == "min-samples-gaussian":
-        v = bnd.min_samples_gaussian(spec, args.zeta, args.alpha, args.beta, args.d, args.c)
-        return {"value": v, "side_conditions": {}, "constants_used": {"c": args.c}, "vacuous": False}
-    if name == "min-samples-laplace":
-        v = bnd.min_samples_laplace(spec, args.zeta, args.alpha, args.c_eps, args.d)
-        return {"value": v, "side_conditions": {}, "constants_used": {}, "vacuous": False}
-    params = bnd.TailParams(args.c_x, args.c_w, args.c_eps, args.sigma_eps)
-    if name == "error-bound-gaussian":
-        v = bnd.error_bound_gaussian(
-            params, spec, args.zeta, args.alpha, args.beta, args.radius, args.d, args.m, args.c2
-        )
-        return {"value": v, "side_conditions": {}, "constants_used": {"c2": args.c2}, "vacuous": False}
-    if name == "error-bound-laplace":
-        v = bnd.error_bound_laplace(
-            params, spec, args.zeta, args.alpha, args.radius, args.d, args.m, args.c2
-        )
-        return {"value": v, "side_conditions": {}, "constants_used": {"c2": args.c2}, "vacuous": False}
-    if name == "lower-re":
-        re = bnd.lower_re_params(spec, args.c_max, args.m, args.d, args.c1)
-        return {
-            "value": {"alpha_ell": re.alpha_ell, "tau_md": re.tau_md},
-            "side_conditions": {"feasible": re.feasible},
-            "constants_used": {"c1": args.c1},
-            "vacuous": False,
-        }
-    if name == "subweibull-right-tail":
-        r = bnd.subweibull_right_tail(
-            args.n, args.t, args.alpha_shape, args.c_alpha, args.sigma_minus_sq, args.beta_split
-        )
-    elif name == "squared-subexp-tail":
-        r = bnd.squared_subexp_tail(args.n, args.t, args.c_x, args.c)
-    elif name == "one-sided-bernstein":
-        r = bnd.one_sided_bernstein(args.n, args.t, args.second_moment)
-    elif name == "matrix-deviation-bound":
-        r = bnd.matrix_deviation_bound(args.n, args.d1, args.d2, args.c_max, args.t, args.c)
-    elif name == "matrix-deviation-level":
-        v = bnd.matrix_deviation_level(args.n, args.d, args.c_max, args.c1)
-        return {"value": v, "side_conditions": {}, "constants_used": {"c1": args.c1}, "vacuous": False}
-    else:
-        raise ValueError(f"unknown bound name {name!r}")
-    return {
-        "value": r.value,
-        "side_conditions": r.side_conditions,
-        "constants_used": r.constants,
-        "vacuous": r.vacuous,
-    }
+    if args.name not in _BOUNDS:
+        raise ValueError(f"unknown bound name {args.name!r}")
+    fn_name, reads, constants, shape = _BOUNDS[args.name]
+    out = getattr(bnd, fn_name)(*(r(args) if callable(r) else getattr(args, r) for r in reads))
+    return shape(out, {c: getattr(args, c) for c in constants})
 
 
 def _cmd_bounds(args) -> int:
@@ -419,7 +420,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate a named bound")
-    p.add_argument("--name", default=None, help="bound to evaluate (required)")
+    p.add_argument("--name", default=None,
+                   help="bound to evaluate (required): " + ", ".join(_BOUNDS))
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.1)
@@ -447,9 +449,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", parents=[common], help="run a seeded experiment grid")
-    p.add_argument("--experiment", default=None,
-                   choices=("model-distance", "error-vs-samples", "noise-comparison"),
-                   help="required")
+    p.add_argument("--experiment", default=None, choices=tuple(EXPERIMENTS), help="required")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--m", type=int, default=10_000)

@@ -16,8 +16,6 @@ read-only) and safe to share across workers; the one exception is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 
@@ -43,20 +41,6 @@ class ModelBounds:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """One survey row: covariate vector x and scalar response y."""
-
-    x: tuple[float, ...]
-    y: float
-
-    def __post_init__(self):
-        if len(self.x) < 1:
-            raise ValueError("covariate vector must have dimension >= 1")
-        if not all(np.isfinite(v) for v in self.x) or not np.isfinite(self.y):
-            raise ValueError("data point contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -121,14 +105,6 @@ class Dataset:
         self.bounds = bounds
         self._validated = False
 
-    @classmethod
-    def from_points(cls, points: Sequence[DataPoint], bounds: ModelBounds) -> "Dataset":
-        if not points:
-            raise ValueError("dataset must contain at least one row")
-        x = np.array([p.x for p in points], dtype=np.float64)
-        y = np.array([p.y for p in points], dtype=np.float64)
-        return cls(x, y, bounds)
-
     @property
     def size(self) -> int:
         return self.x.shape[0]
@@ -140,9 +116,6 @@ class Dataset:
     @property
     def validated(self) -> bool:
         return self._validated
-
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(tuple(self.x[i]), float(self.y[i]))
 
     def __repr__(self) -> str:
         return (
@@ -166,14 +139,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def covariate_violations(self) -> tuple[tuple[int, int], ...]:
-        return tuple(v for v in self.violations if v[1] < self.dim)
-
-    @property
-    def response_violations(self) -> tuple[int, ...]:
-        return tuple(r for r, c in self.violations if c == self.dim)
-
 
 def validate_dataset(ds: Dataset) -> ValidationReport:
     """Check every entry of ``ds`` against its declared bounds.
@@ -193,29 +158,6 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     return report
 
 
-def predict(theta, x):
-    """Inner-product prediction <theta, x>.
-
-    ``x`` may be a single covariate vector (returns a float) or an (n, d)
-    matrix of covariate rows (returns a length-n array).
-    """
-    theta = _as_float_array(theta, "theta", 1)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != theta.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: theta has {theta.shape[0]}, x has {x.shape[0]}"
-            )
-        return float(x @ theta)
-    if x.ndim == 2:
-        if x.shape[1] != theta.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: theta has {theta.shape[0]}, x has {x.shape[1]}"
-            )
-        return x @ theta
-    raise ValueError("x must be a vector or a matrix of rows")
-
-
 def mean_squared_loss(theta, x, y) -> float:
     """Mean of (<theta, x_i> - y_i)^2 over the given rows."""
     x = np.asarray(x, dtype=np.float64)
@@ -224,11 +166,6 @@ def mean_squared_loss(theta, x, y) -> float:
         raise ValueError("x and y must hold the same positive number of rows")
     r = x @ np.asarray(theta, dtype=np.float64) - y
     return float(np.mean(r * r))
-
-
-def empirical_loss(theta, ds: Dataset) -> float:
-    """Mean squared residual of the linear model theta on the dataset."""
-    return mean_squared_loss(theta, ds.x, ds.y)
 
 
 def model_distance(theta_a, theta_b, xs) -> float:

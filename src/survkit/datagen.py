@@ -112,48 +112,6 @@ def source_from_spec(spec: dict) -> LinearModelSource:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of a synthetic data source.
-
-    kind "synthetic1" uses ``mu``; "synthetic2" uses ``noise_kind``;
-    "linear-custom" uses ``custom`` (a :class:`LinearModelSource` giving the
-    coefficients, covariate law, and regression noise).  ``generate()``
-    dispatches to the matching generator and returns its native tuple
-    (see :func:`gen_synthetic1` / :func:`gen_synthetic2`); for
-    "linear-custom" it returns a plain validated Dataset.
-    """
-
-    kind: str
-    d: int
-    m: int
-    rng: RngSpec
-    mu: float = 0.0
-    noise_kind: NoiseKind = NoiseKind.GAUSSIAN
-    custom: "LinearModelSource | None" = None
-
-    def __post_init__(self):
-        if self.kind not in ("synthetic1", "synthetic2", "linear-custom"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.d < 1 or self.m < 1:
-            raise ValueError("need d >= 1 and m >= 1")
-        if self.kind == "linear-custom" and self.custom is None:
-            raise ValueError("linear-custom requires a LinearModelSource")
-
-    def generate(self):
-        if self.kind == "synthetic1":
-            return gen_synthetic1(self.d, self.m, self.mu, self.rng)
-        if self.kind == "synthetic2":
-            return gen_synthetic2(self.d, self.m, self.noise_kind, self.rng)
-        x, y = self.custom.draw(self.m, self.rng.derive(_DATA_TAG))
-        zeta = max(float(np.max(np.abs(x))), 1e-12)
-        tau = max(float(np.max(np.abs(y))), 1e-12)
-        radius = 1.1 * max(1.0, float(np.sum(np.abs(self.custom.theta))))
-        ds = Dataset(x, y, ModelBounds(zeta, tau, radius))
-        validate_dataset(ds)
-        return ds
-
-
 def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipReport]:
     """Clamp covariates to [-zeta, zeta] and responses to [-tau, tau].
 
@@ -268,14 +226,17 @@ def _float_str(v: float) -> str:
     return repr(float(v))
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write the dataset with header x1,...,xd,y; exact round-trip floats."""
-    path = Path(path)
+def _write_rows(path: Path, x: np.ndarray, y: np.ndarray) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(ds.dim)] + ["y"])
-        for i in range(ds.size):
-            writer.writerow([_float_str(v) for v in ds.x[i]] + [_float_str(ds.y[i])])
+        writer.writerow([f"x{i + 1}" for i in range(x.shape[1])] + ["y"])
+        for row, yi in zip(x, y):
+            writer.writerow([_float_str(v) for v in row] + [_float_str(yi)])
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Write the dataset with header x1,...,xd,y; exact round-trip floats."""
+    _write_rows(Path(path), ds.x, ds.y)
 
 
 def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
@@ -339,11 +300,7 @@ def save_private(pds: PrivateDataset, path) -> tuple[Path, Path]:
     the noise specification, the noise covariance diagonal, and provenance.
     Returns (csv_path, sidecar_path)."""
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(pds.dim)] + ["y"])
-        for i in range(pds.size):
-            writer.writerow([_float_str(v) for v in pds.z[i]] + [_float_str(pds.y[i])])
+    _write_rows(path, pds.z, pds.y)
     meta = {
         "noise_kind": pds.noise.kind.value,
         "noise_scale": pds.noise.scale,

@@ -47,22 +47,6 @@ class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-class GaussianVarianceFormula(enum.Enum):
-    """Calibration rule for the Gaussian (beta > 0) branch.
-
-    STANDARD is the default: sigma = Delta_2 * sqrt(2 ln(1.25/beta)) / alpha,
-    the classical Gaussian-mechanism calibration.  The two variants are
-    alternative published rules kept for reproduction studies only:
-    ALPHA_LINEAR uses variance 8 zeta^2 ln(1.25/beta) / alpha (variance
-    inversely linear in alpha), SQRT_LOG uses variance
-    c * zeta * sqrt(ln(1/beta)) / alpha with a caller-supplied constant c.
-    """
-
-    STANDARD = "standard"
-    ALPHA_LINEAR = "alpha-linear"
-    SQRT_LOG = "sqrt-log"
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy budget alpha > 0 and failure probability beta in [0, 1).
@@ -131,21 +115,13 @@ def l2_sensitivity(zeta: float, d: int, accounting: Accounting) -> float:
     return 2.0 * zeta
 
 
-def make_noise_spec(
-    params: PrivacyParams,
-    zeta: float,
-    d: int,
-    formula: GaussianVarianceFormula = GaussianVarianceFormula.STANDARD,
-    c: float = 1.0,
-) -> NoiseSpec:
+def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     """Calibrate the additive noise for the requested privacy level.
 
     beta = 0 -> Laplace with scale b = Delta_1 / alpha, so per-coordinate
     accounting gives b = 2*zeta/alpha and variance 8*zeta^2/alpha^2.
-    beta > 0 -> Gaussian with sigma = Delta_2 * sqrt(2 ln(1.25/beta)) / alpha
-    under the STANDARD formula (see :class:`GaussianVarianceFormula` for the
-    reproduction-study variants, where ``c`` is the free constant of the
-    SQRT_LOG rule).
+    beta > 0 -> Gaussian with sigma = Delta_2 * sqrt(2 ln(1.25/beta)) / alpha,
+    the classical Gaussian-mechanism calibration.
 
     The classical Gaussian calibration is only proven for alpha <= 1; a
     warning (not an error) is emitted outside that region.
@@ -160,15 +136,8 @@ def make_noise_spec(
             RuntimeWarning,
             stacklevel=2,
         )
-    if formula is GaussianVarianceFormula.STANDARD:
-        delta2 = l2_sensitivity(zeta, d, params.accounting)
-        sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha
-    elif formula is GaussianVarianceFormula.ALPHA_LINEAR:
-        var = 8.0 * zeta * zeta * math.log(1.25 / params.beta) / params.alpha
-        sigma = math.sqrt(var)
-    else:  # SQRT_LOG
-        var = c * zeta * math.sqrt(math.log(1.0 / params.beta)) / params.alpha
-        sigma = math.sqrt(var)
+    delta2 = l2_sensitivity(zeta, d, params.accounting)
+    sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha
     return NoiseSpec(NoiseKind.GAUSSIAN, sigma)
 
 
@@ -177,7 +146,7 @@ class PrivateDataset:
     exact covariance of the noise that was added.
 
     ``noise_variance`` is the per-coordinate variance; the full covariance
-    is noise_variance * I_d (see :meth:`sigma_w`).  ``privacy`` is None when
+    is noise_variance * I_d.  ``privacy`` is None when
     the noise was injected directly (synthetic benchmarks) rather than
     calibrated from a privacy budget.
     """
@@ -217,10 +186,6 @@ class PrivateDataset:
     @property
     def dim(self) -> int:
         return self.z.shape[1]
-
-    def sigma_w(self) -> np.ndarray:
-        """The d x d covariance of the added noise (diagonal)."""
-        return self.noise_variance * np.eye(self.dim)
 
     def __repr__(self) -> str:
         return (

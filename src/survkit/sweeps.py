@@ -37,8 +37,6 @@ from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, solve
 from .tester import TestConfig, verify_survey
 
-_EXPERIMENTS = ("model-distance", "error-vs-samples", "noise-comparison")
-_EXPERIMENT_INDEX = {name: i + 1 for i, name in enumerate(_EXPERIMENTS)}
 _GRID_CAP = 10**6
 _TRIAL_CAP = 10**6
 _DATA_TAG = 2
@@ -64,7 +62,7 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -146,15 +144,8 @@ def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
     return row
 
 
-def _grid(spec: SweepSpec) -> list[tuple]:
-    if spec.experiment == "model-distance":
-        return [(mu, tol) for mu in spec.mu_grid for tol in spec.tol_grid]
-    if spec.experiment == "error-vs-samples":
-        return [(alpha, m) for alpha in spec.alpha_grid for m in spec.m_grid]
-    return [(m,) for m in spec.m_grid]
-
-
 def _run_grid_point(spec: SweepSpec, grid_index: int, point: tuple) -> list[dict]:
+    _, trial_fn, _ = EXPERIMENTS[spec.experiment]
     rows = []
     # Per-verdict diagnostics (oversized radius, out-of-range validation
     # responses) are expected when a grid deliberately sweeps far regimes
@@ -164,13 +155,7 @@ def _run_grid_point(spec: SweepSpec, grid_index: int, point: tuple) -> list[dict
         warnings.filterwarnings("ignore", message="radius .* exceeds tau")
         warnings.filterwarnings("ignore", message=".*validation responses exceed tau")
         for trial in range(spec.trials):
-            rng = _trial_rng(spec, grid_index, trial)
-            if spec.experiment == "model-distance":
-                row = _model_distance_trial(spec, point[0], point[1], rng)
-            elif spec.experiment == "error-vs-samples":
-                row = _error_vs_samples_trial(spec, point[0], point[1], rng)
-            else:
-                row = _noise_comparison_trial(spec, point[0], rng)
+            row = trial_fn(spec, *point, _trial_rng(spec, grid_index, trial))
             row["trial"] = trial
             rows.append(row)
     return rows
@@ -181,48 +166,72 @@ def _fit_slope(ms: list[float], means: list[float]) -> float:
     return float(coeffs[0])
 
 
-def _summarize(spec: SweepSpec, rows: list[dict]) -> dict:
-    summary: dict = {}
-    if spec.experiment == "model-distance":
-        rates = {}
-        for mu in spec.mu_grid:
-            for tol in spec.tol_grid:
-                sel = [r for r in rows if r["mu"] == mu and r["tol"] == tol]
-                if sel:
-                    rates[f"mu={mu:g},tol={tol:g}"] = {
-                        "accept_rate": sum(r["decision"] == "ACCEPT" for r in sel) / len(sel),
-                        "mean_model_distance": float(np.mean([r["model_distance"] for r in sel])),
-                        "trials": len(sel),
-                    }
-        summary["grid"] = rates
-    elif spec.experiment == "error-vs-samples":
-        slopes = {}
-        for alpha in spec.alpha_grid:
-            ms, means = [], []
-            for m in spec.m_grid:
-                sel = [r["error"] for r in rows if r["alpha"] == alpha and r["m"] == m]
-                if sel:
-                    ms.append(m)
-                    means.append(float(np.mean(sel)))
-            entry = {"m": ms, "mean_error": means}
-            if len(ms) >= 2:
-                entry["loglog_slope"] = _fit_slope(ms, means)
-            slopes[f"alpha={alpha:g}"] = entry
-        summary["grid"] = slopes
-    else:
-        comp = {}
-        for m in spec.m_grid:
-            sel = [r for r in rows if r["m"] == m]
+def _summarize_model_distance(spec: SweepSpec, rows: list[dict]) -> dict:
+    rates = {}
+    for mu in spec.mu_grid:
+        for tol in spec.tol_grid:
+            sel = [r for r in rows if r["mu"] == mu and r["tol"] == tol]
             if sel:
-                mg = float(np.mean([r["error_gaussian"] for r in sel]))
-                ml = float(np.mean([r["error_laplace"] for r in sel]))
-                comp[f"m={m}"] = {
-                    "mean_error_gaussian": mg,
-                    "mean_error_laplace": ml,
-                    "gaussian_not_worse": mg <= ml,
+                rates[f"mu={mu:g},tol={tol:g}"] = {
+                    "accept_rate": sum(r["decision"] == "ACCEPT" for r in sel) / len(sel),
+                    "mean_model_distance": float(np.mean([r["model_distance"] for r in sel])),
+                    "trials": len(sel),
                 }
-        summary["grid"] = comp
-    return summary
+    return rates
+
+
+def _summarize_error_vs_samples(spec: SweepSpec, rows: list[dict]) -> dict:
+    slopes = {}
+    for alpha in spec.alpha_grid:
+        ms, means = [], []
+        for m in spec.m_grid:
+            sel = [r["error"] for r in rows if r["alpha"] == alpha and r["m"] == m]
+            if sel:
+                ms.append(m)
+                means.append(float(np.mean(sel)))
+        entry = {"m": ms, "mean_error": means}
+        if len(ms) >= 2:
+            entry["loglog_slope"] = _fit_slope(ms, means)
+        slopes[f"alpha={alpha:g}"] = entry
+    return slopes
+
+
+def _summarize_noise_comparison(spec: SweepSpec, rows: list[dict]) -> dict:
+    comp = {}
+    for m in spec.m_grid:
+        sel = [r for r in rows if r["m"] == m]
+        if sel:
+            mg = float(np.mean([r["error_gaussian"] for r in sel]))
+            ml = float(np.mean([r["error_laplace"] for r in sel]))
+            comp[f"m={m}"] = {
+                "mean_error_gaussian": mg,
+                "mean_error_laplace": ml,
+                "gaussian_not_worse": mg <= ml,
+            }
+    return comp
+
+
+# Each experiment's (grid, trial, summarize).  A grid point is the tuple of
+# trial arguments between the spec and the RngSpec.  The order fixes each
+# experiment's stream index (1, 2, 3), which seeds every trial.
+EXPERIMENTS = {
+    "model-distance": (
+        lambda spec: [(mu, tol) for mu in spec.mu_grid for tol in spec.tol_grid],
+        _model_distance_trial,
+        _summarize_model_distance,
+    ),
+    "error-vs-samples": (
+        lambda spec: [(alpha, m) for alpha in spec.alpha_grid for m in spec.m_grid],
+        _error_vs_samples_trial,
+        _summarize_error_vs_samples,
+    ),
+    "noise-comparison": (
+        lambda spec: [(m,) for m in spec.m_grid],
+        _noise_comparison_trial,
+        _summarize_noise_comparison,
+    ),
+}
+_EXPERIMENT_INDEX = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -234,23 +243,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = _grid(spec)
+    grid, _, summarize = EXPERIMENTS[spec.experiment]
+    points = grid(spec)
     results: dict[int, list[dict]] = {}
     errors: dict[str, str] = {}
 
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [(i, p, pool.submit(_run_grid_point, spec, i, p)) for i, p in enumerate(points)]
-            for idx, point, fut in futures:
-                try:
-                    results[idx] = fut.result()
-                except Exception as exc:  # grid point aborted, others continue
-                    errors[str(point)] = f"{type(exc).__name__}: {exc}"
-    else:
-        for idx, point in enumerate(points):
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        futures = [(i, p, pool.submit(_run_grid_point, spec, i, p)) for i, p in enumerate(points)]
+        for idx, point, fut in futures:
             try:
-                results[idx] = _run_grid_point(spec, idx, point)
-            except Exception as exc:
+                results[idx] = fut.result()
+            except Exception as exc:  # grid point aborted, others continue
                 errors[str(point)] = f"{type(exc).__name__}: {exc}"
 
     rows = [row for idx in sorted(results) for row in results[idx]]
@@ -262,10 +265,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for row in rows:
             writer.writerow(row)
 
-    summary = _summarize(spec, rows)
-    summary["errors"] = errors
-    summary["spec"] = {
-        k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(spec).items()
+    summary = {
+        "grid": summarize(spec, rows),
+        "errors": errors,
+        "spec": {k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(spec).items()},
     }
     summary_json = out / f"{spec.experiment}_summary.json"
     summary_json.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")

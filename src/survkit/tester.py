@@ -21,7 +21,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -115,16 +114,6 @@ class PooledSource(ValidationSource):
         sl = slice(self._next, self._next + n)
         self._next += n
         return self.x[sl], self.y[sl]
-
-
-class CallableSource(ValidationSource):
-    """Unlimited source wrapping a function (n, gen) -> (X, Y)."""
-
-    def __init__(self, fn: Callable[[int, np.random.Generator], tuple[np.ndarray, np.ndarray]]):
-        self._fn = fn
-
-    def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return self._fn(n, gen)
 
 
 class Decision(enum.Enum):
@@ -273,41 +262,9 @@ def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
             "predictions may leave [-tau, tau] and the validation-accuracy "
             "guarantee degrades"
         )
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        warnings.warn(msg, RuntimeWarning, stacklevel=4)
         notes.append(msg)
     return notes
-
-
-def _fit(survey_moments, radius: float) -> np.ndarray:
-    result = solve(survey_moments, SolverConfig(mode="constrained", radius=radius))
-    return result.theta_hat
-
-
-def _decide(
-    gamma_s: float,
-    gamma_d: float,
-    cfg: TestConfig,
-    t_used: int,
-    l_hat: float,
-    j_hat: float,
-    theta_hat: np.ndarray,
-    notes: list[str],
-) -> Verdict:
-    margin = math.sqrt(gamma_d) - math.sqrt(gamma_s) - cfg.kappa - cfg.tol
-    decision = Decision.REJECT if margin > 0 else Decision.ACCEPT
-    return Verdict(
-        decision=decision,
-        t_used=t_used,
-        l_hat=l_hat,
-        gamma_s=gamma_s,
-        gamma_d=gamma_d,
-        j_hat=j_hat,
-        theta_hat=theta_hat,
-        margin=margin,
-        loss_bound_form=cfg.loss_bound_form,
-        constants={"c2": cfg.constant("c2"), "c_eps": cfg.constant("c_eps")},
-        notes=tuple(notes),
-    )
 
 
 def _draw_validation(
@@ -321,9 +278,76 @@ def _draw_validation(
     over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
     if over:
         msg = f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}"
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        warnings.warn(msg, RuntimeWarning, stacklevel=4)
         notes.append(msg)
     return xv, yv
+
+
+def _verify(
+    survey: Dataset,
+    source: ValidationSource,
+    cfg: TestConfig,
+    rng: RngSpec,
+    privacy: PrivacyParams | None,
+    lambda_min: float | None,
+) -> Verdict:
+    """The credibility test; ``privacy`` None runs it on the clear survey."""
+    notes = _check_survey(survey, cfg)
+    x = survey.x
+    j_hat = 0.0
+    if privacy is None:
+        moments = moments_from_arrays(survey.x, survey.y)
+    else:
+        # Privatize against the configured bounds: _check_survey guarantees the
+        # data satisfies them, so sensitivity is calibrated from cfg.bounds.zeta.
+        to_publish = Dataset(survey.x, survey.y, cfg.bounds)
+        validate_dataset(to_publish)
+        spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
+        pds = privatize(to_publish, spec, privacy, rng)
+        moments = corrected_moments(pds)
+        x = pds.z
+        if lambda_min is None:
+            eig_floor = float(np.min(np.linalg.eigvalsh(moments.gamma_mat)))
+            lambda_min = max(eig_floor, _LAMBDA_MIN_FLOOR)
+            notes.append(
+                f"lambda_min estimated from corrected moments as {lambda_min:g} "
+                f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
+            )
+        if privacy.beta > 0:
+            j_hat = privacy_penalty_gaussian(
+                cfg.bounds, privacy.alpha, privacy.beta, lambda_min,
+                survey.size, survey.dim, cfg.constant("c2"),
+            )
+        else:
+            j_hat = privacy_penalty_laplace(
+                cfg.bounds, privacy.alpha, cfg.constant("c_eps"), lambda_min,
+                survey.size, survey.dim, cfg.constant("c2"),
+            )
+    theta_hat = solve(moments, SolverConfig(mode="constrained", radius=cfg.bounds.radius)).theta_hat
+    l_hat = mean_squared_loss(theta_hat, x, survey.y)
+    gamma_s = (
+        survey_loss_bound(
+            l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta, cfg.loss_bound_form
+        )
+        + j_hat
+    )
+    t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+    xv, yv = _draw_validation(source, t, cfg, rng, notes)
+    gamma_d = mean_squared_loss(theta_hat, xv, yv)
+    margin = math.sqrt(gamma_d) - math.sqrt(gamma_s) - cfg.kappa - cfg.tol
+    return Verdict(
+        decision=Decision.REJECT if margin > 0 else Decision.ACCEPT,
+        t_used=t,
+        l_hat=l_hat,
+        gamma_s=gamma_s,
+        gamma_d=gamma_d,
+        j_hat=j_hat,
+        theta_hat=theta_hat,
+        margin=margin,
+        loss_bound_form=cfg.loss_bound_form,
+        constants={"c2": cfg.constant("c2"), "c_eps": cfg.constant("c_eps")},
+        notes=tuple(notes),
+    )
 
 
 def verify_survey(
@@ -335,16 +359,7 @@ def verify_survey(
     population loss, draws the validation batch, and applies the decision
     rule.  The verdict carries every intermediate quantity.
     """
-    notes = _check_survey(survey, cfg)
-    theta_hat = _fit(moments_from_arrays(survey.x, survey.y), cfg.bounds.radius)
-    l_hat = mean_squared_loss(theta_hat, survey.x, survey.y)
-    gamma_s = survey_loss_bound(
-        l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta, cfg.loss_bound_form
-    )
-    t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
-    xv, yv = _draw_validation(source, t, cfg, rng, notes)
-    gamma_d = mean_squared_loss(theta_hat, xv, yv)
-    return _decide(gamma_s, gamma_d, cfg, t, l_hat, 0.0, theta_hat, notes)
+    return _verify(survey, source, cfg, rng, None, None)
 
 
 def verify_private_survey(
@@ -367,41 +382,4 @@ def verify_private_survey(
     when not declared it is estimated from the corrected Gram matrix,
     floored at 1e-6, and the verdict notes the heuristic.
     """
-    notes = _check_survey(survey, cfg)
-    # Privatize against the configured bounds: _check_survey guarantees the
-    # data satisfies them, so sensitivity is calibrated from cfg.bounds.zeta.
-    to_publish = Dataset(survey.x, survey.y, cfg.bounds)
-    validate_dataset(to_publish)
-    spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
-    pds = privatize(to_publish, spec, privacy, rng)
-    moments = corrected_moments(pds)
-    theta_hat = _fit(moments, cfg.bounds.radius)
-    l_hat = mean_squared_loss(theta_hat, pds.z, pds.y)
-
-    if lambda_min is None:
-        eig_floor = float(np.min(np.linalg.eigvalsh(moments.gamma_mat)))
-        lambda_min = max(eig_floor, _LAMBDA_MIN_FLOOR)
-        notes.append(
-            f"lambda_min estimated from corrected moments as {lambda_min:g} "
-            f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
-        )
-    if privacy.beta > 0:
-        j_hat = privacy_penalty_gaussian(
-            cfg.bounds, privacy.alpha, privacy.beta, lambda_min,
-            survey.size, survey.dim, cfg.constant("c2"),
-        )
-    else:
-        j_hat = privacy_penalty_laplace(
-            cfg.bounds, privacy.alpha, cfg.constant("c_eps"), lambda_min,
-            survey.size, survey.dim, cfg.constant("c2"),
-        )
-    gamma_s = (
-        survey_loss_bound(
-            l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta, cfg.loss_bound_form
-        )
-        + j_hat
-    )
-    t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
-    xv, yv = _draw_validation(source, t, cfg, rng, notes)
-    gamma_d = mean_squared_loss(theta_hat, xv, yv)
-    return _decide(gamma_s, gamma_d, cfg, t, l_hat, j_hat, theta_hat, notes)
+    return _verify(survey, source, cfg, rng, privacy, lambda_min)

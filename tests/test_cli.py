@@ -189,6 +189,17 @@ class TestBoundsCommand:
     def test_unknown_name_is_runtime_error(self):
         assert run("bounds", "--name", "no-such-bound", "--quiet") == EXIT_RUNTIME
 
+    def test_unknown_name_reported_before_flag_checks(self, capsys):
+        assert run("bounds", "--name", "no-such-bound", "--c-w", "0", "--quiet") == EXIT_RUNTIME
+        assert "unknown bound name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag, value", [
+        ("lower-re", "--c-x", "0"),
+        ("one-sided-bernstein", "--lambda-min", "0"),
+    ])
+    def test_flags_the_bound_does_not_read_are_not_validated(self, name, flag, value):
+        assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_OK
+
 
 # Non-default values for every `bounds` flag, so a flag read from the wrong
 # place shows up as a value mismatch.

@@ -6,7 +6,6 @@ import pytest
 
 from survkit import (
     Dataset,
-    GeneratorSpec,
     LinearModelSource,
     ModelBounds,
     NoiseKind,
@@ -210,32 +209,6 @@ class TestPrivateBundle:
         save_csv(ds, p)
         with pytest.raises(CsvFormatError, match="sidecar"):
             load_private(p)
-
-
-class TestGeneratorSpec:
-    def test_dispatch_matches_direct_calls(self):
-        spec = GeneratorSpec(kind="synthetic1", d=3, m=40, rng=RngSpec(6), mu=0.5)
-        survey_a, *_ = spec.generate()
-        survey_b, *_ = gen_synthetic1(3, 40, 0.5, RngSpec(6))
-        assert survey_a.x.tobytes() == survey_b.x.tobytes()
-        spec2 = GeneratorSpec(
-            kind="synthetic2", d=3, m=40, rng=RngSpec(6), noise_kind=NoiseKind.LAPLACE
-        )
-        _, noisy_a, _ = spec2.generate()
-        _, noisy_b, _ = gen_synthetic2(3, 40, NoiseKind.LAPLACE, RngSpec(6))
-        assert noisy_a.z.tobytes() == noisy_b.z.tobytes()
-
-    def test_linear_custom_produces_validated_dataset(self):
-        src = LinearModelSource([1.0, 0.0], 0.01, "uniform", 1.0)
-        spec = GeneratorSpec(kind="linear-custom", d=2, m=100, rng=RngSpec(8), custom=src)
-        ds = spec.generate()
-        assert ds.validated and ds.size == 100
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="nope", d=2, m=1, rng=RngSpec(0))
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="linear-custom", d=2, m=1, rng=RngSpec(0))
 
 
 class TestLinearModelSource:

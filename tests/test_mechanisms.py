@@ -6,7 +6,6 @@ import pytest
 from survkit import (
     Accounting,
     Dataset,
-    GaussianVarianceFormula,
     ModelBounds,
     NoiseKind,
     NoiseSpec,
@@ -81,13 +80,6 @@ class TestNoiseCalibration:
         )
         assert wr.scale == pytest.approx(3.0 * pc.scale, rel=1e-12)
 
-    def test_variant_formulas(self):
-        p = PrivacyParams(alpha=1.0, beta=0.1)
-        lin = make_noise_spec(p, 1.0, 2, GaussianVarianceFormula.ALPHA_LINEAR)
-        assert lin.per_coordinate_variance == pytest.approx(8 * math.log(12.5))
-        sq = make_noise_spec(p, 1.0, 2, GaussianVarianceFormula.SQRT_LOG, c=3.0)
-        assert sq.per_coordinate_variance == pytest.approx(3.0 * math.sqrt(math.log(10.0)))
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             PrivacyParams(alpha=0.0)
@@ -106,7 +98,7 @@ class TestPrivatize:
         ds = _validated([[0.0]], [0.5], ModelBounds(1, 1, 1))
         pds = privatize(ds, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, RngSpec(7))
         assert pds.z.shape == (1, 1) and pds.z[0, 0] != 0.0
-        np.testing.assert_array_equal(pds.sigma_w(), [[2.0]])
+        assert pds.noise_variance == 2.0
 
     def test_responses_byte_identical(self):
         ds = _validated([[0.1], [0.2]], [0.5, -0.5], ModelBounds(1, 1, 1))

@@ -90,14 +90,16 @@ class TestSweepMechanics:
         assert _read(serial.trials_csv) == _read(pooled.trials_csv)
 
     def test_grid_point_failure_recorded_others_continue(self, tmp_path, monkeypatch):
-        real = sweeps_mod._error_vs_samples_trial
+        grid, real, summarize = sweeps_mod.EXPERIMENTS["error-vs-samples"]
 
         def flaky(spec, alpha, m, rng):
             if m == 700:
                 raise RuntimeError("boom")
             return real(spec, alpha, m, rng)
 
-        monkeypatch.setattr(sweeps_mod, "_error_vs_samples_trial", flaky)
+        monkeypatch.setitem(
+            sweeps_mod.EXPERIMENTS, "error-vs-samples", (grid, flaky, summarize)
+        )
         spec = SweepSpec(
             experiment="error-vs-samples", trials=2, seed=1, output_dir=tmp_path,
             d=4, m_grid=(500, 700, 900), alpha_grid=(1.0,),

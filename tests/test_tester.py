@@ -20,7 +20,6 @@ from survkit import (
     verify_private_survey,
     verify_survey,
 )
-from survkit.tester import CallableSource
 
 
 class TestValidationSampleSize:
@@ -118,24 +117,36 @@ def _survey_and_cfg(mu, m=4000, d=8, seed=0, tol=0.2, kappa=0.0, delta=0.1):
 class TestVerifySurvey:
     def test_stub_matching_scale_accepts(self):
         survey, _, cfg, _ = _survey_and_cfg(0.0)
-
-        def replay(n, gen):
-            idx = np.arange(n) % survey.size
-            return survey.x[idx], survey.y[idx]
-
-        verdict = verify_survey(survey, CallableSource(replay), cfg, RngSpec(1))
+        t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+        idx = np.arange(t) % survey.size
+        replay = PooledSource(survey.x[idx], survey.y[idx])
+        verdict = verify_survey(survey, replay, cfg, RngSpec(1))
         # gamma_d ~= l_hat <= gamma_s, so margin <= -kappa - tol < 0
         assert verdict.decision is Decision.ACCEPT
         assert verdict.margin < 0
 
     def test_one_sided_small_validation_loss_always_accepts(self):
         survey, _, cfg, _ = _survey_and_cfg(0.0)
-
-        def zeros(n, gen):
-            return np.zeros((n, survey.dim)), np.zeros(n)
-
-        verdict = verify_survey(survey, CallableSource(zeros), cfg, RngSpec(1))
+        t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+        zeros = PooledSource(np.zeros((t, survey.dim)), np.zeros(t))
+        verdict = verify_survey(survey, zeros, cfg, RngSpec(1))
         assert verdict.decision is Decision.ACCEPT
+
+    def test_warnings_point_at_the_caller(self):
+        survey, _, cfg, _ = _survey_and_cfg(0.0)
+        t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+
+        def far_pool():
+            return PooledSource(np.zeros((t, survey.dim)), np.full(t, 2 * cfg.bounds.tau))
+
+        with pytest.warns(RuntimeWarning) as rec:
+            verify_survey(survey, far_pool(), cfg, RngSpec(1))
+            verify_private_survey(
+                survey, far_pool(), cfg, PrivacyParams(alpha=2.0), RngSpec(1), lambda_min=1.0
+            )
+        messages = " ".join(str(w.message) for w in rec)
+        assert "radius" in messages and "validation responses exceed tau" in messages
+        assert {w.filename for w in rec} == {__file__}
 
     def test_decision_is_pure_function_of_margin(self):
         survey, sampler, cfg, _ = _survey_and_cfg(1.0, tol=0.1)
