@@ -164,11 +164,7 @@ def _cmd_publish(args) -> int:
     )
     spec = make_noise_spec(params, args.zeta, ds.dim)
     pds = privatize(ds, spec, params, RngSpec(args.seed))
-    csv_path, side = save_private(pds, args.output)
-    meta = json.loads(side.read_text(encoding="utf-8"))
-    meta["zeta"] = args.zeta
-    meta["manifest"] = _manifest(args)
-    side.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    csv_path, side = save_private(pds, args.output, zeta=args.zeta, manifest=_manifest(args))
     _emit(
         args,
         {
@@ -207,13 +203,14 @@ def _cmd_fit(args) -> int:
         "iterations": result.iterations,
         "final_objective": result.final_objective,
         "converged": result.converged,
+        "gap": result.gap,
         "step_size_used": result.step_size_used,
         "manifest": _manifest(args),
     }
     if args.output:
         _write_json(args.output, payload)
     _emit(args, {"converged": result.converged, "iterations": result.iterations,
-                 "final_objective": result.final_objective})
+                 "gap": result.gap, "final_objective": result.final_objective})
     return EXIT_OK
 
 

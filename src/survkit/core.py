@@ -15,8 +15,23 @@ read-only) and safe to share across workers; the one exception is the
 
 from __future__ import annotations
 
+import os
+import sys
+import warnings
 from dataclasses import dataclass
+
 import numpy as np
+
+_PACKAGE_DIR = os.path.dirname(__file__)
+
+
+def warn_caller(message: str) -> None:
+    """Emit a RuntimeWarning attributed to the first stack frame outside
+    the survkit package, i.e. to the user's call however deep it started."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import Dataset, ModelBounds, RngSpec, validate_dataset
 from .mechanisms import NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset
@@ -202,6 +201,10 @@ def gen_synthetic2(
     u = rng.derive(_COVARIATE_NOISE_TAG).random(size=(m, d))
     u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
     if noise_kind is NoiseKind.GAUSSIAN:
+        # Imported here: scipy.special is the slowest import in the package
+        # and this is its only use.
+        from scipy.special import ndtri
+
         w = ndtri(u)
         spec = NoiseSpec(NoiseKind.GAUSSIAN, 1.0)
     else:
@@ -295,10 +298,10 @@ def sidecar_path(csv_path) -> Path:
     return p.with_suffix(".meta.json") if p.suffix == ".csv" else Path(str(p) + ".meta.json")
 
 
-def save_private(pds: PrivateDataset, path) -> tuple[Path, Path]:
+def save_private(pds: PrivateDataset, path, **extra) -> tuple[Path, Path]:
     """Write a private bundle: the noisy CSV plus a JSON sidecar recording
-    the noise specification, the noise covariance diagonal, and provenance.
-    Returns (csv_path, sidecar_path)."""
+    the noise specification, the noise covariance diagonal, and provenance,
+    plus any ``extra`` JSON-ready fields.  Returns (csv_path, sidecar_path)."""
     path = Path(path)
     _write_rows(path, pds.z, pds.y)
     meta = {
@@ -313,6 +316,7 @@ def save_private(pds: PrivateDataset, path) -> tuple[Path, Path]:
         "accounting": pds.privacy.accounting.value if pds.privacy else None,
         "seed": pds.rng.seed if pds.rng else None,
         "stream": pds.rng.stream if pds.rng else None,
+        **extra,
     }
     side = sidecar_path(path)
     side.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RngSpec
+from .core import Dataset, RngSpec, warn_caller
 
 # Sub-stream tag reserved for privatization noise (see RngSpec.derive).
 _NOISE_TAG = 0
@@ -130,11 +129,9 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
         b = l1_sensitivity(zeta, d, params.accounting) / params.alpha
         return NoiseSpec(NoiseKind.LAPLACE, b)
     if params.alpha > 1:
-        warnings.warn(
+        warn_caller(
             f"Gaussian mechanism calibration at alpha={params.alpha} > 1 is outside "
-            "the classical validity region",
-            RuntimeWarning,
-            stacklevel=2,
+            "the classical validity region"
         )
     delta2 = l2_sensitivity(zeta, d, params.accounting)
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha

@@ -12,10 +12,11 @@ are recovered by minimizing
 
     0.5 * theta^T gamma_mat theta - <gamma_vec, theta>  (+ lambda_n ||theta||_1)
 
-either over the l1 ball of a given radius (constrained mode, projected
-gradient descent) or with the l1 penalty (Lagrangian mode, proximal
-gradient), both with step size 1 / ||gamma_mat||_2.  The correction can
-make gamma_mat indefinite; gradient descent from zero still converges to a
+either over the l1 ball of a given radius (constrained mode) or with the
+l1 penalty (Lagrangian mode), by FISTA with adaptive restart and the exact
+step 1 / ||gamma_mat||_2, stopped on a certified gap (Frank-Wolfe gap or
+proximal-gradient residual).  The correction can make gamma_mat
+indefinite; the monotone iteration from zero still converges to a
 stationary point, and for statistically sized radii all such points carry
 equivalent estimation error.
 """
@@ -29,8 +30,6 @@ import numpy as np
 
 from .mechanisms import PrivateDataset
 
-_SPECTRAL_ITERS = 200
-_SPECTRAL_SLACK = 1.01
 _ABS_OBJECTIVE_FLOOR = 1e-14
 _STAGNATION_TOL = 1e-12
 _TIE_BREAK_EPS = 1e-8
@@ -132,39 +131,16 @@ def project_l1(v, radius: float) -> np.ndarray:
 
 
 def spectral_bound(gamma_mat) -> float:
-    """Upper bound on the spectral norm of a symmetric matrix.
+    """Spectral norm max |eigenvalue| of a symmetric matrix.
 
-    Power iteration on gamma_mat^T gamma_mat with a fixed 200 iterations
-    from the normalized all-ones start vector; the converged estimate is
-    inflated by a factor 1.01.  Returns exactly 0 for the zero matrix.
-
-    The all-ones start can cancel exactly against the dominant eigenspace
-    (e.g. [[1, -1], [-1, 1]]), so the estimate is cross-checked against the
-    largest column 2-norm, a certified lower bound on the spectral norm;
-    if the iteration demonstrably misconverged, the smaller of the
-    Frobenius norm and the maximum absolute row sum is returned instead -
-    a looser but always valid upper bound.
+    Exact to rounding for symmetric input, which CorrectedMoments
+    guarantees; only the lower triangle is read.  Returns exactly 0 for the
+    zero matrix.
     """
     g = np.asarray(gamma_mat, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.any(g):
-        return 0.0
-    b = g.T @ g
-    v = np.ones(g.shape[0]) / math.sqrt(g.shape[0])
-    est = 0.0
-    for _ in range(_SPECTRAL_ITERS):
-        w = b @ v
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            break
-        v = w / n
-    else:
-        est = math.sqrt(np.linalg.norm(b @ v)) * _SPECTRAL_SLACK
-    max_col_norm = math.sqrt(float(np.max(np.sum(g * g, axis=0))))
-    if est < max_col_norm:
-        return min(float(np.linalg.norm(g)), float(np.max(np.sum(np.abs(g), axis=1))))
-    return est
+    return float(np.max(np.abs(np.linalg.eigvalsh(g)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -176,8 +152,9 @@ class SolverConfig:
     ``radius`` acting as an optional feasibility guard (projection after
     every step) when set.  ``lambda_n=None`` in Lagrangian mode selects the
     default rule c_pen * sqrt(ln d / m).  ``step=None`` selects the automatic
-    step 1 / spectral_bound(gamma_mat).  ``tol`` measures relative objective
-    change, with an absolute floor of 1e-14 for near-zero objectives.
+    step 1 / spectral_bound(gamma_mat).  ``tol`` bounds the optimality gap
+    at the returned iterate relative to the gap at the start:
+    ``converged`` means gap <= tol * max(1, gap(theta_0)) (see :func:`solve`).
     """
 
     mode: str = "constrained"
@@ -214,6 +191,7 @@ class SolveResult:
     final_objective: float
     converged: bool
     step_size_used: float
+    gap: float
 
 
 def objective(moments: CorrectedMoments, theta, lambda_n: float = 0.0) -> float:
@@ -237,18 +215,25 @@ def _resolve_lambda(config: SolverConfig, moments: CorrectedMoments) -> float:
 def solve(
     moments: CorrectedMoments, config: SolverConfig, trace: list | None = None
 ) -> SolveResult:
-    """Minimize the corrected quadratic by projected/proximal gradient.
+    """Minimize the corrected quadratic by FISTA with adaptive restart.
 
-    Constrained mode iterates theta <- project_l1(theta - eta * grad, radius)
-    from theta_0 = 0 with eta = 1 / max(spectral_bound, 1e-12); Lagrangian
-    mode replaces the projection with the soft-threshold proximal map at
-    level eta * lambda_n (plus the radius-guard projection when configured).
-    Stops when the relative objective change drops below tol, or - the
-    absolute fallback for near-zero objectives - when the objective change
-    is below 1e-14 AND the iterate has stopped moving (the stagnation guard
-    keeps the fallback from firing while the iterate is still escaping the
-    quadratically flat neighbourhood of a saddle).  Reports which via
-    ``converged``; max_iter bounds the iteration either way.
+    From theta_0 = 0 with eta = 1 / max(spectral_bound, 1e-12), each step is
+    x+ = prox(y - eta * grad(y)) at the momentum point y (Beck & Teboulle
+    2009); prox is project_l1 (constrained mode) or the soft threshold at
+    eta * lambda_n plus the radius-guard projection when configured
+    (Lagrangian mode).  Momentum restarts when <y - x+, x+ - x> > 0
+    (O'Donoghue & Candes 2015).  If the momentum step raises the objective,
+    the plain step from x is taken and momentum restarts; with the exact
+    step that never raises the objective, even for indefinite gamma_mat.
+
+    ``converged`` certifies gap <= tol * max(1, gap(theta_0)).  The gap is
+    the Frank-Wolfe gap <g, theta> + radius * ||g||_inf (constrained mode;
+    Jaggi 2013), which bounds f(theta) - f* when gamma_mat is PSD, or the
+    residual ||theta - prox(theta - eta * g)||_inf / eta (Lagrangian mode);
+    for indefinite gamma_mat both measure stationarity.  The run also ends,
+    unconverged unless the gap test holds, when rounding stalls it
+    (objective change < 1e-14 and move < 1e-12 * max(1, ||theta||_inf)) or
+    at max_iter.  ``gap`` is the gap at the returned iterate.
 
     Tie-breaking on the measure-zero symmetric case: when the gradient at
     zero vanishes exactly and the corrected matrix has a negative diagonal
@@ -260,51 +245,76 @@ def solve(
     """
     d = moments.dim
     gm, gv = moments.gamma_mat, moments.gamma_vec
-    lam = _resolve_lambda(config, moments) if config.mode == "lagrangian" else 0.0
-    if config.step is not None:
-        eta = config.step
-    else:
-        eta = 1.0 / max(spectral_bound(gm), 1e-12)
+    constrained = config.mode == "constrained"
+    radius = config.radius
+    lam = 0.0 if constrained else _resolve_lambda(config, moments)
+    eta = config.step or 1.0 / max(spectral_bound(gm), 1e-12)
+
+    def prox(v):
+        if constrained:
+            return project_l1(v, radius)
+        v = soft_threshold(v, eta * lam)
+        if radius is not None and np.sum(np.abs(v)) > radius:
+            v = project_l1(v, radius)
+        return v
+
+    def gap_at(x, gx):
+        g = gx - gv
+        if constrained:
+            return float(g @ x) + radius * float(np.max(np.abs(g)))
+        return float(np.max(np.abs(x - prox(x - eta * g)))) / eta
+
+    def step_from(y, gy):
+        # The new iterate, gamma_mat times it (reused for the objective, the
+        # gap and the next gradient) and its objective.  Divergence (possible
+        # for indefinite quadratics in unguarded Lagrangian mode) shows as a
+        # non-finite objective.
+        x = prox(y - eta * (gy - gv))
+        gx = gm @ x
+        f = 0.5 * float(x @ gx) - float(gv @ x) + lam * float(np.sum(np.abs(x)))
+        if not math.isfinite(f):
+            raise SolverDivergenceError(
+                f"objective became non-finite at iteration {iterations}", theta
+            )
+        return x, gx, f
 
     theta = np.zeros(d)
     diag = np.diag(gm)
     if not np.any(gv) and np.min(diag) < 0:
-        theta = theta.copy()
         theta[int(np.argmin(diag))] = _TIE_BREAK_EPS
-
+    g_theta = gm @ theta
     obj = objective(moments, theta, lam)
-    iterations = 0
-    converged = False
-    # Divergence (possible for indefinite quadratics in unguarded Lagrangian
-    # mode) is detected from the non-finite objective, so numpy's transient
-    # overflow warnings on that path carry no extra information.
+    gap = gap_at(theta, g_theta)
+    threshold = config.tol * max(1.0, gap)
+    y, g_y, t, beta = theta, g_theta, 1.0, 0.0
+    iterations, converged = 0, False
+    # numpy's transient overflow warnings on the divergent path carry no
+    # information beyond the non-finite objective.
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, config.max_iter + 1):
-            grad = gm @ theta - gv
-            cand = theta - eta * grad
-            if config.mode == "constrained":
-                new = project_l1(cand, config.radius)
+            new, g_new, new_obj = step_from(y, g_y)
+            restart = beta > 0 and new_obj > obj
+            if restart:
+                new, g_new, new_obj = step_from(theta, g_theta)
+            if restart or float((y - new) @ (new - theta)) > 0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            if beta > 0:
+                y, g_y = new + beta * (new - theta), g_new + beta * (g_new - g_theta)
             else:
-                new = soft_threshold(cand, eta * lam)
-                if config.radius is not None and np.sum(np.abs(new)) > config.radius:
-                    new = project_l1(new, config.radius)
-            new_obj = objective(moments, new, lam)
-            if not math.isfinite(new_obj):
-                raise SolverDivergenceError(
-                    f"objective became non-finite at iteration {iterations}", theta
-                )
+                y, g_y = new, g_new
             delta = abs(new_obj - obj)
             move = float(np.max(np.abs(new - theta)))
-            theta, obj = new, new_obj
+            theta, g_theta, obj, t = new, g_new, new_obj, t_next
             if trace is not None:
                 trace.append(obj)
-            if delta < config.tol * abs(obj):
-                converged = True
-                break
-            if delta < _ABS_OBJECTIVE_FLOOR and move < _STAGNATION_TOL * max(
-                1.0, float(np.max(np.abs(theta)))
+            gap = gap_at(theta, g_theta)
+            converged = gap <= threshold
+            if converged or (
+                delta < _ABS_OBJECTIVE_FLOOR
+                and move < _STAGNATION_TOL * max(1.0, float(np.max(np.abs(theta))))
             ):
-                converged = True
                 break
 
     return SolveResult(
@@ -313,4 +323,5 @@ def solve(
         final_objective=obj,
         converged=converged,
         step_size_used=eta,
+        gap=gap,
     )

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, ModelBounds, RngSpec, mean_squared_loss, validate_dataset
+from .core import (
+    Dataset, ModelBounds, RngSpec, mean_squared_loss, validate_dataset, warn_caller,
+)
 from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
 
@@ -208,11 +209,7 @@ def privacy_penalty_gaussian(
     if lambda_min <= 0 or m < 1 or d < 1:
         raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
     if d == 1:
-        warnings.warn(
-            "privacy penalty is 0 at d = 1 because the ln d factor vanishes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn_caller("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
     lb = math.log(1.0 / beta)
     zeta, r = bounds.zeta, bounds.radius
     return (
@@ -240,11 +237,7 @@ def privacy_penalty_laplace(
     if lambda_min <= 0 or m < 1 or d < 1:
         raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
     if d == 1:
-        warnings.warn(
-            "privacy penalty is 0 at d = 1 because the ln d factor vanishes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn_caller("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
     zeta, r = bounds.zeta, bounds.radius
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     return c2 * zeta / lambda_min * big_m * r * math.sqrt(d * math.log(d) / m)
@@ -262,7 +255,7 @@ def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
             "predictions may leave [-tau, tau] and the validation-accuracy "
             "guarantee degrades"
         )
-        warnings.warn(msg, RuntimeWarning, stacklevel=4)
+        warn_caller(msg)
         notes.append(msg)
     return notes
 
@@ -278,7 +271,7 @@ def _draw_validation(
     over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
     if over:
         msg = f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}"
-        warnings.warn(msg, RuntimeWarning, stacklevel=4)
+        warn_caller(msg)
         notes.append(msg)
     return xv, yv
 
@@ -295,6 +288,7 @@ def _verify(
     notes = _check_survey(survey, cfg)
     x = survey.x
     j_hat = 0.0
+    step = None
     if privacy is None:
         moments = moments_from_arrays(survey.x, survey.y)
     else:
@@ -306,9 +300,12 @@ def _verify(
         pds = privatize(to_publish, spec, privacy, rng)
         moments = corrected_moments(pds)
         x = pds.z
+        # One eigendecomposition gives both the solver's exact step and the
+        # lambda_min estimate.
+        eig = np.linalg.eigvalsh(moments.gamma_mat)
+        step = 1.0 / max(float(np.max(np.abs(eig))), 1e-12)
         if lambda_min is None:
-            eig_floor = float(np.min(np.linalg.eigvalsh(moments.gamma_mat)))
-            lambda_min = max(eig_floor, _LAMBDA_MIN_FLOOR)
+            lambda_min = max(float(eig[0]), _LAMBDA_MIN_FLOOR)
             notes.append(
                 f"lambda_min estimated from corrected moments as {lambda_min:g} "
                 f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
@@ -323,7 +320,8 @@ def _verify(
                 cfg.bounds, privacy.alpha, cfg.constant("c_eps"), lambda_min,
                 survey.size, survey.dim, cfg.constant("c2"),
             )
-    theta_hat = solve(moments, SolverConfig(mode="constrained", radius=cfg.bounds.radius)).theta_hat
+    config = SolverConfig(mode="constrained", radius=cfg.bounds.radius, step=step)
+    theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
     gamma_s = (
         survey_loss_bound(

@@ -92,6 +92,7 @@ class TestPublishAndFit:
         ) == EXIT_OK
         result = json.loads(fit_out.read_text())
         assert result["converged"]
+        assert abs(result["gap"]) < 1e-6  # the certified gap behind "converged"
         got = np.array(result["theta_hat"])
         assert np.linalg.norm(got - theta) < 0.25
 

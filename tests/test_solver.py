@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect
 
 from survkit import (
@@ -137,15 +138,26 @@ class TestSpectralBound:
 
     def test_upper_bounds_exact_norm(self):
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(20):
             a = rng.normal(size=(8, 8))
-            g = (a + a.T) / 2
+            cases.append((a + a.T) / 2)
+        # A mean-zero top eigenvector is invisible to a power iteration
+        # started from the all-ones vector, which then settles on 0.93.
+        a = rng.normal(size=(6, 6))
+        a[:, 0] -= a[:, 0].mean()
+        q, _ = np.linalg.qr(a)
+        adversarial = q @ np.diag([1.0, 0.93, 0.5, 0.4, 0.3, 0.2]) @ q.T
+        assert spectral_bound(adversarial) == pytest.approx(1.0, abs=1e-12)
+        for g in cases + [adversarial]:
             exact = np.max(np.abs(np.linalg.eigvalsh(g)))
             assert spectral_bound(g) >= exact - 1e-9
+            assert spectral_bound(g) == pytest.approx(exact, abs=1e-12)
 
     def test_start_vector_cancellation_still_upper_bounds(self):
-        # all-ones start is exactly annihilated here; the fallback must
-        # still return a valid upper bound on the norm (2), not 0
+        # the all-ones vector is orthogonal to the top eigenvector here, which
+        # defeats a power iteration started from it; the bound must still
+        # reach the norm (2), not 0
         g = np.array([[1.0, -1.0], [-1.0, 1.0]])
         bound = spectral_bound(g)
         assert bound >= 2.0
@@ -286,3 +298,78 @@ class TestSolve:
             SolverConfig(mode="lagrangian", lambda_n=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(mode="nonsense", radius=1.0)
+
+
+def _psd_instance(rng, d, cond):
+    """Gamma with spectrum logspace(1, 1/cond) and an interior optimum."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = np.logspace(0.0, -math.log10(cond), d)
+    gm = (q * lam) @ q.T
+    t_star = rng.normal(size=d) * 0.1
+    return CorrectedMoments(gm, gm @ t_star, 1), t_star, float(lam[-1])
+
+
+def _certified_gap(moments, config, theta, eta):
+    """The stopping gap recomputed from its definition: the Frank-Wolfe gap
+    (constrained) or the prox-gradient residual (Lagrangian)."""
+    g = moments.gamma_mat @ theta - moments.gamma_vec
+    if config.mode == "constrained":
+        return float(g @ theta) + config.radius * float(np.max(np.abs(g)))
+    v = soft_threshold(theta - eta * g, eta * config.lambda_n)
+    if config.radius is not None and np.abs(v).sum() > config.radius:
+        v = project_l1(v, config.radius)
+    return float(np.max(np.abs(theta - v))) / eta
+
+
+class TestCertifiedStop:
+    def test_gap_bounds_suboptimality_and_error_on_psd(self):
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            d = int(rng.integers(2, 31))
+            m, t_star, lam_min = _psd_instance(rng, d, 10 ** rng.uniform(2, 4))
+            config = SolverConfig(mode="constrained", radius=2 * np.abs(t_star).sum())
+            res = solve(m, config)
+            assert res.converged
+            assert res.gap == pytest.approx(
+                _certified_gap(m, config, res.theta_hat, res.step_size_used), abs=1e-15
+            )
+            assert objective(m, res.theta_hat) - objective(m, t_star) <= res.gap + 1e-15
+            assert np.linalg.norm(res.theta_hat - t_star) <= math.sqrt(2 * res.gap / lam_min)
+
+    def test_ill_conditioned_diagonal_converges_by_default(self):
+        gm = np.diag([1.0, 1e-4])
+        t_star = np.array([0.5, -0.5])
+        res = solve(CorrectedMoments(gm, gm @ t_star, 1), SolverConfig(radius=2.0))
+        assert res.converged and res.iterations < SolverConfig(radius=2.0).max_iter
+        assert np.linalg.norm(res.theta_hat - t_star) <= math.sqrt(2 * res.gap / 1e-4)
+        assert np.linalg.norm(res.theta_hat - t_star) < 1e-4
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        lagrangian=st.booleans(),
+        shift=st.sampled_from([0.0, 0.5, 2.0]),
+        tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+        max_iter=st.integers(1, 300),
+    )
+    def test_converged_only_within_tolerance(self, seed, d, lagrangian, shift, tol, max_iter):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d))
+        m = CorrectedMoments(a @ a.T / d - shift * np.eye(d), rng.normal(size=d), 1)
+        radius = float(rng.uniform(0.1, 3.0))
+        if lagrangian:
+            config = SolverConfig(mode="lagrangian", lambda_n=0.1, radius=radius,
+                                  tol=tol, max_iter=max_iter)
+        else:
+            config = SolverConfig(mode="constrained", radius=radius, tol=tol, max_iter=max_iter)
+        trace = []
+        res = solve(m, config, trace=trace)
+        eta = res.step_size_used
+        gap = _certified_gap(m, config, res.theta_hat, eta)
+        gap0 = _certified_gap(m, config, np.zeros(d), eta)
+        assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
+        if res.converged:
+            assert gap <= tol * max(1.0, gap0) * (1 + 1e-9) + 1e-14
+        assert np.abs(res.theta_hat).sum() <= radius * (1 + 1e-10)
+        assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[1:])))

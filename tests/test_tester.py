@@ -13,6 +13,7 @@ from survkit import (
     RngSpec,
     TestConfig,
     gen_synthetic1,
+    make_noise_spec,
     privacy_penalty_gaussian,
     privacy_penalty_laplace,
     survey_loss_bound,
@@ -144,8 +145,15 @@ class TestVerifySurvey:
             verify_private_survey(
                 survey, far_pool(), cfg, PrivacyParams(alpha=2.0), RngSpec(1), lambda_min=1.0
             )
-        messages = " ".join(str(w.message) for w in rec)
-        assert "radius" in messages and "validation responses exceed tau" in messages
+            verify_private_survey(
+                survey, far_pool(), cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
+                lambda_min=1.0,
+            )
+            make_noise_spec(PrivacyParams(alpha=2.0, beta=0.1), zeta=1.0, d=2)
+        messages = [str(w.message) for w in rec]
+        assert any("radius" in m for m in messages)
+        assert any("validation responses exceed tau" in m for m in messages)
+        assert sum("Gaussian mechanism calibration" in m for m in messages) == 2
         assert {w.filename for w in rec} == {__file__}
 
     def test_decision_is_pure_function_of_margin(self):
