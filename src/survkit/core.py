@@ -148,11 +148,16 @@ class ValidationReport:
     """
 
     violations: tuple[tuple[int, int], ...]
-    dim: int
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _within(a: np.ndarray, bound: float) -> bool:
+    """Whether every |a_i| <= bound, for finite a: two reductions and no
+    |a| temporary."""
+    return bool(a.max() <= bound and a.min() >= -bound)
 
 
 def validate_dataset(ds: Dataset) -> ValidationReport:
@@ -160,17 +165,19 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
 
     Lists every (row, column) with |x_ij| > zeta, and every (row, d) with
     |y_i| > tau.  Sets the dataset's ``validated`` flag iff there are no
-    violations; otherwise leaves it untouched.  Idempotent.
+    violations; otherwise leaves it untouched.  Idempotent.  A dataset
+    within its bounds is recognised by min/max reductions alone; the
+    entry-by-entry scan runs only when some entry is out of bounds.
     """
     b = ds.bounds
+    if _within(ds.x, b.zeta) and _within(ds.y, b.tau):
+        ds._validated = True
+        return ValidationReport(())
     rows, cols = np.nonzero(np.abs(ds.x) > b.zeta)
     bad = [(int(r), int(c)) for r, c in zip(rows, cols)]
     bad += [(int(r), ds.dim) for r in np.nonzero(np.abs(ds.y) > b.tau)[0]]
     bad.sort()
-    report = ValidationReport(tuple(bad), ds.dim)
-    if report.ok:
-        ds._validated = True
-    return report
+    return ValidationReport(tuple(bad))
 
 
 def mean_squared_loss(theta, x, y) -> float:

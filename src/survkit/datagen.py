@@ -119,13 +119,20 @@ def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipR
     """
     if zeta <= 0 or tau <= 0:
         raise ValueError("zeta and tau must be positive")
-    x = np.clip(ds.x, -zeta, zeta)
-    y = np.clip(ds.y, -tau, tau)
-    cov = tuple(int(c) for c in np.count_nonzero(x != ds.x, axis=0))
-    resp = int(np.count_nonzero(y != ds.y))
-    out = Dataset(x, y, ModelBounds(zeta, tau, ds.bounds.radius))
+    return _clip(ds.x.copy(), ds.y.copy(), ModelBounds(zeta, tau, ds.bounds.radius))
+
+
+def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, ClipReport]:
+    """:func:`clip_to_bounds` for arrays the caller gives up: they are
+    clamped in place, so no pre-clip copy is made."""
+    zeta, tau = bounds.zeta, bounds.tau
+    cov = np.count_nonzero(x > zeta, axis=0) + np.count_nonzero(x < -zeta, axis=0)
+    resp = int(np.count_nonzero(y > tau) + np.count_nonzero(y < -tau))
+    np.clip(x, -zeta, zeta, out=x)
+    np.clip(y, -tau, tau, out=y)
+    out = Dataset(x, y, bounds)
     validate_dataset(out)
-    return out, ClipReport(cov, resp)
+    return out, ClipReport(tuple(int(c) for c in cov), resp)
 
 
 def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:
@@ -165,8 +172,7 @@ def gen_synthetic1(
     y = x @ theta_s + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_1), size=m_survey)
     zeta, tau, _ = _envelope_bounds(theta_s, _REG_NOISE_VAR_1)
     radius = max(1.0, 1.5 * float(np.sum(np.abs(theta_s))))
-    raw = Dataset(x, y, ModelBounds(zeta, tau, radius))
-    survey, clips = clip_to_bounds(raw, zeta, tau)
+    survey, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
     if clips.total:
         log.info("family-1 generator clipped %d cells to the 4-sigma envelope", clips.total)
     sampler = LinearModelSource(theta_star, _REG_NOISE_VAR_1)
@@ -188,19 +194,36 @@ def gen_synthetic2(
         raise ValueError("need d >= 1 and m >= 1")
     if not isinstance(noise_kind, NoiseKind):
         raise ValueError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
+    clean, theta_star, u = _synthetic2_base(d, m, rng)
+    return clean, _with_covariate_noise(clean, u, noise_kind, rng), theta_star
+
+
+def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """The part of :func:`gen_synthetic2` that both noise kinds share:
+    (clean, theta_star, u), u being the clipped uniform block that
+    :func:`_with_covariate_noise` transforms into either kind's noise."""
     gen = rng.derive(_DATA_TAG)
     theta_star = sparse_coefficients(d, gen)
     x = gen.normal(size=(m, d))
     y = x @ theta_star + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_2), size=m)
     zeta, tau, _ = _envelope_bounds(theta_star, _REG_NOISE_VAR_2)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
-    clean, clips = clip_to_bounds(Dataset(x, y, ModelBounds(zeta, tau, radius)), zeta, tau)
+    clean, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
+    del x, y  # clean holds its own copy; free these before the uniform block
     if clips.total:
         log.info("family-2 generator clipped %d cells to the 4-sigma envelope", clips.total)
-
     u = rng.derive(_COVARIATE_NOISE_TAG).random(size=(m, d))
-    u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
-    if noise_kind is NoiseKind.GAUSSIAN:
+    np.clip(u, _U_EPS, 1.0 - _U_EPS, out=u)
+    return clean, theta_star, u
+
+
+def _with_covariate_noise(
+    clean: Dataset, u: np.ndarray, kind: NoiseKind, rng: RngSpec
+) -> PrivateDataset:
+    """``clean`` with the covariate noise of ``kind``, the inverse-CDF
+    transform of the uniform block ``u``.  The Laplace transform overwrites
+    ``u``, so a caller that needs both kinds builds the Gaussian one first."""
+    if kind is NoiseKind.GAUSSIAN:
         # Imported here: scipy.special is the slowest import in the package
         # and this is its only use.
         from scipy.special import ndtri
@@ -208,18 +231,26 @@ def gen_synthetic2(
         w = ndtri(u)
         spec = NoiseSpec(NoiseKind.GAUSSIAN, 1.0)
     else:
+        # -scale * sign(u - 0.5) * log1p(-2 |u - 0.5|), one operation at a
+        # time in that order, in place.
         scale = 1.0 / math.sqrt(2.0)
-        w = -scale * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+        u -= 0.5
+        w = np.sign(u)
+        w *= -scale
+        np.abs(u, out=u)
+        u *= -2.0
+        np.log1p(u, out=u)
+        w *= u
         spec = NoiseSpec(NoiseKind.LAPLACE, scale)
-    noisy = PrivateDataset(
-        z=clean.x + w,
+    w += clean.x
+    return PrivateDataset(
+        z=w,
         y=clean.y,
         noise_variance=1.0,
         noise=spec,
         privacy=None,
         rng=rng,
     )
-    return clean, noisy, theta_star
 
 
 # ---------------------------------------------------------------------------

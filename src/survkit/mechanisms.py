@@ -214,8 +214,9 @@ def privatize(
         w = gen.laplace(loc=0.0, scale=spec.scale, size=shape)
     else:
         w = gen.normal(loc=0.0, scale=spec.scale, size=shape)
+    w += ds.x  # in place: the same sums as ds.x + w, one m x d buffer fewer
     return PrivateDataset(
-        z=ds.x + w,
+        z=w,
         y=ds.y,
         noise_variance=spec.per_coordinate_variance,
         noise=spec,

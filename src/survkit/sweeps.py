@@ -13,9 +13,11 @@ Three experiments are provided:
   record both errors.
 
 All randomness flows from the single sweep seed through the canonical
-stream encoding (experiment-index, grid-index, trial-index); grid points
-may execute on a bounded worker pool, and output ordering is canonical
-regardless of completion order.  Emits one tidy trials CSV (one row per
+stream encoding (experiment-index, grid-index, trial-index).  The trial,
+not the grid point, is what the bounded worker pool schedules, so the
+trials of one large grid point spread over all workers; rows are gathered
+back per grid point, and output ordering is canonical regardless of
+completion order or worker count.  Emits one tidy trials CSV (one row per
 trial per grid point) and one summary JSON per run.
 """
 
@@ -25,14 +27,18 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, ModelBounds, RngSpec, model_distance
-from .datagen import clip_to_bounds, gen_synthetic1, gen_synthetic2, sparse_coefficients
+from .core import ModelBounds, RngSpec, model_distance
+from .datagen import (
+    _clip, _synthetic2_base, _with_covariate_noise, gen_synthetic1, sparse_coefficients,
+)
+# No longer called here; bench/spans.py wraps them at this binding site.
+from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
 from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, solve
 from .tester import TestConfig, verify_survey
@@ -117,7 +123,8 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
     y = x @ theta_star + gen.normal(size=m)
     tau = 4.0 * math.sqrt(float(theta_star @ theta_star) / 3.0 + 1.0)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
-    ds, _ = clip_to_bounds(Dataset(x, y, ModelBounds(1.0, tau, radius)), 1.0, tau)
+    ds, _ = _clip(x, y, ModelBounds(1.0, tau, radius))
+    del x, y  # ds holds its own copy; free these before privatizing
     privacy = PrivacyParams(alpha=alpha, beta=spec.beta)
     noise = make_noise_spec(privacy, ds.bounds.zeta, spec.d)
     pds = privatize(ds, noise, privacy, rng)
@@ -133,32 +140,34 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
 
 
 def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
+    # gen_synthetic2 once per kind, with the shared data built once: the
+    # Gaussian kind goes first because the Laplace transform overwrites u.
+    clean, theta_star, u = _synthetic2_base(spec.d, m, rng)
+    config = SolverConfig(mode="constrained", radius=clean.bounds.radius)
     row: dict = {"m": m}
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.LAPLACE):
-        clean, noisy, theta_star = gen_synthetic2(spec.d, m, kind, rng)
-        result = solve(
-            corrected_moments(noisy),
-            SolverConfig(mode="constrained", radius=clean.bounds.radius),
-        )
+        result = solve(corrected_moments(_with_covariate_noise(clean, u, kind, rng)), config)
         row[f"error_{kind.value}"] = _normalized_error(result.theta_hat, theta_star)
     return row
 
 
-def _run_grid_point(spec: SweepSpec, grid_index: int, point: tuple) -> list[dict]:
-    _, trial_fn, _ = EXPERIMENTS[spec.experiment]
-    rows = []
-    # Per-verdict diagnostics (oversized radius, out-of-range validation
-    # responses) are expected when a grid deliberately sweeps far regimes
-    # and are already recorded in the verdict notes, so a grid run does not
-    # repeat them once per trial.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="radius .* exceeds tau")
-        warnings.filterwarnings("ignore", message=".*validation responses exceed tau")
-        for trial in range(spec.trials):
-            row = trial_fn(spec, *point, _trial_rng(spec, grid_index, trial))
-            row["trial"] = trial
-            rows.append(row)
-    return rows
+def _run_trial(trial_fn, spec: SweepSpec, grid_index: int, point: tuple, trial: int) -> dict:
+    row = trial_fn(spec, *point, _trial_rng(spec, grid_index, trial))
+    row["trial"] = trial
+    return row
+
+
+def _cancel_on_failure(later: list[Future]):
+    """Done-callback for one trial: if it raised, cancel the point's later
+    trials that have not started.  Earlier ones still run, so the failure
+    reported for the point is always that of its lowest failing trial."""
+
+    def callback(fut: Future) -> None:
+        if not fut.cancelled() and fut.exception() is not None:
+            for f in later:
+                f.cancel()
+
+    return callback
 
 
 def _fit_slope(ms: list[float], means: list[float]) -> float:
@@ -237,26 +246,47 @@ _EXPERIMENT_INDEX = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; returns the output paths and the summary dict.
 
-    A failure inside one grid point is recorded under summary["errors"] and
-    aborts only that point; the remaining points still run.  Output files
-    are a deterministic function of the spec.
+    Each (grid point, trial) is one task on a pool of ``spec.workers``
+    threads.  A failing trial aborts its grid point: the point contributes
+    no rows, its lowest failing trial's error is recorded under
+    summary["errors"], and its trials not yet started are cancelled; the
+    remaining points still run.  Output files are a deterministic function
+    of the spec and do not depend on the worker count.
+
+    Per-verdict diagnostics (oversized radius, out-of-range validation
+    responses) are expected when a grid deliberately sweeps far regimes and
+    are already recorded in the verdict notes, so they are filtered for the
+    whole run, in the calling thread: the filter list is process-wide, and
+    installing it per task from several threads at once would let them leak.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid, _, summarize = EXPERIMENTS[spec.experiment]
+    grid, trial_fn, summarize = EXPERIMENTS[spec.experiment]
     points = grid(spec)
-    results: dict[int, list[dict]] = {}
+    rows: list[dict] = []
     errors: dict[str, str] = {}
 
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        futures = [(i, p, pool.submit(_run_grid_point, spec, i, p)) for i, p in enumerate(points)]
-        for idx, point, fut in futures:
-            try:
-                results[idx] = fut.result()
-            except Exception as exc:  # grid point aborted, others continue
-                errors[str(point)] = f"{type(exc).__name__}: {exc}"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="radius .* exceeds tau")
+        warnings.filterwarnings("ignore", message=".*validation responses exceed tau")
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            futures = []
+            for i, point in enumerate(points):
+                trials = [
+                    pool.submit(_run_trial, trial_fn, spec, i, point, t)
+                    for t in range(spec.trials)
+                ]
+                for t, fut in enumerate(trials):
+                    fut.add_done_callback(_cancel_on_failure(trials[t + 1:]))
+                futures.append(trials)
+            for point, trials in zip(points, futures):
+                try:
+                    point_rows = [fut.result() for fut in trials]
+                except Exception as exc:  # grid point aborted, others continue
+                    errors[str(point)] = f"{type(exc).__name__}: {exc}"
+                else:
+                    rows.extend(point_rows)
 
-    rows = [row for idx in sorted(results) for row in results[idx]]
     trials_csv = out / f"{spec.experiment}_trials.csv"
     fieldnames = sorted({k for row in rows for k in row}) if rows else []
     with trials_csv.open("w", newline="", encoding="utf-8") as fh:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Dataset, ModelBounds, RngSpec, mean_squared_loss, validate_dataset, warn_caller,
+    Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset, warn_caller,
 )
 from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
@@ -245,7 +245,7 @@ def privacy_penalty_laplace(
 
 def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
     b = cfg.bounds
-    if np.any(np.abs(survey.x) > b.zeta) or np.any(np.abs(survey.y) > b.tau):
+    if not (_within(survey.x, b.zeta) and _within(survey.y, b.tau)):
         raise ValueError("survey violates the configured bounds; validate or clip first")
     notes = []
     cap = b.tau / (b.zeta * math.sqrt(survey.dim + 1))

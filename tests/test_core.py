@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from survkit import (
     Dataset,
     ModelBounds,
     RngSpec,
+    ValidationReport,
     mean_squared_loss,
     model_distance,
     validate_dataset,
 )
 
 UNIT = ModelBounds(1.0, 1.0, 1.0)
+
+
+def _entries(bound: float):
+    """Floats around +-bound, with the edge cases drawn often."""
+    edges = [0.0, -0.0, bound, -bound, np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf),
+             np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0)]
+    return st.one_of(
+        st.sampled_from(edges),
+        st.floats(-2.0 * bound, 2.0 * bound, allow_nan=False, allow_infinity=False),
+    )
 
 
 class TestValidateDataset:
@@ -35,6 +48,24 @@ class TestValidateDataset:
         r1 = validate_dataset(ds)
         r2 = validate_dataset(ds)
         assert r1 == r2 and ds.validated
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_entry_by_entry_scan(self, data):
+        zeta = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        tau = data.draw(st.sampled_from([0.25, 1.0, 7.0]))
+        m = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 3))
+        x = data.draw(st.lists(st.lists(_entries(zeta), min_size=d, max_size=d),
+                               min_size=m, max_size=m))
+        y = data.draw(st.lists(_entries(tau), min_size=m, max_size=m))
+        ds = Dataset(x, y, ModelBounds(zeta, tau, 1.0))
+        expected = sorted(
+            [(i, j) for i in range(m) for j in range(d) if abs(x[i][j]) > zeta]
+            + [(i, d) for i in range(m) if abs(y[i]) > tau]
+        )
+        assert validate_dataset(ds) == ValidationReport(tuple(expected))
+        assert ds.validated == (not expected)
 
 
 class TestDatasetConstruction:

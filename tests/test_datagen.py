@@ -20,7 +20,7 @@ from survkit import (
     save_private,
     sparse_coefficients,
 )
-from survkit.datagen import CsvFormatError, source_from_spec
+from survkit.datagen import _COVARIATE_NOISE_TAG, CsvFormatError, source_from_spec
 
 
 class TestClipToBounds:
@@ -126,6 +126,23 @@ class TestSynthetic2:
         clean_l, _, th_l = gen_synthetic2(6, 500, NoiseKind.LAPLACE, RngSpec(17))
         assert clean_g.x.tobytes() == clean_l.x.tobytes()
         assert np.array_equal(th_g, th_l)
+
+    def test_noise_is_the_inverse_cdf_of_one_uniform_block(self):
+        # The transforms written out in full on a fresh draw of the uniform
+        # block; the generator evaluates them in place and must match bitwise.
+        from scipy.special import ndtri
+
+        m, d, rng = 300, 4, RngSpec(5, 2)
+        u = rng.derive(_COVARIATE_NOISE_TAG).random(size=(m, d))
+        u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+        scale = 1.0 / math.sqrt(2.0)
+        noise = {
+            NoiseKind.GAUSSIAN: ndtri(u),
+            NoiseKind.LAPLACE: -scale * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5)),
+        }
+        for kind, w in noise.items():
+            clean, noisy, _ = gen_synthetic2(d, m, kind, rng)
+            assert noisy.z.tobytes() == (clean.x + w).tobytes()
 
     def test_deterministic(self):
         a = gen_synthetic2(4, 50, NoiseKind.LAPLACE, RngSpec(2, 9))

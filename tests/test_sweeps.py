@@ -1,8 +1,16 @@
 import json
+import sys
+import time
+import tracemalloc
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from survkit import SweepSpec, run_sweep
+from survkit import (
+    NoiseKind, SolverConfig, SweepSpec, corrected_moments, gen_synthetic2, run_sweep, solve,
+)
 from survkit import sweeps as sweeps_mod
 
 
@@ -109,6 +117,38 @@ class TestSweepMechanics:
         ms = {json.loads(json.dumps(r))["m"] for r in _rows(res.trials_csv)}
         assert ms == {"500", "900"}
 
+    def test_lowest_failing_trial_recorded_for_any_worker_count(self, tmp_path, monkeypatch):
+        grid, real, summarize = sweeps_mod.EXPERIMENTS["error-vs-samples"]
+        kw = dict(experiment="error-vs-samples", trials=5, seed=2, d=4,
+                  m_grid=(500, 700, 900), alpha_grid=(1.0,))
+        reference = _rows(run_sweep(SweepSpec(output_dir=tmp_path / "ref", **kw)).trials_csv)
+
+        def flaky(spec, alpha, m, rng):
+            trial = rng.stream % sweeps_mod._TRIAL_CAP
+            if m == 700 and trial == 1:
+                time.sleep(0.05)  # with workers > 1, trial 3 fails first
+                raise RuntimeError("trial 1")
+            if m == 700 and trial == 3:
+                raise RuntimeError("trial 3")
+            return real(spec, alpha, m, rng)
+
+        monkeypatch.setitem(
+            sweeps_mod.EXPERIMENTS, "error-vs-samples", (grid, flaky, summarize)
+        )
+        # 8 workers and a short switch interval stress the cancellation
+        # callbacks with more threads than cores.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 8):
+                res = run_sweep(
+                    SweepSpec(output_dir=tmp_path / str(workers), workers=workers, **kw)
+                )
+                assert res.summary["errors"] == {"(1.0, 700)": "RuntimeError: trial 1"}
+                assert _rows(res.trials_csv) == [r for r in reference if r["m"] != "700"]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_trial_streams_do_not_collide(self):
         spec = SweepSpec(
             experiment="model-distance", trials=3, seed=0, output_dir=".",
@@ -132,3 +172,79 @@ def _rows(csv_path):
 
     with open(csv_path, newline="") as fh:
         return list(_csv.DictReader(fh))
+
+
+# Toy versions of the three experiments, each with several grid points.
+_TOY = {
+    "model-distance": dict(trials=3, d=4, m=400, mu_grid=(0.0, 2.0), tol_grid=(0.1, 0.2)),
+    "error-vs-samples": dict(trials=3, d=4, m_grid=(300, 600, 1200), alpha_grid=(1.0, 2.0)),
+    "noise-comparison": dict(trials=4, d=4, m_grid=(300, 900)),
+}
+
+
+class TestWorkerCountInvariance:
+    @pytest.mark.parametrize("experiment", sorted(_TOY))
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, experiment):
+        outputs = []
+        for workers in (1, 2, 3):
+            res = run_sweep(SweepSpec(experiment=experiment, seed=13, workers=workers,
+                                      output_dir=tmp_path / str(workers), **_TOY[experiment]))
+            summary = json.loads(res.summary_json.read_text())
+            del summary["spec"]["output_dir"], summary["spec"]["workers"]
+            outputs.append((res.trials_csv.read_bytes(), summary))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_tester_warnings_filtered_for_any_worker_count(self, tmp_path):
+        spec = SweepSpec(experiment="model-distance", trials=4, seed=11, output_dir=tmp_path,
+                         d=4, m=400, mu_grid=(0.0, 0.5, 1.0, 1.5, 2.0), tol_grid=(0.2,))
+
+        def tau_messages(run) -> set[str]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+            return {str(w.message) for w in caught if "exceed" in str(w.message)}
+
+        # The grid does trigger the radius warning outside run_sweep...
+        trial = sweeps_mod._model_distance_trial
+        assert any("radius" in msg for msg in tau_messages(
+            lambda: trial(spec, 0.0, 0.2, sweeps_mod._trial_rng(spec, 0, 0))
+        ))
+        # ...and run_sweep filters it whatever the worker count.
+        recorded = {
+            workers: tau_messages(lambda: run_sweep(
+                replace(spec, workers=workers, output_dir=tmp_path / str(workers))
+            ))
+            for workers in (1, 2, 3)
+        }
+        assert recorded[1] == recorded[2] == recorded[3] == set()
+
+
+class TestTrialMemory:
+    @pytest.mark.parametrize("experiment, trial, point", [
+        ("noise-comparison", sweeps_mod._noise_comparison_trial, ()),
+        ("error-vs-samples", sweeps_mod._error_vs_samples_trial, (2.0,)),
+    ])
+    def test_peak_within_five_covariate_matrices(self, experiment, trial, point):
+        m, d = 20_000, 10
+        spec = SweepSpec(experiment=experiment, trials=1, seed=3, output_dir=".", d=d)
+        rng = sweeps_mod._trial_rng(spec, 0, 0)
+        trial(spec, *point, 50, rng)  # first-call imports are not the trial's memory
+        tracemalloc.start()
+        try:
+            trial(spec, *point, m, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * m * d * 8
+
+    def test_noise_comparison_pairs_gen_synthetic2_draws(self):
+        m, d = 2_000, 5
+        spec = SweepSpec(experiment="noise-comparison", trials=1, seed=4, output_dir=".", d=d)
+        rng = sweeps_mod._trial_rng(spec, 0, 0)
+        row = sweeps_mod._noise_comparison_trial(spec, m, rng)
+        for kind in NoiseKind:
+            clean, noisy, theta_star = gen_synthetic2(d, m, kind, rng)
+            result = solve(corrected_moments(noisy),
+                           SolverConfig(mode="constrained", radius=clean.bounds.radius))
+            expected = np.linalg.norm(result.theta_hat - theta_star) / np.linalg.norm(theta_star)
+            assert row[f"error_{kind.value}"] == float(expected)
