@@ -256,16 +256,24 @@ def _with_covariate_noise(
 # ---------------------------------------------------------------------------
 # File formats
 
-def _float_str(v: float) -> str:
-    return repr(float(v))
+# Rows formatted per block: enough to amortise the per-block calls, few
+# enough that the block's Python floats stay small next to the arrays.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _header(d: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(d)] + ["y"]
 
 
 def _write_rows(path: Path, x: np.ndarray, y: np.ndarray) -> None:
+    # A float's repr never needs quoting, so these are the bytes csv.writer
+    # would write: comma-separated cells, rows ended by "\r\n".
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(x.shape[1])] + ["y"])
-        for row, yi in zip(x, y):
-            writer.writerow([_float_str(v) for v in row] + [_float_str(yi)])
+        fh.write(",".join(_header(x.shape[1])) + "\r\n")
+        for start in range(0, y.shape[0], _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack((x[start:stop], y[start:stop])).tolist()
+            fh.writelines([",".join(map(repr, row)) + "\r\n" for row in block])
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -276,12 +284,71 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
+    The data rows are parsed in one ``np.loadtxt`` call.  A malformed file
+    raises :class:`CsvFormatError` naming the first bad line and column.
+
     When no bounds are supplied, the envelope of the data itself is
     declared (with radius 1.0 as a placeholder), so validation passes
     trivially; pass explicit bounds for anything privacy-related.
     """
     path = Path(path)
-    rows: list[list[float]] = []
+    arr = _parse_rows(path)
+    if arr is None:
+        _raise_format_error(path)
+    x, y = arr[:, :-1], arr[:, -1]
+    if bounds is None:
+        zeta = max(float(np.max(np.abs(x))), 1e-12)
+        tau = max(float(np.max(np.abs(y))), 1e-12)
+        bounds = ModelBounds(zeta, tau, 1.0)
+    return Dataset(x, y, bounds)
+
+
+def _loadtxt_lines(fh):
+    """The lines of ``fh`` for np.loadtxt.  Raises ValueError where loadtxt
+    and csv.reader would read them differently: at a blank line outside a
+    quoted cell (loadtxt skips it, csv.reader yields an empty row), at a
+    line holding one of the separators \\x1c-\\x1f (loadtxt strips them
+    from a cell as whitespace, float() rejects them), and when there are no
+    lines (loadtxt warns and returns an empty array)."""
+    # Whether a quoted cell runs on past the line end.  A quote inside a
+    # cell makes the cell not a number, so on any file loadtxt accepts the
+    # quotes open and close cells and their count's parity is the state.
+    quoted = False
+    empty = True
+    for line in fh:
+        if len(line) <= 2 and not quoted and line in ("\n", "\r", "\r\n"):
+            raise ValueError("blank line")
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("separator character")
+        if '"' in line and line.count('"') % 2:
+            quoted = not quoted
+        empty = False
+        yield line
+    if empty:
+        raise ValueError("no data rows")
+
+
+def _parse_rows(path: Path) -> np.ndarray | None:
+    """The data rows as an m x (d + 1) array of finite floats, or None when
+    the file is not a well-formed dataset."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]))
+        d = len(header) - 1
+        if d < 1 or header != _header(d):
+            return None
+        try:
+            arr = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None,
+                             quotechar='"', ndmin=2)
+        except ValueError:
+            return None
+    if arr.shape[1] != d + 1 or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _raise_format_error(path: Path) -> None:
+    """Scan the file row by row and raise :class:`CsvFormatError` at its
+    first defect; only called once :func:`_parse_rows` has rejected it."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -289,20 +356,23 @@ def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
         d = len(header) - 1
-        expected = [f"x{i + 1}" for i in range(d)] + ["y"]
-        if d < 1 or header != expected:
+        if d < 1 or header != _header(d):
             raise CsvFormatError(
                 f"{path}: header must be x1,...,xd,y; got {','.join(header)}"
             )
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise CsvFormatError(
                     f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}"
                 )
-            parsed = []
             for col, cell in enumerate(row):
                 try:
                     value = float(cell)
+                    # Spellings float() reads and np.loadtxt does not: digit
+                    # underscores and non-ASCII digits.
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}:{lineno}: column {col + 1}: not a number: {cell!r}"
@@ -311,17 +381,9 @@ def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
                     raise CsvFormatError(
                         f"{path}:{lineno}: column {col + 1}: non-finite value: {cell!r}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+    if lineno == 1:
         raise CsvFormatError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
-    x, y = arr[:, :-1], arr[:, -1]
-    if bounds is None:
-        zeta = max(float(np.max(np.abs(x))), 1e-12)
-        tau = max(float(np.max(np.abs(y))), 1e-12)
-        bounds = ModelBounds(zeta, tau, 1.0)
-    return Dataset(x, y, bounds)
+    raise CsvFormatError(f"{path}: rows np.loadtxt cannot parse")
 
 
 def sidecar_path(csv_path) -> Path:
@@ -362,6 +424,12 @@ def load_private(path) -> PrivateDataset:
         raise CsvFormatError(f"{path}: missing sidecar {side}")
     meta = json.loads(side.read_text(encoding="utf-8"))
     ds = load_csv(path)
+    declared = (meta.get("m"), meta.get("d"))
+    if declared != (ds.size, ds.dim):
+        raise CsvFormatError(
+            f"{path}: sidecar {side} declares m x d = {declared[0]} x {declared[1]}, "
+            f"the CSV holds {ds.size} x {ds.dim}"
+        )
     privacy = None
     if meta.get("alpha") is not None:
         privacy = PrivacyParams(

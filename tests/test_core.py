@@ -49,7 +49,7 @@ class TestValidateDataset:
         r2 = validate_dataset(ds)
         assert r1 == r2 and ds.validated
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_matches_entry_by_entry_scan(self, data):
         zeta = data.draw(st.sampled_from([0.5, 1.0, 3.0]))

@@ -1,8 +1,15 @@
+import ast
+import csv
+import io
 import json
 import math
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from survkit import (
     Dataset,
@@ -20,6 +27,7 @@ from survkit import (
     save_private,
     sparse_coefficients,
 )
+from survkit import datagen
 from survkit.datagen import _COVARIATE_NOISE_TAG, CsvFormatError, source_from_spec
 
 
@@ -206,6 +214,163 @@ class TestCsvRoundTrip:
             load_csv(p)
 
 
+def _row_by_row_load_csv(path):
+    """The row-by-row reader that load_csv replaced, kept as the reference:
+    returns (x, y) or raises CsvFormatError."""
+    path = Path(path)
+    rows: list[list[float]] = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file") from None
+        d = len(header) - 1
+        expected = [f"x{i + 1}" for i in range(d)] + ["y"]
+        if d < 1 or header != expected:
+            raise CsvFormatError(
+                f"{path}: header must be x1,...,xd,y; got {','.join(header)}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != d + 1:
+                raise CsvFormatError(
+                    f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}"
+                )
+            parsed = []
+            for col, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}:{lineno}: column {col + 1}: not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}:{lineno}: column {col + 1}: non-finite value: {cell!r}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=np.float64)
+    return arr[:, :-1], arr[:, -1]
+
+
+def _outcome(read, path):
+    try:
+        x, y = read(path)
+    except CsvFormatError as exc:
+        return ("error", str(exc))
+    return ("data", x.shape, x.tobytes(), y.tobytes())
+
+
+def _load_arrays(path):
+    ds = load_csv(path)
+    return ds.x, ds.y
+
+
+_ODD_CELLS = [
+    "", " ", "#1", "# c", '"1.5"', '"2"5', '"1,5"', '""', ' "1"', '1"', '"1.5" ',
+    " 1.5 ", "\t2\t", "+1.5", "-0", "0x1p3", "inf", "-Infinity", "nan", "NaN",
+    "infinity", "1e500", "-1e500", "1e-400", "\x1c1", "1\x1f", "1_0", "\u0661",
+    "\u20031.5", '"7', '"8\n"',
+]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _float_only(cell):
+    """Whether float() reads ``cell`` only because of what np.loadtxt does
+    not read: digit underscores or non-ASCII digits."""
+    return "_" in cell or not cell.strip().isascii()
+
+
+@st.composite
+def _csv_texts(draw):
+    d = draw(st.integers(1, 3))
+    headers = [",".join([f"x{i + 1}" for i in range(d)] + ["y"])] * 7
+    headers += ['"x1",' + ",".join([f"x{i + 2}" for i in range(d - 1)] + ["y"]), "a,b", ""]
+    header = headers[draw(st.integers(0, 9))]
+    cell = st.one_of(_FINITE.map(repr), st.sampled_from(_ODD_CELLS))
+    valid = st.lists(_FINITE.map(repr), min_size=d + 1, max_size=d + 1).map(",".join)
+    odd = st.lists(cell, min_size=d + 1, max_size=d + 1).map(",".join)
+    ragged = st.lists(cell, min_size=0, max_size=d + 2).map(",".join)
+    # Row kinds by share: 60 % valid, 20 % odd cells, 10 % ragged, 10 % blank.
+    kinds = [valid] * 6 + [odd] * 2 + [ragged, st.just("")]
+    lines = [header] + [draw(kinds[draw(st.integers(0, 9))])
+                        for _ in range(draw(st.integers(0, 6)))]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+class TestCsvReaderEquivalence:
+    """load_csv against the row-by-row reader it replaced, on the same files."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150)
+    @given(text=_csv_texts())
+    @example(text="x1,x2,y\n1,2\n3,4\n")
+    @example(text="x1,y\n\n")
+    @example(text="x1,y\r1,2\r\r3,4\r")
+    @example(text="x1,x2,y\r\n1,2,3\r\n4,5,6\r\n\r\n")
+    @example(text='x1,y\n"1.5",2\n"3" ,4\n+5,"6"7')
+    @example(text="x1,y\n1_0,2\n3,4\n")
+    @example(text="x1,y\n1,2\n\u0661,3\n")
+    @example(text='x1,y\n1,2\n3,"4\n"\n5,6\n')
+    @example(text='x1,y\n1,"2\n\n"\n3,"\r\n\r\n4"\r\n')
+    @example(text='x1,y\n1,"2\n3,4\n')
+    @example(text="x1,y\n1,\x1c2\n")
+    def test_same_arrays_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(_load_arrays, path)
+        old = _outcome(_row_by_row_load_csv, path)
+        if new != old:
+            # The one difference: a cell that float() reads and np.loadtxt
+            # does not is rejected, at its line and column.
+            m = re.fullmatch(re.escape(str(path)) + r":\d+: column \d+: not a number: (.*)",
+                             new[1] if new[0] == "error" else "", re.DOTALL)
+            assert m, (text, new, old)
+            cell = ast.literal_eval(m.group(1))
+            float(cell)  # raises unless float() reads the cell
+            assert _float_only(cell), (text, new, old)
+
+
+_SPECIAL_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0,
+])
+
+
+class TestCsvWriterProperties:
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_round_trip_bit_exact_and_csv_writer_bytes(self, tmp_path_factory, data):
+        m = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, 4))
+        value = st.one_of(_SPECIAL_FLOATS, _FINITE)
+        x = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                        min_size=m, max_size=m)), dtype=np.float64)
+        y = np.array(data.draw(st.lists(value, min_size=m, max_size=m)), dtype=np.float64)
+        ds = Dataset(x, y, ModelBounds(1, 1, 1))
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        # Small blocks, so the block boundaries fall inside the file.
+        with mock.patch.object(datagen, "_WRITE_BLOCK_ROWS", data.draw(st.integers(1, 4))):
+            save_csv(ds, path)
+        back = load_csv(path)
+        assert back.x.tobytes() == ds.x.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes()
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"x{i + 1}" for i in range(d)] + ["y"])
+        for row, yi in zip(x, y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(yi))])
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+
 class TestPrivateBundle:
     def test_round_trip(self, tmp_path):
         _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.LAPLACE, RngSpec(4))
@@ -219,6 +384,14 @@ class TestPrivateBundle:
         assert back.noise.kind is NoiseKind.LAPLACE
         meta = json.loads(side.read_text())
         assert meta["sigma_w_diagonal"] == 1.0
+
+    def test_truncated_csv_rejected(self, tmp_path):
+        _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.LAPLACE, RngSpec(4))
+        csv_path, _ = save_private(noisy, tmp_path / "bundle.csv")
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        csv_path.write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(CsvFormatError, match=r"20 x 3, the CSV holds 19 x 3"):
+            load_private(csv_path)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         ds = Dataset([[0.1]], [0.2], ModelBounds(1, 1, 1))

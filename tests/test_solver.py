@@ -344,7 +344,7 @@ class TestCertifiedStop:
         assert np.linalg.norm(res.theta_hat - t_star) <= math.sqrt(2 * res.gap / 1e-4)
         assert np.linalg.norm(res.theta_hat - t_star) < 1e-4
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(1, 12),
