@@ -23,35 +23,22 @@ from typing import Callable
 import numpy as np
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function, exact at small integer arguments.
-
-    For integral x <= 21 the value is computed as (x-1)! so it matches the
-    factorial exactly in floating point.
-    """
-    if x <= 0:
-        raise ValueError("gamma_fn requires a positive argument")
-    if float(x).is_integer() and x <= 21:
-        return float(math.factorial(int(x) - 1))
-    return math.gamma(x)
-
-
 @dataclass(frozen=True)
 class TailParams:
-    """Sub-exponential tail scales of the three noise sources.
+    """Regression-noise tail scales read by the error bounds.
 
-    c_x bounds the covariate tail, c_w the privatization-noise tail, c_eps
-    the regression-noise tail; sigma_eps is the subgaussian regression-noise
-    standard deviation used by the Gaussian-regime error bound.
+    c_eps is the sub-exponential regression-noise tail scale (Laplace
+    regime); sigma_eps is the subgaussian regression-noise standard
+    deviation (Gaussian regime).  The covariate and privatization-noise
+    tails need no scale of their own: the bounds express them through zeta
+    and alpha (zeta^2 and zeta/alpha in the Laplace bound's max).
     """
 
-    c_x: float
-    c_w: float
     c_eps: float
     sigma_eps: float = 0.0
 
     def __post_init__(self):
-        if min(self.c_x, self.c_w, self.c_eps) <= 0 or self.sigma_eps < 0:
+        if self.c_eps <= 0 or self.sigma_eps < 0:
             raise ValueError("tail scales must be positive (sigma_eps non-negative)")
 
 
@@ -234,8 +221,8 @@ def subweibull_right_tail(
     if nt <= 0:
         raise ValueError("n * t must be positive")
     a = alpha_shape
-    c1 = gamma_fn(2 * a + 1) / ((1 - beta_split) * c_alpha) ** (2 * a)
-    c2 = beta_split * c_alpha * gamma_fn(3 * a + 1) / (3 * ((1 - beta_split) * c_alpha) ** (3 * a))
+    c1 = math.gamma(2 * a + 1) / ((1 - beta_split) * c_alpha) ** (2 * a)
+    c2 = beta_split * c_alpha * math.gamma(3 * a + 1) / (3 * ((1 - beta_split) * c_alpha) ** (3 * a))
     root = nt ** (1.0 / a)
     denom = sigma_minus_sq + c1 + nt ** (1.0 / a - 1.0) * c2
     raw = math.exp(-n * t * t / denom) + math.exp(-beta_split * c_alpha * root) + n * math.exp(

@@ -223,6 +223,11 @@ def _cmd_verify(args) -> int:
         source = source_from_spec(spec.get("generator", spec))
     else:
         pool = load_csv(args.validation)
+        if pool.dim != survey.dim:
+            raise ValueError(
+                f"validation pool {args.validation} has d = {pool.dim}, "
+                f"survey {args.survey} has d = {survey.dim}"
+            )
         source = PooledSource(pool.x, pool.y)
     cfg = TestConfig(kappa=args.kappa, tol=args.tol, delta=args.delta, bounds=bounds)
     rng = RngSpec(args.seed)
@@ -233,6 +238,8 @@ def _cmd_verify(args) -> int:
         )
     else:
         verdict = verify_survey(survey, source, cfg, rng)
+    for note in verdict.notes:
+        print(f"survkit: note: {note}", file=sys.stderr)
     payload = {
         "decision": verdict.decision.value,
         "t_used": verdict.t_used,
@@ -258,7 +265,7 @@ def _spectrum(args) -> bnd.SpectrumInfo:
 
 
 def _tails(args) -> bnd.TailParams:
-    return bnd.TailParams(args.c_x, args.c_w, args.c_eps, args.sigma_eps)
+    return bnd.TailParams(args.c_eps, args.sigma_eps)
 
 
 def _number(value, constants: dict) -> dict:
@@ -434,7 +441,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--c-x", type=float, default=1.0)
-    p.add_argument("--c-w", type=float, default=1.0)
     p.add_argument("--c-eps", type=float, default=1.0)
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--sigma-eps", type=float, default=0.0)

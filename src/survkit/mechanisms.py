@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RngSpec, warn_caller
+from .core import Dataset, RngSpec
 
 # Sub-stream tag reserved for privatization noise (see RngSpec.derive).
 _NOISE_TAG = 0
@@ -122,16 +123,17 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     beta > 0 -> Gaussian with sigma = Delta_2 * sqrt(2 ln(1.25/beta)) / alpha,
     the classical Gaussian-mechanism calibration.
 
-    The classical Gaussian calibration is only proven for alpha <= 1; a
-    warning (not an error) is emitted outside that region.
+    The classical Gaussian calibration is only proven for alpha <= 1;
+    outside that region a RuntimeWarning (not an error) is raised at the
+    caller, the package's only Python warning.
     """
     if params.beta == 0.0:
         b = l1_sensitivity(zeta, d, params.accounting) / params.alpha
         return NoiseSpec(NoiseKind.LAPLACE, b)
     if params.alpha > 1:
-        warn_caller(
+        warnings.warn(
             f"Gaussian mechanism calibration at alpha={params.alpha} > 1 is outside "
-            "the classical validity region"
+            "the classical validity region", RuntimeWarning, stacklevel=2,
         )
     delta2 = l2_sensitivity(zeta, d, params.accounting)
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from .core import ModelBounds, RngSpec, model_distance
 from .datagen import (
     _clip, _synthetic2_base, _with_covariate_noise, gen_synthetic1, sparse_coefficients,
 )
-# No longer called here; bench/spans.py wraps them at this binding site.
+# Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
 from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, solve
@@ -251,13 +250,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     no rows, its lowest failing trial's error is recorded under
     summary["errors"], and its trials not yet started are cancelled; the
     remaining points still run.  Output files are a deterministic function
-    of the spec and do not depend on the worker count.
-
-    Per-verdict diagnostics (oversized radius, out-of-range validation
-    responses) are expected when a grid deliberately sweeps far regimes and
-    are already recorded in the verdict notes, so they are filtered for the
-    whole run, in the calling thread: the filter list is process-wide, and
-    installing it per task from several threads at once would let them leak.
+    of the spec and do not depend on the worker count.  The tester's
+    diagnostics (oversized radius, out-of-range validation responses) are
+    notes on each trial's verdict, which the rows do not carry; they are
+    never emitted as warnings.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,26 +262,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[dict] = []
     errors: dict[str, str] = {}
 
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="radius .* exceeds tau")
-        warnings.filterwarnings("ignore", message=".*validation responses exceed tau")
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            futures = []
-            for i, point in enumerate(points):
-                trials = [
-                    pool.submit(_run_trial, trial_fn, spec, i, point, t)
-                    for t in range(spec.trials)
-                ]
-                for t, fut in enumerate(trials):
-                    fut.add_done_callback(_cancel_on_failure(trials[t + 1:]))
-                futures.append(trials)
-            for point, trials in zip(points, futures):
-                try:
-                    point_rows = [fut.result() for fut in trials]
-                except Exception as exc:  # grid point aborted, others continue
-                    errors[str(point)] = f"{type(exc).__name__}: {exc}"
-                else:
-                    rows.extend(point_rows)
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        futures = []
+        for i, point in enumerate(points):
+            trials = [
+                pool.submit(_run_trial, trial_fn, spec, i, point, t)
+                for t in range(spec.trials)
+            ]
+            for t, fut in enumerate(trials):
+                fut.add_done_callback(_cancel_on_failure(trials[t + 1:]))
+            futures.append(trials)
+        for point, trials in zip(points, futures):
+            try:
+                point_rows = [fut.result() for fut in trials]
+            except Exception as exc:  # grid point aborted, others continue
+                errors[str(point)] = f"{type(exc).__name__}: {exc}"
+            else:
+                rows.extend(point_rows)
 
     trials_csv = out / f"{spec.experiment}_trials.csv"
     fieldnames = sorted({k for row in rows for k in row}) if rows else []

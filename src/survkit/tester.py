@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset, warn_caller,
-)
+from .core import Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset
 from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
 
@@ -89,10 +87,6 @@ class ValidationSource:
     def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def available(self) -> int | float:
-        """Number of draws this source can still supply (inf if unlimited)."""
-        return math.inf
-
 
 class PooledSource(ValidationSource):
     """Validation draws served front-to-back from a fixed pool of rows."""
@@ -104,14 +98,10 @@ class PooledSource(ValidationSource):
             raise ValueError("pool must be an (n, d) matrix with matching responses")
         self._next = 0
 
-    def available(self) -> int:
-        return self.x.shape[0] - self._next
-
     def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if n > self.available():
-            raise InsufficientValidationError(
-                f"validation pool has {self.available()} rows left, need {n}"
-            )
+        left = self.x.shape[0] - self._next
+        if n > left:
+            raise InsufficientValidationError(f"validation pool has {left} rows left, need {n}")
         sl = slice(self._next, self._next + n)
         self._next += n
         return self.x[sl], self.y[sl]
@@ -189,6 +179,13 @@ def survey_loss_bound(
     return l_hat + mid + conf
 
 
+def _dimension_factor(lambda_min: float, m: int, d: int) -> float:
+    """sqrt(d ln d / m), the last factor of both privacy penalties."""
+    if lambda_min <= 0 or m < 1 or d < 1:
+        raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
+    return math.sqrt(d * math.log(d) / m)
+
+
 def privacy_penalty_gaussian(
     bounds: ModelBounds,
     alpha: float,
@@ -202,22 +199,15 @@ def privacy_penalty_gaussian(
 
     2 c2 zeta^3 / lambda_min * sqrt(ln(1/beta)) / alpha
     * (ln(1/beta)/alpha + 1) * R * sqrt(d ln d / m).
-    Degenerates to 0 at d = 1 (ln d = 0), with a diagnostic warning.
+    Degenerates to 0 at d = 1 (ln d = 0); ``verify_private_survey`` notes
+    that in the verdict.
     """
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
-    if lambda_min <= 0 or m < 1 or d < 1:
-        raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
-    if d == 1:
-        warn_caller("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
+    root = _dimension_factor(lambda_min, m, d)
     lb = math.log(1.0 / beta)
     zeta, r = bounds.zeta, bounds.radius
-    return (
-        2.0 * c2 * zeta**3 / lambda_min
-        * math.sqrt(lb) / alpha
-        * (lb / alpha + 1.0)
-        * r * math.sqrt(d * math.log(d) / m)
-    )
+    return 2.0 * c2 * zeta**3 / lambda_min * math.sqrt(lb) / alpha * (lb / alpha + 1.0) * r * root
 
 
 def privacy_penalty_laplace(
@@ -232,15 +222,13 @@ def privacy_penalty_laplace(
     """Survey-loss penalty for Laplace-noise publication.
 
     c2 zeta / lambda_min * max(zeta/alpha, zeta^2, c_eps) * R
-    * sqrt(d ln d / m).  Degenerates to 0 at d = 1, with a warning.
+    * sqrt(d ln d / m).  Degenerates to 0 at d = 1; ``verify_private_survey``
+    notes that in the verdict.
     """
-    if lambda_min <= 0 or m < 1 or d < 1:
-        raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
-    if d == 1:
-        warn_caller("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
+    root = _dimension_factor(lambda_min, m, d)
     zeta, r = bounds.zeta, bounds.radius
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
-    return c2 * zeta / lambda_min * big_m * r * math.sqrt(d * math.log(d) / m)
+    return c2 * zeta / lambda_min * big_m * r * root
 
 
 def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
@@ -250,30 +238,12 @@ def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
     notes = []
     cap = b.tau / (b.zeta * math.sqrt(survey.dim + 1))
     if b.radius > cap:
-        msg = (
+        notes.append(
             f"radius {b.radius:g} exceeds tau/(zeta*sqrt(d+1)) = {cap:g}; "
             "predictions may leave [-tau, tau] and the validation-accuracy "
             "guarantee degrades"
         )
-        warn_caller(msg)
-        notes.append(msg)
     return notes
-
-
-def _draw_validation(
-    source: ValidationSource, t: int, cfg: TestConfig, rng: RngSpec, notes: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    if source.available() < t:
-        raise InsufficientValidationError(
-            f"validation source supplies {source.available()} draws, need {t}"
-        )
-    xv, yv = source.draw(t, rng.derive(_VALIDATION_TAG))
-    over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
-    if over:
-        msg = f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}"
-        warn_caller(msg)
-        notes.append(msg)
-    return xv, yv
 
 
 def _verify(
@@ -320,6 +290,8 @@ def _verify(
                 cfg.bounds, privacy.alpha, cfg.constant("c_eps"), lambda_min,
                 survey.size, survey.dim, cfg.constant("c2"),
             )
+        if survey.dim == 1:
+            notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
     config = SolverConfig(mode="constrained", radius=cfg.bounds.radius, step=step)
     theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
@@ -330,7 +302,10 @@ def _verify(
         + j_hat
     )
     t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
-    xv, yv = _draw_validation(source, t, cfg, rng, notes)
+    xv, yv = source.draw(t, rng.derive(_VALIDATION_TAG))
+    over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
+    if over:
+        notes.append(f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}")
     gamma_d = mean_squared_loss(theta_hat, xv, yv)
     margin = math.sqrt(gamma_d) - math.sqrt(gamma_s) - cfg.kappa - cfg.tol
     return Verdict(
@@ -378,6 +353,7 @@ def verify_private_survey(
 
     lambda_min is the smallest eigenvalue of the clean covariate covariance;
     when not declared it is estimated from the corrected Gram matrix,
-    floored at 1e-6, and the verdict notes the heuristic.
+    floored at 1e-6, and the verdict notes the heuristic, as it notes the
+    penalty vanishing at d = 1.
     """
     return _verify(survey, source, cfg, rng, privacy, lambda_min)

@@ -18,19 +18,10 @@ from survkit import (
     squared_subexp_tail,
     subweibull_right_tail,
 )
-from survkit.bounds import centered_squares_sampler, gamma_fn
+from survkit.bounds import centered_squares_sampler
 
 UNIT_SPEC = SpectrumInfo(1.0)
-UNIT_TAILS = TailParams(c_x=1.0, c_w=1.0, c_eps=1.0, sigma_eps=0.0)
-
-
-class TestGammaHelper:
-    def test_matches_factorials_exactly(self):
-        for n in range(1, 21):
-            assert gamma_fn(n) == float(math.factorial(n - 1))
-
-    def test_half_integer(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+UNIT_TAILS = TailParams(c_eps=1.0, sigma_eps=0.0)
 
 
 class TestMinSamples:
@@ -116,6 +107,11 @@ class TestSubweibullTail:
         r = subweibull_right_tail(1, 1e-9, 2.0, 1.0, 0.0, 0.5)
         assert r.constants["c1"] == 384.0  # Gamma(5) / (1/2)^4
         assert r.constants["c2"] == 7680.0  # (1/2) Gamma(7) / (3 (1/2)^6)
+        for a in (3, 5):
+            r = subweibull_right_tail(1, 1e-9, float(a), 1.0, 0.0, 0.5)
+            # Gamma(2a + 1) / (1/2)^(2a) and (1/2) Gamma(3a + 1) / (3 (1/2)^(3a))
+            assert r.constants["c1"] == math.factorial(2 * a) * 2 ** (2 * a)
+            assert r.constants["c2"] == math.factorial(3 * a) // 3 * 2 ** (3 * a - 1)
 
     def test_vanishes_for_large_t(self):
         r = subweibull_right_tail(10, 1e9, 2.0, 1.0, 1.0)

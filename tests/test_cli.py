@@ -170,6 +170,29 @@ class TestVerify:
                    "--quiet")
         assert code == EXIT_OK
 
+    def test_validation_pool_of_another_dimension(self, survey_files, tmp_path, capsys):
+        pool = tmp_path / "pool3.csv"
+        save_csv(Dataset(np.zeros((400, 3)), np.zeros(400), ModelBounds(1, 1, 1)), pool)
+        b = _truth(survey_files)["bounds"]
+        code = run("verify", "--survey", f"{survey_files}_survey.csv",
+                   "--validation", str(pool), "--tol", "0.2", "--tau", str(b["tau"]),
+                   "--radius", str(b["radius"]), "--zeta", str(b["zeta"]), "--quiet")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"survkit: error: validation pool {pool} has d = 3, "
+            f"survey {survey_files}_survey.csv has d = 6\n"
+        )
+
+    def test_notes_on_stderr_and_in_json(self, survey_files, tmp_path, capsys):
+        out = tmp_path / "pv.json"
+        code = run("verify", *self._flags(survey_files, 0.0), "--alpha", "2.0",
+                   "--output", str(out), "--quiet")
+        assert code in (EXIT_OK, EXIT_REJECT)
+        notes = json.loads(out.read_text())["notes"]
+        assert any(n.startswith("radius") for n in notes)
+        assert any(n.startswith("lambda_min estimated") for n in notes)
+        assert capsys.readouterr().err == "".join(f"survkit: note: {n}\n" for n in notes)
+
 
 class TestBoundsCommand:
     def test_named_bound_json(self, capsys):
@@ -191,12 +214,14 @@ class TestBoundsCommand:
         assert run("bounds", "--name", "no-such-bound", "--quiet") == EXIT_RUNTIME
 
     def test_unknown_name_reported_before_flag_checks(self, capsys):
-        assert run("bounds", "--name", "no-such-bound", "--c-w", "0", "--quiet") == EXIT_RUNTIME
+        assert run("bounds", "--name", "no-such-bound", "--c-x", "0", "--quiet") == EXIT_RUNTIME
         assert "unknown bound name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, flag, value", [
         ("lower-re", "--c-x", "0"),
         ("one-sided-bernstein", "--lambda-min", "0"),
+        ("error-bound-laplace", "--c-x", "0"),
+        ("error-bound-gaussian", "--c-x", "0"),
     ])
     def test_flags_the_bound_does_not_read_are_not_validated(self, name, flag, value):
         assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_OK
@@ -207,7 +232,7 @@ class TestBoundsCommand:
 _BOUND_FLAGS = {
     "zeta": 0.8, "alpha": 1.5, "beta": 0.05, "d": 5, "d1": 2, "d2": 3,
     "m": 5000.0, "n": 400, "t": 0.05, "radius": 2.0, "lambda-min": 0.7,
-    "c": 1.3, "c1": 0.9, "c2": 1.1, "c-x": 1.2, "c-w": 0.8, "c-eps": 0.6,
+    "c": 1.3, "c1": 0.9, "c2": 1.1, "c-x": 1.2, "c-eps": 0.6,
     "c-max": 1.4, "sigma-eps": 0.3, "sigma-minus-sq": 0.9, "alpha-shape": 1.5,
     "c-alpha": 0.8, "beta-split": 0.4, "second-moment": 2.0,
 }
@@ -216,7 +241,7 @@ _BOUND_FLAGS = {
 def _direct_bound(name: str) -> dict:
     f = {k.replace("-", "_"): v for k, v in _BOUND_FLAGS.items()}
     spec = bnd.SpectrumInfo(f["lambda_min"])
-    tail = bnd.TailParams(f["c_x"], f["c_w"], f["c_eps"], f["sigma_eps"])
+    tail = bnd.TailParams(f["c_eps"], f["sigma_eps"])
 
     def scalar(value, constants):
         return {"value": value, "side_conditions": {}, "constants_used": constants,

@@ -10,6 +10,7 @@ import pytest
 
 from survkit import (
     NoiseKind, SolverConfig, SweepSpec, corrected_moments, gen_synthetic2, run_sweep, solve,
+    verify_survey,
 )
 from survkit import sweeps as sweeps_mod
 
@@ -194,29 +195,32 @@ class TestWorkerCountInvariance:
             outputs.append((res.trials_csv.read_bytes(), summary))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_tester_warnings_filtered_for_any_worker_count(self, tmp_path):
+    def test_tester_warnings_filtered_for_any_worker_count(self, tmp_path, monkeypatch):
+        # The tester's diagnostics are verdict notes, the same for any worker
+        # count, and no RuntimeWarning is raised.
         spec = SweepSpec(experiment="model-distance", trials=4, seed=11, output_dir=tmp_path,
                          d=4, m=400, mu_grid=(0.0, 0.5, 1.0, 1.5, 2.0), tol_grid=(0.2,))
+        notes: list[str] = []
 
-        def tau_messages(run) -> set[str]:
+        def noting_verify(*args):
+            verdict = verify_survey(*args)
+            notes.extend(verdict.notes)
+            return verdict
+
+        monkeypatch.setattr(sweeps_mod, "verify_survey", noting_verify)
+        sweeps_mod._model_distance_trial(spec, 0.0, 0.2, sweeps_mod._trial_rng(spec, 0, 0))
+        assert notes and notes[0].startswith("radius 1 exceeds tau/(zeta*sqrt(d+1))")
+
+        recorded = {}
+        for workers in (1, 2, 3):
+            notes.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run()
-            return {str(w.message) for w in caught if "exceed" in str(w.message)}
-
-        # The grid does trigger the radius warning outside run_sweep...
-        trial = sweeps_mod._model_distance_trial
-        assert any("radius" in msg for msg in tau_messages(
-            lambda: trial(spec, 0.0, 0.2, sweeps_mod._trial_rng(spec, 0, 0))
-        ))
-        # ...and run_sweep filters it whatever the worker count.
-        recorded = {
-            workers: tau_messages(lambda: run_sweep(
-                replace(spec, workers=workers, output_dir=tmp_path / str(workers))
-            ))
-            for workers in (1, 2, 3)
-        }
-        assert recorded[1] == recorded[2] == recorded[3] == set()
+                run_sweep(replace(spec, workers=workers, output_dir=tmp_path / str(workers)))
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            recorded[workers] = sorted(notes)
+        assert len(recorded[1]) >= 20  # every trial notes the radius
+        assert recorded[1] == recorded[2] == recorded[3]
 
 
 class TestTrialMemory:

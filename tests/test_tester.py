@@ -101,12 +101,17 @@ class TestPrivacyPenalties:
         assert hi == pytest.approx(hi2, rel=1e-12)
         assert privacy_penalty_laplace(b, 0.5, 1.0, 1.0, 10**18, 3) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
     def test_dimension_one_is_zero_with_warning(self):
+        # The zero penalty is a verdict note, not a warning.
         b = ModelBounds(1.0, 1.0, 1.0)
-        with pytest.warns(RuntimeWarning):
-            assert privacy_penalty_laplace(b, 1.0, 1.0, 1.0, 10, 1) == 0.0
-        with pytest.warns(RuntimeWarning):
-            assert privacy_penalty_gaussian(b, 1.0, 0.5, 1.0, 10, 1) == 0.0
+        assert privacy_penalty_laplace(b, 1.0, 1.0, 1.0, 10, 1) == 0.0
+        assert privacy_penalty_gaussian(b, 1.0, 0.5, 1.0, 10, 1) == 0.0
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=500, d=1)
+        for privacy in (PrivacyParams(alpha=2.0), PrivacyParams(alpha=0.5, beta=0.1)):
+            v = verify_private_survey(survey, sampler, cfg, privacy, RngSpec(3), lambda_min=1.0)
+            assert v.j_hat == 0.0
+            assert "privacy penalty is 0 at d = 1 because the ln d factor vanishes" in v.notes
 
 
 def _survey_and_cfg(mu, m=4000, d=8, seed=0, tol=0.2, kappa=0.0, delta=0.1):
@@ -134,6 +139,8 @@ class TestVerifySurvey:
         assert verdict.decision is Decision.ACCEPT
 
     def test_warnings_point_at_the_caller(self):
+        # Every tester diagnostic is a verdict note; the only RuntimeWarning
+        # is the Gaussian calibration's, attributed to make_noise_spec's caller.
         survey, _, cfg, _ = _survey_and_cfg(0.0)
         t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
 
@@ -141,20 +148,25 @@ class TestVerifySurvey:
             return PooledSource(np.zeros((t, survey.dim)), np.full(t, 2 * cfg.bounds.tau))
 
         with pytest.warns(RuntimeWarning) as rec:
-            verify_survey(survey, far_pool(), cfg, RngSpec(1))
-            verify_private_survey(
-                survey, far_pool(), cfg, PrivacyParams(alpha=2.0), RngSpec(1), lambda_min=1.0
-            )
-            verify_private_survey(
-                survey, far_pool(), cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
-                lambda_min=1.0,
-            )
+            verdicts = [
+                verify_survey(survey, far_pool(), cfg, RngSpec(1)),
+                verify_private_survey(
+                    survey, far_pool(), cfg, PrivacyParams(alpha=2.0), RngSpec(1),
+                    lambda_min=1.0,
+                ),
+                verify_private_survey(
+                    survey, far_pool(), cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
+                ),
+            ]
             make_noise_spec(PrivacyParams(alpha=2.0, beta=0.1), zeta=1.0, d=2)
-        messages = [str(w.message) for w in rec]
-        assert any("radius" in m for m in messages)
-        assert any("validation responses exceed tau" in m for m in messages)
-        assert sum("Gaussian mechanism calibration" in m for m in messages) == 2
-        assert {w.filename for w in rec} == {__file__}
+        for v in verdicts:
+            assert any(n.startswith("radius") for n in v.notes)
+            assert f"{t} of {t} validation responses exceed tau = {cfg.bounds.tau:g}" in v.notes
+        assert not any("lambda_min" in n for n in verdicts[1].notes)
+        assert any(n.startswith("lambda_min estimated") for n in verdicts[2].notes)
+        assert len(rec) == 2
+        assert all(str(w.message).startswith("Gaussian mechanism calibration") for w in rec)
+        assert rec[-1].filename == __file__
 
     def test_decision_is_pure_function_of_margin(self):
         survey, sampler, cfg, _ = _survey_and_cfg(1.0, tol=0.1)
@@ -203,19 +215,22 @@ class TestVerifySurvey:
         v = verify_survey(survey, sampler, cfg, RngSpec(2))
         assert v.t_used == validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
 
+    @pytest.mark.filterwarnings("error")
     def test_oversized_radius_warns_and_is_noted(self):
+        # Noted in the verdict, and not warned.
         survey, sampler, cfg, _ = _survey_and_cfg(0.0)
-        assert cfg.bounds.radius > cfg.bounds.tau / (
-            cfg.bounds.zeta * math.sqrt(survey.dim + 1)
+        cap = cfg.bounds.tau / (cfg.bounds.zeta * math.sqrt(survey.dim + 1))
+        assert cfg.bounds.radius > cap
+        v = verify_survey(survey, sampler, cfg, RngSpec(2))
+        assert v.notes[0] == (
+            f"radius {cfg.bounds.radius:g} exceeds tau/(zeta*sqrt(d+1)) = {cap:g}; "
+            "predictions may leave [-tau, tau] and the validation-accuracy guarantee degrades"
         )
-        with pytest.warns(RuntimeWarning, match="radius"):
-            v = verify_survey(survey, sampler, cfg, RngSpec(2))
-        assert any("radius" in n for n in v.notes)
 
     def test_exhausted_pool_raises(self):
         survey, _, cfg, _ = _survey_and_cfg(0.0)
         pool = PooledSource(survey.x[:3], survey.y[:3])
-        with pytest.raises(InsufficientValidationError):
+        with pytest.raises(InsufficientValidationError, match="pool has 3 rows left, need"):
             verify_survey(survey, pool, cfg, RngSpec(2))
 
     def test_out_of_bounds_survey_rejected(self):
@@ -243,11 +258,15 @@ class TestVerifySurvey:
             hits += v.decision is Decision.REJECT
         assert hits >= 27
 
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_validation_responses_warn(self):
+        # Noted in the verdict, and not warned.
         survey, sampler, cfg, _ = _survey_and_cfg(2.0)
-        with pytest.warns(RuntimeWarning, match="validation responses exceed tau"):
-            v = verify_survey(survey, sampler, cfg, RngSpec(0, 1))
-        assert any("validation responses" in n for n in v.notes)
+        v = verify_survey(survey, sampler, cfg, RngSpec(0, 1))
+        noted = [n for n in v.notes if "validation responses exceed tau" in n]
+        assert len(noted) == 1
+        over, of_t = noted[0].split(" validation")[0].split(" of ")
+        assert 0 < int(over) <= int(of_t) == v.t_used
 
 
 class TestVerifyPrivateSurvey:
