@@ -54,8 +54,6 @@ from .tester import (
 from .bounds import (
     BoundResult,
     LowerREParams,
-    SpectrumInfo,
-    TailParams,
     empirical_tail_check,
     error_bound_gaussian,
     error_bound_laplace,

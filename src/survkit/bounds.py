@@ -7,11 +7,12 @@ and the concentration bounds (sub-Weibull right tail, squared
 sub-exponential two-sided tail, one-sided Bernstein, random-matrix
 deviation) that drive them.
 
-Every universal constant that theory leaves unspecified defaults to 1.0 and
-is a keyword argument; each probability-bound result records the constants
-used, whether the stated side conditions hold, and whether the value was
-clamped at 1 (a probability bound above 1 is vacuous).  All logarithms are
-natural.
+Every input is a plain number named as its ``survkit bounds`` flag, and
+each function checks only the numbers it reads.  Every universal constant
+that theory leaves unspecified defaults to 1.0 and is a keyword argument;
+each probability-bound result records the constants used, whether the
+stated side conditions hold, and whether the value was clamped at 1 (a
+probability bound above 1 is vacuous).  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -21,36 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TailParams:
-    """Regression-noise tail scales read by the error bounds.
-
-    c_eps is the sub-exponential regression-noise tail scale (Laplace
-    regime); sigma_eps is the subgaussian regression-noise standard
-    deviation (Gaussian regime).  The covariate and privatization-noise
-    tails need no scale of their own: the bounds express them through zeta
-    and alpha (zeta^2 and zeta/alpha in the Laplace bound's max).
-    """
-
-    c_eps: float
-    sigma_eps: float = 0.0
-
-    def __post_init__(self):
-        if self.c_eps <= 0 or self.sigma_eps < 0:
-            raise ValueError("tail scales must be positive (sigma_eps non-negative)")
-
-
-@dataclass(frozen=True)
-class SpectrumInfo:
-    """Smallest eigenvalue of the clean covariate covariance."""
-
-    lambda_min: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lambda_min) and self.lambda_min > 0):
-            raise ValueError("lambda_min must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,42 +65,50 @@ def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
     )
 
 
+def _check_lambda_min(lambda_min: float) -> None:
+    """lambda_min (smallest clean-covariance eigenvalue) must be finite and > 0."""
+    if not (math.isfinite(lambda_min) and lambda_min > 0):
+        raise ValueError("lambda_min must be positive")
+
+
 def min_samples_gaussian(
-    spec: SpectrumInfo, zeta: float, alpha: float, beta: float, d: int, c: float = 1.0
+    lambda_min: float, zeta: float, alpha: float, beta: float, d: int, c: float = 1.0
 ) -> int:
     """Sample count after which the Gaussian-noise error bound applies.
 
     ceil of max( c / lambda_min^2 * (zeta^2 + zeta^2 ln(1/beta)/alpha^2)^2
     * d ln d, 1 ).
     """
+    _check_lambda_min(lambda_min)
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
     if d < 2:
         raise ValueError("d must be >= 2")
     inner = zeta * zeta + zeta * zeta * math.log(1.0 / beta) / (alpha * alpha)
-    val = c / spec.lambda_min**2 * inner * inner * d * math.log(d)
+    val = c / lambda_min**2 * inner * inner * d * math.log(d)
     return math.ceil(max(val, 1.0))
 
 
 def min_samples_laplace(
-    spec: SpectrumInfo, zeta: float, alpha: float, c_eps: float, d: int
+    lambda_min: float, zeta: float, alpha: float, c_eps: float, d: int
 ) -> int:
     """Sample count after which the Laplace-noise error bound applies.
 
     With M = max(zeta/alpha, zeta^2, c_eps): ceil of
     max( max(M / lambda_min, 1) * d ln d,  M * ln^3 d ).
     """
+    _check_lambda_min(lambda_min)
     if d < 2:
         raise ValueError("d must be >= 2")
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     ld = math.log(d)
-    val = max(max(big_m / spec.lambda_min, 1.0) * d * ld, big_m * ld**3)
+    val = max(max(big_m / lambda_min, 1.0) * d * ld, big_m * ld**3)
     return math.ceil(val)
 
 
 def error_bound_gaussian(
-    params: TailParams,
-    spec: SpectrumInfo,
+    sigma_eps: float,
+    lambda_min: float,
     zeta: float,
     alpha: float,
     beta: float,
@@ -141,21 +120,25 @@ def error_bound_gaussian(
     """Coefficient-error bound under Gaussian privatization noise.
 
     c2 * zeta * sqrt(ln(1/beta)/alpha + 1) * (zeta sqrt(ln(1/beta))/alpha
-    + sigma_eps) / lambda_min * radius * sqrt(d ln d / m), with the true
-    coefficient norm replaced by its upper bound ``radius``.
+    + sigma_eps) / lambda_min * radius * sqrt(d ln d / m), where sigma_eps is
+    the subgaussian regression-noise sd and ``radius`` bounds the true
+    coefficient norm.
     """
+    if sigma_eps < 0:
+        raise ValueError("sigma_eps must be non-negative")
+    _check_lambda_min(lambda_min)
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
     if d < 2 or m <= 0:
         raise ValueError("need d >= 2 and m > 0")
     lb = math.log(1.0 / beta)
-    lead = zeta * math.sqrt(lb / alpha + 1.0) * (zeta * math.sqrt(lb) / alpha + params.sigma_eps)
-    return c2 * lead / spec.lambda_min * radius * math.sqrt(d * math.log(d) / m)
+    lead = zeta * math.sqrt(lb / alpha + 1.0) * (zeta * math.sqrt(lb) / alpha + sigma_eps)
+    return c2 * lead / lambda_min * radius * math.sqrt(d * math.log(d) / m)
 
 
 def error_bound_laplace(
-    params: TailParams,
-    spec: SpectrumInfo,
+    c_eps: float,
+    lambda_min: float,
     zeta: float,
     alpha: float,
     radius: float,
@@ -166,16 +149,21 @@ def error_bound_laplace(
     """Coefficient-error bound under Laplace privatization noise.
 
     c2 / lambda_min * max(zeta/alpha, zeta^2, c_eps) * radius
-    * sqrt(d ln d / m).
+    * sqrt(d ln d / m), where c_eps is the sub-exponential regression-noise
+    tail scale.  The covariate and privatization-noise tails need no scale
+    of their own: zeta^2 and zeta/alpha in the max express them.
     """
+    if c_eps <= 0:
+        raise ValueError("c_eps must be positive")
+    _check_lambda_min(lambda_min)
     if d < 2 or m <= 0:
         raise ValueError("need d >= 2 and m > 0")
-    big_m = max(zeta / alpha, zeta * zeta, params.c_eps)
-    return c2 / spec.lambda_min * big_m * radius * math.sqrt(d * math.log(d) / m)
+    big_m = max(zeta / alpha, zeta * zeta, c_eps)
+    return c2 / lambda_min * big_m * radius * math.sqrt(d * math.log(d) / m)
 
 
 def lower_re_params(
-    spec: SpectrumInfo, c_max: float, m: float, d: int, c1: float = 1.0
+    lambda_min: float, c_max: float, m: float, d: int, c1: float = 1.0
 ) -> LowerREParams:
     """Restricted-eigenvalue pair for the corrected Gram matrix.
 
@@ -183,9 +171,10 @@ def lower_re_params(
     tau_md = c1 * lambda_min * max(c_max^2 / lambda_min^2, 1) * ln d / m,
     feasible iff tau_md <= alpha_ell / (2 d).
     """
+    _check_lambda_min(lambda_min)
     if d < 2 or m <= 0:
         raise ValueError("need d >= 2 and m > 0")
-    lam = spec.lambda_min
+    lam = lambda_min
     alpha_ell = lam / 2.0
     tau_md = c1 * lam * max(c_max * c_max / (lam * lam), 1.0) * math.log(d) / m
     return LowerREParams(alpha_ell, tau_md, feasible=tau_md <= alpha_ell / (2 * d))

@@ -27,7 +27,6 @@ from .datagen import (
     load_private,
     save_csv,
     save_private,
-    sidecar_path,
     source_from_spec,
 )
 from .mechanisms import Accounting, NoiseKind, PrivacyParams, make_noise_spec, privatize
@@ -183,10 +182,7 @@ def _cmd_fit(args) -> int:
     if args.mode == "constrained":
         _require(args, "radius")
     if args.sigma_w == "from-sidecar":
-        if not sidecar_path(args.input).exists():
-            raise ValueError(f"no sidecar found next to {args.input}")
-        pds = load_private(args.input)
-        moments = corrected_moments(pds)
+        moments = corrected_moments(load_private(args.input))
     else:
         ds = load_csv(args.input)
         moments = moments_from_arrays(ds.x, ds.y, float(args.sigma_w))
@@ -221,14 +217,16 @@ def _cmd_verify(args) -> int:
     if str(args.validation).endswith(".json"):
         spec = json.loads(Path(args.validation).read_text(encoding="utf-8"))
         source = source_from_spec(spec.get("generator", spec))
+        kind, dim = "generator", source.theta.shape[0]
     else:
         pool = load_csv(args.validation)
-        if pool.dim != survey.dim:
-            raise ValueError(
-                f"validation pool {args.validation} has d = {pool.dim}, "
-                f"survey {args.survey} has d = {survey.dim}"
-            )
         source = PooledSource(pool.x, pool.y)
+        kind, dim = "pool", pool.dim
+    if dim != survey.dim:
+        raise ValueError(
+            f"validation {kind} {args.validation} has d = {dim}, "
+            f"survey {args.survey} has d = {survey.dim}"
+        )
     cfg = TestConfig(kappa=args.kappa, tol=args.tol, delta=args.delta, bounds=bounds)
     rng = RngSpec(args.seed)
     if args.alpha is not None:
@@ -260,14 +258,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
-def _spectrum(args) -> bnd.SpectrumInfo:
-    return bnd.SpectrumInfo(args.lambda_min)
-
-
-def _tails(args) -> bnd.TailParams:
-    return bnd.TailParams(args.c_eps, args.sigma_eps)
-
-
 def _number(value, constants: dict) -> dict:
     return {"value": value, "side_conditions": {}, "constants_used": constants, "vacuous": False}
 
@@ -283,27 +273,29 @@ def _probability(r: bnd.BoundResult, _constants: dict) -> dict:
             "constants_used": r.constants, "vacuous": r.vacuous}
 
 
-# Bound name -> (survkit.bounds function name, arguments in call order,
-# constants reported, result shape).  An argument is a flag's dest, or a
-# function making a parameter object from flags, so a bound validates only
-# the flags it reads.  The function is looked up by name at call time, where the
-# traced benchmark (bench/spans.py) wraps it.
+# Bound name -> (survkit.bounds function name, flag dests in call order,
+# constants reported, result shape).  The dests are the function's parameter
+# names, so a bound reads and validates only its own flags.  The function is
+# looked up by name at call time, where the traced benchmark (bench/spans.py)
+# wraps it.
 _BOUNDS = {
     "min-samples-gaussian": (
-        "min_samples_gaussian", (_spectrum, "zeta", "alpha", "beta", "d", "c"), ("c",), _number
+        "min_samples_gaussian", ("lambda_min", "zeta", "alpha", "beta", "d", "c"), ("c",),
+        _number,
     ),
     "min-samples-laplace": (
-        "min_samples_laplace", (_spectrum, "zeta", "alpha", "c_eps", "d"), (), _number
+        "min_samples_laplace", ("lambda_min", "zeta", "alpha", "c_eps", "d"), (), _number
     ),
     "error-bound-gaussian": (
         "error_bound_gaussian",
-        (_tails, _spectrum, "zeta", "alpha", "beta", "radius", "d", "m", "c2"), ("c2",), _number,
+        ("sigma_eps", "lambda_min", "zeta", "alpha", "beta", "radius", "d", "m", "c2"),
+        ("c2",), _number,
     ),
     "error-bound-laplace": (
         "error_bound_laplace",
-        (_tails, _spectrum, "zeta", "alpha", "radius", "d", "m", "c2"), ("c2",), _number,
+        ("c_eps", "lambda_min", "zeta", "alpha", "radius", "d", "m", "c2"), ("c2",), _number,
     ),
-    "lower-re": ("lower_re_params", (_spectrum, "c_max", "m", "d", "c1"), ("c1",), _re_pair),
+    "lower-re": ("lower_re_params", ("lambda_min", "c_max", "m", "d", "c1"), ("c1",), _re_pair),
     "subweibull-right-tail": (
         "subweibull_right_tail",
         ("n", "t", "alpha_shape", "c_alpha", "sigma_minus_sq", "beta_split"), (), _probability,
@@ -323,7 +315,7 @@ def _bound_dispatch(args) -> dict:
     if args.name not in _BOUNDS:
         raise ValueError(f"unknown bound name {args.name!r}")
     fn_name, reads, constants, shape = _BOUNDS[args.name]
-    out = getattr(bnd, fn_name)(*(r(args) if callable(r) else getattr(args, r) for r in reads))
+    out = getattr(bnd, fn_name)(*(getattr(args, r) for r in reads))
     return shape(out, {c: getattr(args, c) for c in constants})
 
 

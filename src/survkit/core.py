@@ -63,11 +63,6 @@ class RngSpec:
         if int(self.stream) < 0:
             raise ValueError("stream index must be non-negative")
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
-        )
-
     def derive(self, *indices: int) -> np.random.Generator:
         """Child generator for the sub-stream (seed, stream, *indices)."""
         key = (int(self.stream),) + tuple(int(i) for i in indices)

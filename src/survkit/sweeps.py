@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -156,19 +156,6 @@ def _run_trial(trial_fn, spec: SweepSpec, grid_index: int, point: tuple, trial: 
     return row
 
 
-def _cancel_on_failure(later: list[Future]):
-    """Done-callback for one trial: if it raised, cancel the point's later
-    trials that have not started.  Earlier ones still run, so the failure
-    reported for the point is always that of its lowest failing trial."""
-
-    def callback(fut: Future) -> None:
-        if not fut.cancelled() and fut.exception() is not None:
-            for f in later:
-                f.cancel()
-
-    return callback
-
-
 def _fit_slope(ms: list[float], means: list[float]) -> float:
     coeffs = np.polyfit(np.log(ms), np.log(means), 1)
     return float(coeffs[0])
@@ -247,9 +234,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each (grid point, trial) is one task on a pool of ``spec.workers``
     threads.  A failing trial aborts its grid point: the point contributes
-    no rows, its lowest failing trial's error is recorded under
-    summary["errors"], and its trials not yet started are cancelled; the
-    remaining points still run.  Output files are a deterministic function
+    no rows and, because each point's results are gathered in trial order,
+    its lowest failing trial's error is recorded under summary["errors"];
+    every trial still runs.  Output files are a deterministic function
     of the spec and do not depend on the worker count.  The tester's
     diagnostics (oversized radius, out-of-range validation responses) are
     notes on each trial's verdict, which the rows do not carry; they are
@@ -263,15 +250,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     errors: dict[str, str] = {}
 
     with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        futures = []
-        for i, point in enumerate(points):
-            trials = [
-                pool.submit(_run_trial, trial_fn, spec, i, point, t)
-                for t in range(spec.trials)
-            ]
-            for t, fut in enumerate(trials):
-                fut.add_done_callback(_cancel_on_failure(trials[t + 1:]))
-            futures.append(trials)
+        futures = [
+            [pool.submit(_run_trial, trial_fn, spec, i, point, t) for t in range(spec.trials)]
+            for i, point in enumerate(points)
+        ]
         for point, trials in zip(points, futures):
             try:
                 point_rows = [fut.result() for fut in trials]

@@ -50,9 +50,9 @@ class TestConfig:
 
     kappa is the acceptance slack, tol the rejection tolerance (and the
     additive accuracy of the validation estimate), delta the confidence
-    budget.  ``constants`` holds the named bound constants (all default
-    1.0): "c2" scales the privacy penalties, "c_eps" is the declared
-    regression-noise tail scale used by the pure-LDP penalty.
+    budget.  c2 scales the privacy penalties and c_eps is the declared
+    regression-noise tail scale used by the pure-LDP penalty; both are the
+    paper's unspecified constants and default to 1.0.
     """
 
     kappa: float
@@ -60,7 +60,8 @@ class TestConfig:
     delta: float
     bounds: ModelBounds
     loss_bound_form: LossBoundForm = LossBoundForm.LOG_D
-    constants: dict[str, float] = field(default_factory=dict)
+    c2: float = 1.0
+    c_eps: float = 1.0
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -69,9 +70,6 @@ class TestConfig:
             raise ValueError("tol must lie in (0, 1]")
         if not (0 < self.delta <= 1):
             raise ValueError("delta must lie in (0, 1]")
-
-    def constant(self, name: str) -> float:
-        return float(self.constants.get(name, 1.0))
 
 
 class ValidationSource:
@@ -283,12 +281,12 @@ def _verify(
         if privacy.beta > 0:
             j_hat = privacy_penalty_gaussian(
                 cfg.bounds, privacy.alpha, privacy.beta, lambda_min,
-                survey.size, survey.dim, cfg.constant("c2"),
+                survey.size, survey.dim, cfg.c2,
             )
         else:
             j_hat = privacy_penalty_laplace(
-                cfg.bounds, privacy.alpha, cfg.constant("c_eps"), lambda_min,
-                survey.size, survey.dim, cfg.constant("c2"),
+                cfg.bounds, privacy.alpha, cfg.c_eps, lambda_min,
+                survey.size, survey.dim, cfg.c2,
             )
         if survey.dim == 1:
             notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
@@ -318,7 +316,7 @@ def _verify(
         theta_hat=theta_hat,
         margin=margin,
         loss_bound_form=cfg.loss_bound_form,
-        constants={"c2": cfg.constant("c2"), "c_eps": cfg.constant("c_eps")},
+        constants={"c2": float(cfg.c2), "c_eps": float(cfg.c_eps)},
         notes=tuple(notes),
     )
 
@@ -349,7 +347,8 @@ def verify_private_survey(
     and the empirical loss is computed on the privatized covariates (the
     only ones available after publication).  The survey-loss bound gains
     the privacy penalty matching the mechanism (Gaussian for beta > 0,
-    Laplace for beta = 0).  Validation draws are used in the clear.
+    Laplace for beta = 0, which also reads cfg.c_eps), scaled by cfg.c2.
+    Validation draws are used in the clear.
 
     lambda_min is the smallest eigenvalue of the clean covariate covariance;
     when not declared it is estimated from the corrected Gram matrix,

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from survkit import (
-    SpectrumInfo,
-    TailParams,
     empirical_tail_check,
     error_bound_gaussian,
     error_bound_laplace,
@@ -20,85 +18,99 @@ from survkit import (
 )
 from survkit.bounds import centered_squares_sampler
 
-UNIT_SPEC = SpectrumInfo(1.0)
-UNIT_TAILS = TailParams(c_eps=1.0, sigma_eps=0.0)
+UNIT_LAMBDA_MIN = 1.0
+UNIT_C_EPS = 1.0
+UNIT_SIGMA_EPS = 0.0
 
 
 class TestMinSamples:
     def test_gaussian_reference_point(self):
         # (1 + 1)^2 * 3 ln 3 = 13.1833... -> 14
-        assert min_samples_gaussian(UNIT_SPEC, 1.0, 1.0, 1.0 / math.e, 3) == 14
+        assert min_samples_gaussian(UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0 / math.e, 3) == 14
 
     def test_gaussian_floor_at_one(self):
-        spec = SpectrumInfo(10**6)
-        assert min_samples_gaussian(spec, 1.0, 1.0, 0.5, 2) == 1
+        assert min_samples_gaussian(10**6, 1.0, 1.0, 0.5, 2) == 1
 
     def test_gaussian_privacy_term_vanishes(self):
-        near = min_samples_gaussian(UNIT_SPEC, 1.0, 1.0, 1 - 1e-12, 3)
+        near = min_samples_gaussian(UNIT_LAMBDA_MIN, 1.0, 1.0, 1 - 1e-12, 3)
         assert near == math.ceil(3 * math.log(3))
 
     def test_laplace_reference_points(self):
         # d=3: max(3 ln 3, ln^3 3) = 3.2958 -> 4; d=2: 2 ln 2 -> 2
-        assert min_samples_laplace(UNIT_SPEC, 1.0, 1.0, 1.0, 3) == 4
-        assert min_samples_laplace(UNIT_SPEC, 1.0, 1.0, 1.0, 2) == 2
+        assert min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 3) == 4
+        assert min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 2) == 2
 
     def test_laplace_grows_as_alpha_shrinks(self):
-        vals = [min_samples_laplace(UNIT_SPEC, 1.0, a, 1.0, 5) for a in (1.0, 0.1, 0.01)]
+        vals = [min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, a, 1.0, 5) for a in (1.0, 0.1, 0.01)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_monotone_in_d_alpha_lambda(self):
-        base = min_samples_gaussian(UNIT_SPEC, 1.0, 1.0, 0.5, 4)
-        assert min_samples_gaussian(UNIT_SPEC, 1.0, 1.0, 0.5, 8) >= base
-        assert min_samples_gaussian(UNIT_SPEC, 1.0, 0.5, 0.5, 4) >= base
-        assert min_samples_gaussian(SpectrumInfo(2.0), 1.0, 1.0, 0.5, 4) <= base
-        lbase = min_samples_laplace(UNIT_SPEC, 1.0, 1.0, 1.0, 4)
-        assert min_samples_laplace(UNIT_SPEC, 1.0, 1.0, 1.0, 8) >= lbase
-        assert min_samples_laplace(UNIT_SPEC, 1.0, 0.5, 1.0, 4) >= lbase
-        assert min_samples_laplace(SpectrumInfo(2.0), 1.0, 1.0, 1.0, 4) <= lbase
+        base = min_samples_gaussian(UNIT_LAMBDA_MIN, 1.0, 1.0, 0.5, 4)
+        assert min_samples_gaussian(UNIT_LAMBDA_MIN, 1.0, 1.0, 0.5, 8) >= base
+        assert min_samples_gaussian(UNIT_LAMBDA_MIN, 1.0, 0.5, 0.5, 4) >= base
+        assert min_samples_gaussian(2.0, 1.0, 1.0, 0.5, 4) <= base
+        lbase = min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 4)
+        assert min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 8) >= lbase
+        assert min_samples_laplace(UNIT_LAMBDA_MIN, 1.0, 0.5, 1.0, 4) >= lbase
+        assert min_samples_laplace(2.0, 1.0, 1.0, 1.0, 4) <= lbase
 
 
 class TestErrorBounds:
     def test_gaussian_constructed_value(self):
         # radical is 1 at m = 3 ln 3; inner factors sqrt(2) * 1
         got = error_bound_gaussian(
-            UNIT_TAILS, UNIT_SPEC, 1.0, 1.0, 1.0 / math.e, 1.0, 3, 3 * math.log(3)
+            UNIT_SIGMA_EPS, UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0 / math.e, 1.0, 3, 3 * math.log(3)
         )
         assert got == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_laplace_constructed_value(self):
-        got = error_bound_laplace(UNIT_TAILS, UNIT_SPEC, 1.0, 1.0, 1.0, 3, 3 * math.log(3))
+        got = error_bound_laplace(UNIT_C_EPS, UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 3, 3 * math.log(3))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_laplace_linear_in_radius(self):
-        one = error_bound_laplace(UNIT_TAILS, UNIT_SPEC, 1.0, 1.0, 1.0, 3, 100)
-        two = error_bound_laplace(UNIT_TAILS, UNIT_SPEC, 1.0, 1.0, 2.0, 3, 100)
+        one = error_bound_laplace(UNIT_C_EPS, UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 3, 100)
+        two = error_bound_laplace(UNIT_C_EPS, UNIT_LAMBDA_MIN, 1.0, 1.0, 2.0, 3, 100)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_inverse_sqrt_m_scaling_exact(self):
-        for fn, extra in (
-            (error_bound_gaussian, (0.3,)),
-            (error_bound_laplace, ()),
+        for fn, tail, extra in (
+            (error_bound_gaussian, UNIT_SIGMA_EPS, (0.3,)),
+            (error_bound_laplace, UNIT_C_EPS, ()),
         ):
-            b1 = fn(UNIT_TAILS, UNIT_SPEC, 1.3, 0.7, *extra, 2.0, 5, 400)
-            b4 = fn(UNIT_TAILS, UNIT_SPEC, 1.3, 0.7, *extra, 2.0, 5, 1600)
+            b1 = fn(tail, UNIT_LAMBDA_MIN, 1.3, 0.7, *extra, 2.0, 5, 400)
+            b4 = fn(tail, UNIT_LAMBDA_MIN, 1.3, 0.7, *extra, 2.0, 5, 1600)
             assert b4 == pytest.approx(b1 / 2, rel=1e-12)
 
     def test_vanish_as_m_grows(self):
-        assert error_bound_laplace(UNIT_TAILS, UNIT_SPEC, 1.0, 1.0, 1.0, 3, 1e30) < 1e-10
+        assert error_bound_laplace(UNIT_C_EPS, UNIT_LAMBDA_MIN, 1.0, 1.0, 1.0, 3, 1e30) < 1e-10
+
+
+@pytest.mark.parametrize("lambda_min", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda lam: min_samples_gaussian(lam, 1.0, 1.0, 0.5, 3),
+    lambda lam: min_samples_laplace(lam, 1.0, 1.0, 1.0, 3),
+    lambda lam: error_bound_gaussian(UNIT_SIGMA_EPS, lam, 1.0, 1.0, 0.5, 1.0, 3, 100),
+    lambda lam: error_bound_laplace(UNIT_C_EPS, lam, 1.0, 1.0, 1.0, 3, 100),
+    lambda lam: lower_re_params(lam, 1.0, 100, 3),
+], ids=["min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
+        "error-bound-laplace", "lower-re"])
+def test_lambda_min_must_be_finite_and_positive(call, lambda_min):
+    with pytest.raises(ValueError, match="lambda_min must be positive"):
+        call(lambda_min)
 
 
 class TestLowerRE:
     def test_curvature_is_half_lambda(self):
-        re = lower_re_params(SpectrumInfo(2.0), 1.0, 100, 5)
+        re = lower_re_params(2.0, 1.0, 100, 5)
         assert re.alpha_ell == 1.0
 
     def test_constructed_infeasible_point(self):
-        re = lower_re_params(UNIT_SPEC, 1.0, math.log(3), 3)
+        re = lower_re_params(UNIT_LAMBDA_MIN, 1.0, math.log(3), 3)
         assert re.tau_md == pytest.approx(1.0, rel=1e-12)
         assert not re.feasible  # alpha_ell / (2d) = 1/12 < 1
 
     def test_large_m_feasible(self):
-        re = lower_re_params(UNIT_SPEC, 1.0, 10**9, 3)
+        re = lower_re_params(UNIT_LAMBDA_MIN, 1.0, 10**9, 3)
         assert re.feasible and re.tau_md < 1e-8
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from survkit import Dataset, ModelBounds, save_csv
 from survkit import bounds as bnd
-from survkit.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
+from survkit.cli import _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 def run(*argv):
@@ -105,6 +106,16 @@ class TestPublishAndFit:
         )
         assert code == EXIT_RUNTIME
 
+    def test_fit_from_sidecar_without_one(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        save_csv(Dataset(np.zeros((5, 2)), np.zeros(5), ModelBounds(1, 1, 1)), src)
+        code = run("fit", "--input", str(src), "--sigma-w", "from-sidecar",
+                   "--radius", "1.0", "--quiet")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"survkit: error: {src}: missing sidecar {tmp_path / 'data.meta.json'}\n"
+        )
+
     def test_fit_clean_csv_with_explicit_sigma(self, tmp_path):
         gen = np.random.default_rng(1)
         x = gen.normal(size=(500, 2))
@@ -183,6 +194,20 @@ class TestVerify:
             f"survey {survey_files}_survey.csv has d = 6\n"
         )
 
+    def test_validation_generator_of_another_dimension(self, survey_files, tmp_path, capsys):
+        spec = tmp_path / "gen3.json"
+        spec.write_text(json.dumps({"generator": {
+            "type": "linear-model", "theta": [0.0, 0.0, 0.0], "noise_var": 0.0}}))
+        b = _truth(survey_files)["bounds"]
+        code = run("verify", "--survey", f"{survey_files}_survey.csv",
+                   "--validation", str(spec), "--tol", "0.2", "--tau", str(b["tau"]),
+                   "--radius", str(b["radius"]), "--zeta", str(b["zeta"]), "--quiet")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"survkit: error: validation generator {spec} has d = 3, "
+            f"survey {survey_files}_survey.csv has d = 6\n"
+        )
+
     def test_notes_on_stderr_and_in_json(self, survey_files, tmp_path, capsys):
         out = tmp_path / "pv.json"
         code = run("verify", *self._flags(survey_files, 0.0), "--alpha", "2.0",
@@ -222,9 +247,27 @@ class TestBoundsCommand:
         ("one-sided-bernstein", "--lambda-min", "0"),
         ("error-bound-laplace", "--c-x", "0"),
         ("error-bound-gaussian", "--c-x", "0"),
+        ("error-bound-gaussian", "--c-eps", "0"),
+        ("error-bound-laplace", "--sigma-eps", "-1"),
     ])
     def test_flags_the_bound_does_not_read_are_not_validated(self, name, flag, value):
         assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_OK
+
+    @pytest.mark.parametrize("name, flag, value", [
+        ("error-bound-laplace", "--c-eps", "0"),
+        ("error-bound-gaussian", "--sigma-eps", "-1"),
+        *[(name, "--lambda-min", "0") for name in (
+            "min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
+            "error-bound-laplace", "lower-re")],
+    ])
+    def test_flags_the_bound_reads_are_validated(self, name, flag, value, capsys):
+        assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_RUNTIME
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(_BOUNDS))
+    def test_table_lists_the_function_parameters_in_order(self, name):
+        fn_name, reads, _, _ = _BOUNDS[name]
+        assert reads == tuple(inspect.signature(getattr(bnd, fn_name)).parameters)
 
 
 # Non-default values for every `bounds` flag, so a flag read from the wrong
@@ -240,8 +283,6 @@ _BOUND_FLAGS = {
 
 def _direct_bound(name: str) -> dict:
     f = {k.replace("-", "_"): v for k, v in _BOUND_FLAGS.items()}
-    spec = bnd.SpectrumInfo(f["lambda_min"])
-    tail = bnd.TailParams(f["c_eps"], f["sigma_eps"])
 
     def scalar(value, constants):
         return {"value": value, "side_conditions": {}, "constants_used": constants,
@@ -253,20 +294,20 @@ def _direct_bound(name: str) -> dict:
 
     if name == "min-samples-gaussian":
         return scalar(bnd.min_samples_gaussian(
-            spec, f["zeta"], f["alpha"], f["beta"], f["d"], f["c"]), {"c": f["c"]})
+            f["lambda_min"], f["zeta"], f["alpha"], f["beta"], f["d"], f["c"]), {"c": f["c"]})
     if name == "min-samples-laplace":
         return scalar(bnd.min_samples_laplace(
-            spec, f["zeta"], f["alpha"], f["c_eps"], f["d"]), {})
+            f["lambda_min"], f["zeta"], f["alpha"], f["c_eps"], f["d"]), {})
     if name == "error-bound-gaussian":
         return scalar(bnd.error_bound_gaussian(
-            tail, spec, f["zeta"], f["alpha"], f["beta"], f["radius"], f["d"], f["m"],
+            f["sigma_eps"], f["lambda_min"], f["zeta"], f["alpha"], f["beta"], f["radius"], f["d"], f["m"],
             f["c2"]), {"c2": f["c2"]})
     if name == "error-bound-laplace":
         return scalar(bnd.error_bound_laplace(
-            tail, spec, f["zeta"], f["alpha"], f["radius"], f["d"], f["m"], f["c2"]),
+            f["c_eps"], f["lambda_min"], f["zeta"], f["alpha"], f["radius"], f["d"], f["m"], f["c2"]),
             {"c2": f["c2"]})
     if name == "lower-re":
-        re = bnd.lower_re_params(spec, f["c_max"], f["m"], f["d"], f["c1"])
+        re = bnd.lower_re_params(f["lambda_min"], f["c_max"], f["m"], f["d"], f["c1"])
         return {"value": {"alpha_ell": re.alpha_ell, "tau_md": re.tau_md},
                 "side_conditions": {"feasible": re.feasible},
                 "constants_used": {"c1": f["c1"]}, "vacuous": False}

@@ -145,13 +145,13 @@ class TestModelDistance:
 
 class TestRngSpec:
     def test_identical_spec_reproduces_bitwise(self):
-        a = RngSpec(123, 4).generator().random(100)
-        b = RngSpec(123, 4).generator().random(100)
+        a = RngSpec(123, 4).derive().random(100)
+        b = RngSpec(123, 4).derive().random(100)
         assert np.array_equal(a, b)
 
     def test_streams_distinct(self):
-        a = RngSpec(123, 0).generator().random(10)
-        b = RngSpec(123, 1).generator().random(10)
+        a = RngSpec(123, 0).derive().random(10)
+        b = RngSpec(123, 1).derive().random(10)
         assert not np.array_equal(a, b)
 
     def test_derived_children_distinct_and_stable(self):

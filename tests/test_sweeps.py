@@ -136,8 +136,8 @@ class TestSweepMechanics:
         monkeypatch.setitem(
             sweeps_mod.EXPERIMENTS, "error-vs-samples", (grid, flaky, summarize)
         )
-        # 8 workers and a short switch interval stress the cancellation
-        # callbacks with more threads than cores.
+        # 8 workers and a short switch interval stress the in-order gather
+        # with more threads than cores.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

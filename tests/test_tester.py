@@ -274,7 +274,7 @@ class TestVerifyPrivateSurvey:
         survey, sampler, cfg0, _ = _survey_and_cfg(0.0, m=2000)
         cfg = TestConfig(
             kappa=cfg0.kappa, tol=cfg0.tol, delta=cfg0.delta, bounds=cfg0.bounds,
-            constants={"c2": 0.0},
+            c2=0.0,
         )
         pub = verify_survey(survey, sampler, cfg, RngSpec(4))
         priv = verify_private_survey(
