@@ -65,10 +65,11 @@ def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
     )
 
 
-def _check_lambda_min(lambda_min: float) -> None:
-    """lambda_min (smallest clean-covariance eigenvalue) must be finite and > 0."""
-    if not (math.isfinite(lambda_min) and lambda_min > 0):
-        raise ValueError("lambda_min must be positive")
+def _check_positive(**values: float) -> None:
+    """Each named value (lambda_min, zeta, alpha) must be finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive")
 
 
 def min_samples_gaussian(
@@ -79,7 +80,7 @@ def min_samples_gaussian(
     ceil of max( c / lambda_min^2 * (zeta^2 + zeta^2 ln(1/beta)/alpha^2)^2
     * d ln d, 1 ).
     """
-    _check_lambda_min(lambda_min)
+    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
     if d < 2:
@@ -97,7 +98,7 @@ def min_samples_laplace(
     With M = max(zeta/alpha, zeta^2, c_eps): ceil of
     max( max(M / lambda_min, 1) * d ln d,  M * ln^3 d ).
     """
-    _check_lambda_min(lambda_min)
+    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     if d < 2:
         raise ValueError("d must be >= 2")
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
@@ -126,7 +127,7 @@ def error_bound_gaussian(
     """
     if sigma_eps < 0:
         raise ValueError("sigma_eps must be non-negative")
-    _check_lambda_min(lambda_min)
+    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     if not (0 < beta < 1):
         raise ValueError("beta must lie in (0, 1)")
     if d < 2 or m <= 0:
@@ -155,7 +156,7 @@ def error_bound_laplace(
     """
     if c_eps <= 0:
         raise ValueError("c_eps must be positive")
-    _check_lambda_min(lambda_min)
+    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     if d < 2 or m <= 0:
         raise ValueError("need d >= 2 and m > 0")
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
@@ -171,7 +172,7 @@ def lower_re_params(
     tau_md = c1 * lambda_min * max(c_max^2 / lambda_min^2, 1) * ln d / m,
     feasible iff tau_md <= alpha_ell / (2 d).
     """
-    _check_lambda_min(lambda_min)
+    _check_positive(lambda_min=lambda_min)
     if d < 2 or m <= 0:
         raise ValueError("need d >= 2 and m > 0")
     lam = lambda_min

@@ -240,8 +240,10 @@ def solve(
     entry, the start is perturbed by +1e-8 on the most negative diagonal
     coordinate so the iteration escapes the maximizer deterministically.
 
-    When ``trace`` is a list, the objective value after every iteration is
-    appended to it.
+    One iteration costs one product with gamma_mat plus O(d) vector work;
+    the sort-based projection runs only when a gradient step leaves the l1
+    ball.  When ``trace`` is a list, the objective value after every
+    iteration is appended to it.
     """
     d = moments.dim
     gm, gv = moments.gamma_mat, moments.gamma_vec
@@ -251,18 +253,20 @@ def solve(
     eta = config.step or 1.0 / max(spectral_bound(gm), 1e-12)
 
     def prox(v):
+        # v is always a fresh temporary, so a feasible v is returned as is;
+        # project_l1 runs only when v leaves the ball.
         if constrained:
-            return project_l1(v, radius)
+            return v if np.abs(v).sum() <= radius else project_l1(v, radius)
         v = soft_threshold(v, eta * lam)
-        if radius is not None and np.sum(np.abs(v)) > radius:
+        if radius is not None and np.abs(v).sum() > radius:
             v = project_l1(v, radius)
         return v
 
     def gap_at(x, gx):
         g = gx - gv
         if constrained:
-            return float(g @ x) + radius * float(np.max(np.abs(g)))
-        return float(np.max(np.abs(x - prox(x - eta * g)))) / eta
+            return float(g @ x) + radius * float(np.abs(g).max())
+        return float(np.abs(x - prox(x - eta * g)).max()) / eta
 
     def step_from(y, gy):
         # The new iterate, gamma_mat times it (reused for the objective, the
@@ -271,7 +275,9 @@ def solve(
         # non-finite objective.
         x = prox(y - eta * (gy - gv))
         gx = gm @ x
-        f = 0.5 * float(x @ gx) - float(gv @ x) + lam * float(np.sum(np.abs(x)))
+        f = 0.5 * float(x @ gx) - float(gv @ x)
+        if not constrained:
+            f += lam * float(np.abs(x).sum())
         if not math.isfinite(f):
             raise SolverDivergenceError(
                 f"objective became non-finite at iteration {iterations}", theta
@@ -296,16 +302,16 @@ def solve(
             restart = beta > 0 and new_obj > obj
             if restart:
                 new, g_new, new_obj = step_from(theta, g_theta)
-            if restart or float((y - new) @ (new - theta)) > 0:
+            step = new - theta
+            if restart or float((y - new) @ step) > 0:
                 t = 1.0
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             if beta > 0:
-                y, g_y = new + beta * (new - theta), g_new + beta * (g_new - g_theta)
+                y, g_y = new + beta * step, g_new + beta * (g_new - g_theta)
             else:
                 y, g_y = new, g_new
             delta = abs(new_obj - obj)
-            move = float(np.max(np.abs(new - theta)))
             theta, g_theta, obj, t = new, g_new, new_obj, t_next
             if trace is not None:
                 trace.append(obj)
@@ -313,7 +319,7 @@ def solve(
             converged = gap <= threshold
             if converged or (
                 delta < _ABS_OBJECTIVE_FLOOR
-                and move < _STAGNATION_TOL * max(1.0, float(np.max(np.abs(theta))))
+                and np.abs(step).max() < _STAGNATION_TOL * max(1.0, np.abs(theta).max())
             ):
                 break
 

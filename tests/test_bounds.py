@@ -99,6 +99,23 @@ def test_lambda_min_must_be_finite_and_positive(call, lambda_min):
         call(lambda_min)
 
 
+@pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["zeta", "alpha"])
+@pytest.mark.parametrize("call", [
+    lambda zeta, alpha: min_samples_gaussian(UNIT_LAMBDA_MIN, zeta, alpha, 0.5, 3),
+    lambda zeta, alpha: min_samples_laplace(UNIT_LAMBDA_MIN, zeta, alpha, 1.0, 3),
+    lambda zeta, alpha: error_bound_gaussian(
+        UNIT_SIGMA_EPS, UNIT_LAMBDA_MIN, zeta, alpha, 0.5, 1.0, 3, 100),
+    lambda zeta, alpha: error_bound_laplace(
+        UNIT_C_EPS, UNIT_LAMBDA_MIN, zeta, alpha, 1.0, 3, 100),
+], ids=["min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
+        "error-bound-laplace"])
+def test_zeta_and_alpha_must_be_finite_and_positive(call, name, value):
+    args = {"zeta": 1.0, "alpha": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        call(**args)
+
+
 class TestLowerRE:
     def test_curvature_is_half_lambda(self):
         re = lower_re_params(2.0, 1.0, 100, 5)

@@ -259,10 +259,15 @@ class TestBoundsCommand:
         *[(name, "--lambda-min", "0") for name in (
             "min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
             "error-bound-laplace", "lower-re")],
+        *[(name, flag, value) for name in (
+            "min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
+            "error-bound-laplace")
+          for flag, value in (("--zeta", "-2"), ("--zeta", "nan"), ("--alpha", "0"),
+                              ("--alpha", "-1"), ("--alpha", "inf"))],
     ])
     def test_flags_the_bound_reads_are_validated(self, name, flag, value, capsys):
         assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_RUNTIME
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(_BOUNDS))
     def test_table_lists_the_function_parameters_in_order(self, name):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import bisect
 
 from survkit import (
@@ -14,6 +14,7 @@ from survkit import (
     RngSpec,
     SolverConfig,
     SolverDivergenceError,
+    SolveResult,
     corrected_moments,
     moments_from_arrays,
     objective,
@@ -24,6 +25,7 @@ from survkit import (
     spectral_bound,
     validate_dataset,
 )
+from survkit.solver import _resolve_lambda
 
 
 def project_l1_bisection(v, radius):
@@ -112,6 +114,26 @@ class TestProjectL1:
             v = rng.normal(size=17) * 10
             r = rng.uniform(0.01, 3)
             assert np.abs(project_l1(v, r)).sum() <= r + 1e-12
+
+    @given(
+        v=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                      st.floats(-100.0, 100.0)),
+            min_size=1, max_size=30,
+        ),
+        radius=st.floats(1e-3, 1e3),
+    )
+    def test_feasible_idempotent_and_matches_bisection(self, v, radius):
+        # Ties, zeros and -0.0 come from the sampled pool; d = 1 is allowed.
+        v = np.array(v)
+        p = project_l1(v, radius)
+        assert p is not v
+        scale = max(1.0, float(np.abs(v).max()))
+        assert np.abs(p).sum() <= radius + 1e-12 * scale * v.size
+        np.testing.assert_allclose(project_l1(p, radius), p, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(p, project_l1_bisection(v, radius), rtol=0, atol=1e-10 * scale)
+        if np.abs(v).sum() <= radius:
+            assert np.array_equal(p, v) and np.array_equal(np.signbit(p), np.signbit(v))
 
 
 class TestSoftThreshold:
@@ -319,6 +341,133 @@ def _certified_gap(moments, config, theta, eta):
     if config.radius is not None and np.abs(v).sum() > config.radius:
         v = project_l1(v, config.radius)
     return float(np.max(np.abs(theta - v))) / eta
+
+
+def _reference_solve(moments, config, trace=None):
+    """The FISTA loop as it was before its numpy calls were trimmed: every
+    prox through ``project_l1``, ``move`` on every iteration, ``new - theta``
+    twice and ``lam * sum|x|`` in both modes.  ``solve`` must reproduce it
+    bit for bit."""
+    d = moments.dim
+    gm, gv = moments.gamma_mat, moments.gamma_vec
+    constrained = config.mode == "constrained"
+    radius = config.radius
+    lam = 0.0 if constrained else _resolve_lambda(config, moments)
+    eta = config.step or 1.0 / max(spectral_bound(gm), 1e-12)
+
+    def prox(v):
+        if constrained:
+            return project_l1(v, radius)
+        v = soft_threshold(v, eta * lam)
+        if radius is not None and np.sum(np.abs(v)) > radius:
+            v = project_l1(v, radius)
+        return v
+
+    def gap_at(x, gx):
+        g = gx - gv
+        if constrained:
+            return float(g @ x) + radius * float(np.max(np.abs(g)))
+        return float(np.max(np.abs(x - prox(x - eta * g)))) / eta
+
+    def step_from(y, gy):
+        x = prox(y - eta * (gy - gv))
+        gx = gm @ x
+        f = 0.5 * float(x @ gx) - float(gv @ x) + lam * float(np.sum(np.abs(x)))
+        if not math.isfinite(f):
+            raise SolverDivergenceError(
+                f"objective became non-finite at iteration {iterations}", theta
+            )
+        return x, gx, f
+
+    theta = np.zeros(d)
+    diag = np.diag(gm)
+    if not np.any(gv) and np.min(diag) < 0:
+        theta[int(np.argmin(diag))] = 1e-8
+    g_theta = gm @ theta
+    obj = objective(moments, theta, lam)
+    gap = gap_at(theta, g_theta)
+    threshold = config.tol * max(1.0, gap)
+    y, g_y, t, beta = theta, g_theta, 1.0, 0.0
+    iterations, converged = 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, config.max_iter + 1):
+            new, g_new, new_obj = step_from(y, g_y)
+            restart = beta > 0 and new_obj > obj
+            if restart:
+                new, g_new, new_obj = step_from(theta, g_theta)
+            if restart or float((y - new) @ (new - theta)) > 0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            if beta > 0:
+                y, g_y = new + beta * (new - theta), g_new + beta * (g_new - g_theta)
+            else:
+                y, g_y = new, g_new
+            delta = abs(new_obj - obj)
+            move = float(np.max(np.abs(new - theta)))
+            theta, g_theta, obj, t = new, g_new, new_obj, t_next
+            if trace is not None:
+                trace.append(obj)
+            gap = gap_at(theta, g_theta)
+            converged = gap <= threshold
+            if converged or (
+                delta < 1e-14 and move < 1e-12 * max(1.0, float(np.max(np.abs(theta))))
+            ):
+                break
+
+    return SolveResult(theta_hat=theta, iterations=iterations, final_objective=obj,
+                       converged=converged, step_size_used=eta, gap=gap)
+
+
+def _outcome(solver, moments, config):
+    """Everything a solve shows, as bytes where it is a float."""
+    trace = []
+    try:
+        r = solver(moments, config, trace=trace)
+    except SolverDivergenceError as exc:
+        return "diverged", str(exc), exc.last_iterate.tobytes(), np.array(trace).tobytes()
+    floats = np.array([r.final_objective, r.gap, r.step_size_used]).tobytes()
+    return (r.theta_hat.tobytes(), r.iterations, floats, r.converged,
+            np.array(trace).tobytes())
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 60),
+        shift=st.sampled_from([0.0, 0.5, 2.0]),
+        lagrangian=st.booleans(),
+        guard=st.booleans(),
+        lambda_n=st.sampled_from([None, 0.0, 1e-3, 0.1]),
+        tie_break=st.booleans(),
+        max_iter=st.integers(1, 3000),
+    )
+    @example(seed=0, d=1, shift=2.0, lagrangian=True, guard=False, lambda_n=0.0,
+             tie_break=False, max_iter=3000)  # diverges
+    @example(seed=1, d=8, shift=0.0, lagrangian=False, guard=False, lambda_n=None,
+             tie_break=True, max_iter=3000)
+    @example(seed=2, d=1, shift=0.0, lagrangian=True, guard=True, lambda_n=None,
+             tie_break=False, max_iter=1)
+    def test_bitwise_equal(self, seed, d, shift, lagrangian, guard, lambda_n,
+                           tie_break, max_iter):
+        # PSD (shift 0) or indefinite Gamma; the tie-break start needs
+        # gamma_vec = 0 and a negative diagonal entry.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d))
+        gm = a @ a.T / d - shift * np.eye(d)
+        gv = rng.normal(size=d) * 10 ** rng.uniform(-2, 1)
+        if tie_break:
+            gv[:] = 0.0
+            gm[d // 2, d // 2] -= 3.0
+        moments = CorrectedMoments(gm, gv, int(rng.integers(1, 1000)))
+        radius = float(rng.uniform(0.1, 10.0))
+        if lagrangian:
+            config = SolverConfig(mode="lagrangian", lambda_n=lambda_n,
+                                  radius=radius if guard else None, max_iter=max_iter)
+        else:
+            config = SolverConfig(mode="constrained", radius=radius, max_iter=max_iter)
+        assert _outcome(solve, moments, config) == _outcome(_reference_solve, moments, config)
 
 
 class TestCertifiedStop:
