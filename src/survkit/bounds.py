@@ -65,11 +65,13 @@ def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
     )
 
 
-def _check_positive(**values: float) -> None:
-    """Each named value (lambda_min, zeta, alpha) must be finite and > 0."""
+def _check(kind: str, **values: float) -> None:
+    """Each named value must be finite and, by ``kind``, "positive" (> 0),
+    "non-negative" (>= 0) or just "finite"; the message names the kind."""
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive")
+        sign_ok = {"positive": value > 0, "non-negative": value >= 0, "finite": True}[kind]
+        if not (math.isfinite(value) and sign_ok):
+            raise ValueError(f"{name} must be {kind}")
 
 
 def min_samples_gaussian(
@@ -80,9 +82,10 @@ def min_samples_gaussian(
     ceil of max( c / lambda_min^2 * (zeta^2 + zeta^2 ln(1/beta)/alpha^2)^2
     * d ln d, 1 ).
     """
-    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
+    _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha)
+    _check("non-negative", c=c)
     if not (0 < beta < 1):
-        raise ValueError("beta must lie in (0, 1)")
+        raise ValueError("beta must be in (0, 1)")
     if d < 2:
         raise ValueError("d must be >= 2")
     inner = zeta * zeta + zeta * zeta * math.log(1.0 / beta) / (alpha * alpha)
@@ -98,7 +101,7 @@ def min_samples_laplace(
     With M = max(zeta/alpha, zeta^2, c_eps): ceil of
     max( max(M / lambda_min, 1) * d ln d,  M * ln^3 d ).
     """
-    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
+    _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, c_eps=c_eps)
     if d < 2:
         raise ValueError("d must be >= 2")
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
@@ -125,13 +128,12 @@ def error_bound_gaussian(
     the subgaussian regression-noise sd and ``radius`` bounds the true
     coefficient norm.
     """
-    if sigma_eps < 0:
-        raise ValueError("sigma_eps must be non-negative")
-    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
+    _check("non-negative", sigma_eps=sigma_eps, c2=c2)
+    _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, radius=radius, m=m)
     if not (0 < beta < 1):
-        raise ValueError("beta must lie in (0, 1)")
-    if d < 2 or m <= 0:
-        raise ValueError("need d >= 2 and m > 0")
+        raise ValueError("beta must be in (0, 1)")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     lb = math.log(1.0 / beta)
     lead = zeta * math.sqrt(lb / alpha + 1.0) * (zeta * math.sqrt(lb) / alpha + sigma_eps)
     return c2 * lead / lambda_min * radius * math.sqrt(d * math.log(d) / m)
@@ -154,11 +156,11 @@ def error_bound_laplace(
     tail scale.  The covariate and privatization-noise tails need no scale
     of their own: zeta^2 and zeta/alpha in the max express them.
     """
-    if c_eps <= 0:
-        raise ValueError("c_eps must be positive")
-    _check_positive(lambda_min=lambda_min, zeta=zeta, alpha=alpha)
-    if d < 2 or m <= 0:
-        raise ValueError("need d >= 2 and m > 0")
+    _check("positive", c_eps=c_eps, lambda_min=lambda_min, zeta=zeta, alpha=alpha,
+           radius=radius, m=m)
+    _check("non-negative", c2=c2)
+    if d < 2:
+        raise ValueError("d must be >= 2")
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     return c2 / lambda_min * big_m * radius * math.sqrt(d * math.log(d) / m)
 
@@ -172,9 +174,11 @@ def lower_re_params(
     tau_md = c1 * lambda_min * max(c_max^2 / lambda_min^2, 1) * ln d / m,
     feasible iff tau_md <= alpha_ell / (2 d).
     """
-    _check_positive(lambda_min=lambda_min)
-    if d < 2 or m <= 0:
-        raise ValueError("need d >= 2 and m > 0")
+    _check("positive", lambda_min=lambda_min, m=m)
+    _check("non-negative", c1=c1)
+    _check("finite", c_max=c_max)
+    if d < 2:
+        raise ValueError("d must be >= 2")
     lam = lambda_min
     alpha_ell = lam / 2.0
     tau_md = c1 * lam * max(c_max * c_max / (lam * lam), 1.0) * math.log(d) / m
@@ -201,12 +205,13 @@ def subweibull_right_tail(
     c2 = beta c_alpha Gamma(3 alpha + 1) / (3 ((1 - beta) c_alpha)^(3 alpha)).
     beta_split is the free split parameter, fixed to 1/2 by default.
     """
+    _check("finite", t=t, alpha_shape=alpha_shape)
     if alpha_shape <= 1:
         raise ValueError("alpha_shape must exceed 1")
     if not (0 < beta_split < 1):
-        raise ValueError("beta_split must lie in (0, 1)")
-    if c_alpha <= 0 or sigma_minus_sq < 0:
-        raise ValueError("c_alpha must be positive, sigma_minus_sq non-negative")
+        raise ValueError("beta_split must be in (0, 1)")
+    _check("positive", c_alpha=c_alpha)
+    _check("non-negative", sigma_minus_sq=sigma_minus_sq)
     nt = n * t
     if nt <= 0:
         raise ValueError("n * t must be positive")
@@ -231,6 +236,8 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
     Valid in the moderate-deviation region t <= c_x^(2/3) / n^(1/3) with
     n >= c_x^2 ln^3 n; both conditions are reported, not enforced.
     """
+    _check("finite", t=t, c_x=c_x)
+    _check("non-negative", c=c)
     if n < 1 or t <= 0:
         raise ValueError("need n >= 1 and t > 0")
     if c_x < 1:
@@ -245,6 +252,7 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
 
 def one_sided_bernstein(n: int, t: float, second_moment: float) -> BoundResult:
     """Lower-tail bound exp(-n t^2 / E[X^2]) for non-negative summands."""
+    _check("finite", t=t, second_moment=second_moment)
     if n < 1 or t < 0 or second_moment <= 0:
         raise ValueError("need n >= 1, t >= 0, and a positive second moment")
     return _clamp(math.exp(-n * t * t / second_moment))
@@ -255,6 +263,8 @@ def matrix_deviation_bound(
 ) -> BoundResult:
     """Entrywise deviation bound for cross-Gram matrices of sub-exponential
     random matrices: min(1, d1 d2 exp(-c n t^2 / c_max^2))."""
+    _check("finite", c_max=c_max, t=t)
+    _check("non-negative", c=c)
     if min(n, d1, d2) < 1 or c_max <= 0 or t < 0:
         raise ValueError("need positive dimensions, c_max > 0, t >= 0")
     raw = d1 * d2 * math.exp(-c * n * t * t / (c_max * c_max))
@@ -263,6 +273,8 @@ def matrix_deviation_bound(
 
 def matrix_deviation_level(n: int, d: int, c_max: float, c1: float = 1.0) -> float:
     """High-probability entrywise deviation level c1 c_max sqrt(ln d / n)."""
+    _check("finite", c_max=c_max)
+    _check("non-negative", c1=c1)
     if n < 1 or d < 2 or c_max <= 0:
         raise ValueError("need n >= 1, d >= 2, c_max > 0")
     return c1 * c_max * math.sqrt(math.log(d) / n)

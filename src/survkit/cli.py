@@ -14,6 +14,7 @@ entropy: all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
 from pathlib import Path
@@ -22,13 +23,7 @@ import numpy as np
 
 from . import __version__, datagen
 from .core import Dataset, ModelBounds, RngSpec, validate_dataset
-from .datagen import (
-    load_csv,
-    load_private,
-    save_csv,
-    save_private,
-    source_from_spec,
-)
+from .datagen import _write_json, load_csv, load_private, save_csv, save_private, source_from_spec
 from .mechanisms import Accounting, NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, moments_from_arrays, solve
 from .tester import PooledSource, TestConfig, verify_private_survey, verify_survey
@@ -71,6 +66,8 @@ def _ints(text: str) -> tuple[int, ...]:
 def _jsonable(v):
     if isinstance(v, Path):
         return str(v)
+    if isinstance(v, enum.Enum):
+        return v.value
     if isinstance(v, tuple):
         return list(v)
     if isinstance(v, np.ndarray):
@@ -92,8 +89,9 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _record(result, args: argparse.Namespace) -> dict:
+    """The JSON of a result dataclass: each of its fields plus the manifest."""
+    return {**{k: _jsonable(v) for k, v in vars(result).items()}, "manifest": _manifest(args)}
 
 
 def _emit(args, payload: dict) -> None:
@@ -179,7 +177,9 @@ def _cmd_publish(args) -> int:
 
 def _cmd_fit(args) -> int:
     _require(args, "input")
-    if args.mode == "constrained":
+    # Noise-corrected moments can be indefinite; the corrected Lasso then
+    # needs its l1 side constraint in Lagrangian mode too.
+    if args.mode == "constrained" or args.sigma_w == "from-sidecar" or float(args.sigma_w):
         _require(args, "radius")
     if args.sigma_w == "from-sidecar":
         moments = corrected_moments(load_private(args.input))
@@ -194,17 +194,8 @@ def _cmd_fit(args) -> int:
         tol=args.tol,
     )
     result = solve(moments, config)
-    payload = {
-        "theta_hat": _jsonable(result.theta_hat),
-        "iterations": result.iterations,
-        "final_objective": result.final_objective,
-        "converged": result.converged,
-        "gap": result.gap,
-        "step_size_used": result.step_size_used,
-        "manifest": _manifest(args),
-    }
     if args.output:
-        _write_json(args.output, payload)
+        _write_json(args.output, _record(result, args))
     _emit(args, {"converged": result.converged, "iterations": result.iterations,
                  "gap": result.gap, "final_objective": result.final_objective})
     return EXIT_OK
@@ -238,22 +229,8 @@ def _cmd_verify(args) -> int:
         verdict = verify_survey(survey, source, cfg, rng)
     for note in verdict.notes:
         print(f"survkit: note: {note}", file=sys.stderr)
-    payload = {
-        "decision": verdict.decision.value,
-        "t_used": verdict.t_used,
-        "l_hat": verdict.l_hat,
-        "gamma_s": verdict.gamma_s,
-        "gamma_d": verdict.gamma_d,
-        "j_hat": verdict.j_hat,
-        "margin": verdict.margin,
-        "theta_hat": _jsonable(verdict.theta_hat),
-        "loss_bound_form": verdict.loss_bound_form.value,
-        "constants": verdict.constants,
-        "notes": list(verdict.notes),
-        "manifest": _manifest(args),
-    }
     if args.output:
-        _write_json(args.output, payload)
+        _write_json(args.output, _record(verdict, args))
     _emit(args, {"decision": verdict.decision.value, "margin": verdict.margin})
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
@@ -347,10 +324,7 @@ def _cmd_sweep(args) -> int:
         kappa=args.kappa,
         workers=args.workers,
     )
-    result = run_sweep(spec)
-    summary = dict(result.summary)
-    summary["manifest"] = _manifest(args)
-    result.summary_json.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    result = run_sweep(spec, manifest=_manifest(args))
     _emit(args, {"trials_csv": str(result.trials_csv), "summary_json": str(result.summary_json)})
     return EXIT_OK
 

@@ -284,17 +284,25 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
-    The data rows are parsed in one ``np.loadtxt`` call.  A malformed file
-    raises :class:`CsvFormatError` naming the first bad line and column.
+    :func:`_read_rows` defines what a dataset file is.  One ``np.loadtxt``
+    call reads the plain files quickly and gives up on anything unusual,
+    which ``_read_rows`` then reads or rejects, raising
+    :class:`CsvFormatError` at the first bad line and column.
 
     When no bounds are supplied, the envelope of the data itself is
     declared (with radius 1.0 as a placeholder), so validation passes
     trivially; pass explicit bounds for anything privacy-related.
     """
     path = Path(path)
-    arr = _parse_rows(path)
-    if arr is None:
-        _raise_format_error(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]))
+            arr = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+        w = arr.shape[1]
+        if not (w > 1 and header == _header(w - 1) and np.isfinite(arr).all()):
+            raise ValueError("not a plain dataset")
+    except ValueError:
+        arr = _read_rows(path)
     x, y = arr[:, :-1], arr[:, -1]
     if bounds is None:
         zeta = max(float(np.max(np.abs(x))), 1e-12)
@@ -303,52 +311,29 @@ def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
     return Dataset(x, y, bounds)
 
 
-def _loadtxt_lines(fh):
-    """The lines of ``fh`` for np.loadtxt.  Raises ValueError where loadtxt
-    and csv.reader would read them differently: at a blank line outside a
-    quoted cell (loadtxt skips it, csv.reader yields an empty row), at a
-    line holding one of the separators \\x1c-\\x1f (loadtxt strips them
-    from a cell as whitespace, float() rejects them), and when there are no
-    lines (loadtxt warns and returns an empty array)."""
-    # Whether a quoted cell runs on past the line end.  A quote inside a
-    # cell makes the cell not a number, so on any file loadtxt accepts the
-    # quotes open and close cells and their count's parity is the state.
-    quoted = False
+def _plain_lines(fh):
+    """The lines of ``fh`` for np.loadtxt.  Raises ValueError at anything
+    loadtxt might read differently from :func:`_read_rows`: a quote, a
+    blank line (loadtxt skips it, csv.reader yields a row), one of the
+    separators \\x1c-\\x1f (loadtxt strips them from a cell as whitespace,
+    float() rejects them), and no lines at all (loadtxt warns and returns
+    an empty array)."""
     empty = True
     for line in fh:
-        if len(line) <= 2 and not quoted and line in ("\n", "\r", "\r\n"):
-            raise ValueError("blank line")
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            raise ValueError("separator character")
-        if '"' in line and line.count('"') % 2:
-            quoted = not quoted
+        if ('"' in line or line.isspace() or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("not a plain line")
         empty = False
         yield line
     if empty:
         raise ValueError("no data rows")
 
 
-def _parse_rows(path: Path) -> np.ndarray | None:
-    """The data rows as an m x (d + 1) array of finite floats, or None when
-    the file is not a well-formed dataset."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader([fh.readline()]))
-        d = len(header) - 1
-        if d < 1 or header != _header(d):
-            return None
-        try:
-            arr = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None,
-                             quotechar='"', ndmin=2)
-        except ValueError:
-            return None
-    if arr.shape[1] != d + 1 or not np.isfinite(arr).all():
-        return None
-    return arr
-
-
-def _raise_format_error(path: Path) -> None:
-    """Scan the file row by row and raise :class:`CsvFormatError` at its
-    first defect; only called once :func:`_parse_rows` has rejected it."""
+def _read_rows(path: Path) -> np.ndarray:
+    """The data rows as an m x (d + 1) array of finite floats, read row by
+    row with csv.reader and float(); raises :class:`CsvFormatError` at the
+    file's first defect."""
+    values: list[float] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -360,7 +345,6 @@ def _raise_format_error(path: Path) -> None:
             raise CsvFormatError(
                 f"{path}: header must be x1,...,xd,y; got {','.join(header)}"
             )
-        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise CsvFormatError(
@@ -369,8 +353,8 @@ def _raise_format_error(path: Path) -> None:
             for col, cell in enumerate(row):
                 try:
                     value = float(cell)
-                    # Spellings float() reads and np.loadtxt does not: digit
-                    # underscores and non-ASCII digits.
+                    # float() reads digit underscores and non-ASCII digits,
+                    # np.loadtxt does not; the format leaves them out.
                     if "_" in cell or not cell.strip().isascii():
                         raise ValueError(cell)
                 except ValueError:
@@ -381,9 +365,16 @@ def _raise_format_error(path: Path) -> None:
                     raise CsvFormatError(
                         f"{path}:{lineno}: column {col + 1}: non-finite value: {cell!r}"
                     )
-    if lineno == 1:
+                values.append(value)
+    if not values:
         raise CsvFormatError(f"{path}: no data rows")
-    raise CsvFormatError(f"{path}: rows np.loadtxt cannot parse")
+    return np.array(values).reshape(-1, d + 1)
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` the one way every survkit JSON file is written:
+    sorted keys, indent 2, a trailing newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def sidecar_path(csv_path) -> Path:
@@ -412,7 +403,7 @@ def save_private(pds: PrivateDataset, path, **extra) -> tuple[Path, Path]:
         **extra,
     }
     side = sidecar_path(path)
-    side.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(side, meta)
     return path, side
 
 

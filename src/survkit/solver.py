@@ -172,8 +172,8 @@ class SolverConfig:
             if self.radius is None or not self.radius > 0:
                 raise ValueError("constrained mode requires a positive radius")
         else:
-            if self.lambda_n is not None and self.lambda_n < 0:
-                raise ValueError("lambda_n must be non-negative")
+            if self.lambda_n is not None and not 0 <= self.lambda_n < math.inf:
+                raise ValueError("lambda_n must be finite and non-negative")
             if self.radius is not None and not self.radius > 0:
                 raise ValueError("radius guard must be positive when given")
         if self.max_iter < 1:

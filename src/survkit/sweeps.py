@@ -24,7 +24,6 @@ trial per grid point) and one summary JSON per run.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -34,7 +33,8 @@ import numpy as np
 
 from .core import ModelBounds, RngSpec, model_distance
 from .datagen import (
-    _clip, _synthetic2_base, _with_covariate_noise, gen_synthetic1, sparse_coefficients,
+    _clip, _synthetic2_base, _with_covariate_noise, _write_json, gen_synthetic1,
+    sparse_coefficients,
 )
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
@@ -229,8 +229,9 @@ EXPERIMENTS = {
 _EXPERIMENT_INDEX = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute the sweep; returns the output paths and the summary dict.
+def run_sweep(spec: SweepSpec, **extra) -> SweepResult:
+    """Execute the sweep; returns the output paths and the summary dict,
+    which holds any ``extra`` JSON-ready fields besides its own.
 
     Each (grid point, trial) is one task on a pool of ``spec.workers``
     threads.  A failing trial aborts its grid point: the point contributes
@@ -274,7 +275,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "grid": summarize(spec, rows),
         "errors": errors,
         "spec": {k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(spec).items()},
+        **extra,
     }
     summary_json = out / f"{spec.experiment}_summary.json"
-    summary_json.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(summary_json, summary)
     return SweepResult(trials_csv=trials_csv, summary_json=summary_json, summary=summary)

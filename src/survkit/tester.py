@@ -64,8 +64,8 @@ class TestConfig:
     c_eps: float = 1.0
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and non-negative")
         if not (0 < self.tol <= 1):
             raise ValueError("tol must lie in (0, 1]")
         if not (0 < self.delta <= 1):

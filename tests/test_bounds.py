@@ -16,7 +16,7 @@ from survkit import (
     squared_subexp_tail,
     subweibull_right_tail,
 )
-from survkit.bounds import centered_squares_sampler
+from survkit.bounds import LowerREParams, centered_squares_sampler
 
 UNIT_LAMBDA_MIN = 1.0
 UNIT_C_EPS = 1.0
@@ -114,6 +114,58 @@ def test_zeta_and_alpha_must_be_finite_and_positive(call, name, value):
     args = {"zeta": 1.0, "alpha": 1.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         call(**args)
+
+
+# A valid call of every bound, by keyword.  Each float argument is one the
+# function must check is finite.
+_VALID_CALLS = {
+    min_samples_gaussian: dict(lambda_min=1.0, zeta=1.0, alpha=1.0, beta=0.5, d=3, c=1.0),
+    min_samples_laplace: dict(lambda_min=1.0, zeta=1.0, alpha=1.0, c_eps=1.0, d=3),
+    error_bound_gaussian: dict(sigma_eps=0.5, lambda_min=1.0, zeta=1.0, alpha=1.0, beta=0.5,
+                               radius=1.0, d=3, m=100.0, c2=1.0),
+    error_bound_laplace: dict(c_eps=1.0, lambda_min=1.0, zeta=1.0, alpha=1.0, radius=1.0,
+                              d=3, m=100.0, c2=1.0),
+    lower_re_params: dict(lambda_min=1.0, c_max=1.0, m=100.0, d=3, c1=1.0),
+    subweibull_right_tail: dict(n=10, t=0.5, alpha_shape=2.0, c_alpha=1.0,
+                                sigma_minus_sq=1.0, beta_split=0.5),
+    squared_subexp_tail: dict(n=10, t=0.5, c_x=1.0, c=1.0),
+    one_sided_bernstein: dict(n=10, t=0.5, second_moment=1.0),
+    matrix_deviation_bound: dict(n=10, d1=2, d2=2, c_max=1.0, t=0.5, c=1.0),
+    matrix_deviation_level: dict(n=10, d=3, c_max=1.0, c1=1.0),
+}
+_FLOAT_ARGS = [(fn, name) for fn, kwargs in _VALID_CALLS.items()
+               for name, value in kwargs.items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("fn", list(_VALID_CALLS), ids=lambda fn: fn.__name__)
+def test_valid_calls_give_finite_non_negative_values(fn):
+    out = fn(**_VALID_CALLS[fn])
+    values = (out.alpha_ell, out.tau_md) if isinstance(out, LowerREParams) else (
+        getattr(out, "value", out),)
+    assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn, name", _FLOAT_ARGS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name in _FLOAT_ARGS])
+def test_every_float_argument_must_be_finite(fn, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        fn(**{**_VALID_CALLS[fn], name: value})
+
+
+@pytest.mark.parametrize("fn, name, value", [
+    (error_bound_gaussian, "radius", 0.0), (error_bound_laplace, "radius", -1.0),
+    (error_bound_gaussian, "m", 0.0), (error_bound_laplace, "m", -1.0),
+    (lower_re_params, "m", 0.0), (min_samples_laplace, "c_eps", 0.0),
+    (min_samples_laplace, "c_eps", -5.0), (min_samples_gaussian, "c", -1.0),
+    (squared_subexp_tail, "c", -1.0), (matrix_deviation_bound, "c", -1.0),
+    (lower_re_params, "c1", -1.0), (matrix_deviation_level, "c1", -1.0),
+    (error_bound_gaussian, "c2", -1.0), (error_bound_laplace, "c2", -1.0),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_scales_and_constants_have_a_sign(fn, name, value):
+    kind = "non-negative" if name in ("c", "c1", "c2") else "positive"
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
+        fn(**{**_VALID_CALLS[fn], name: value})
 
 
 class TestLowerRE:

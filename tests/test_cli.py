@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import inspect
 import json
 from pathlib import Path
@@ -5,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survkit import Dataset, ModelBounds, save_csv
+from survkit import Dataset, ModelBounds, SolveResult, SweepSpec, Verdict, run_sweep, save_csv
 from survkit import bounds as bnd
-from survkit.cli import _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
+from survkit.cli import _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 
 
 def run(*argv):
@@ -27,6 +29,10 @@ def survey_files(tmp_path):
 
 def _truth(prefix):
     return json.loads(Path(f"{prefix}_truth.json").read_text())
+
+
+def _field_names(result_type) -> set[str]:
+    return {f.name for f in dataclasses.fields(result_type)}
 
 
 class TestExitCodes:
@@ -127,8 +133,35 @@ class TestPublishAndFit:
             "fit", "--input", str(src), "--sigma-w", "0.0",
             "--radius", "5.0", "--output", str(out), "--quiet",
         ) == EXIT_OK
-        got = np.array(json.loads(out.read_text())["theta_hat"])
-        assert np.allclose(got, [2.0, 1.0], atol=1e-4)
+        payload = json.loads(out.read_text())
+        assert np.allclose(payload["theta_hat"], [2.0, 1.0], atol=1e-4)
+        assert set(payload) == _field_names(SolveResult) | {"manifest"}
+
+    @pytest.mark.parametrize("sigma_w", ["from-sidecar", "0.5"])
+    def test_lagrangian_fit_on_corrected_moments_requires_radius(
+        self, survey_files, tmp_path, sigma_w, capsys
+    ):
+        pub = tmp_path / "pub.csv"
+        assert run("publish", "--input", f"{survey_files}_survey.csv", "--output", str(pub),
+                   "--alpha", "2.0", "--zeta", str(_truth(survey_files)["bounds"]["zeta"]),
+                   "--seed", "7", "--quiet") == EXIT_OK
+        assert run("fit", "--input", str(pub), "--sigma-w", sigma_w,
+                   "--mode", "lagrangian", "--quiet") == EXIT_USAGE
+        assert "--radius" in capsys.readouterr().err
+        assert run("fit", "--input", str(pub), "--sigma-w", sigma_w, "--mode", "lagrangian",
+                   "--radius", "2.0", "--quiet") == EXIT_OK
+
+    def test_lagrangian_fit_on_clean_moments_needs_no_radius(self, survey_files, tmp_path):
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", f"{survey_files}_survey.csv", "--mode", "lagrangian",
+                   "--output", str(out), "--quiet") == EXIT_OK
+        assert json.loads(out.read_text())["converged"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_lambda_must_be_finite_and_non_negative(self, survey_files, value, capsys):
+        assert run("fit", "--input", f"{survey_files}_survey.csv", "--mode", "lagrangian",
+                   "--lambda", value, "--quiet") == EXIT_RUNTIME
+        assert "lambda_n must be finite and non-negative" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -208,6 +241,23 @@ class TestVerify:
             f"survey {survey_files}_survey.csv has d = 6\n"
         )
 
+    @pytest.mark.parametrize(
+        "private", [(), ("--alpha", "2.0"), ("--alpha", "0.8", "--beta", "0.1")],
+        ids=["public", "laplace", "gaussian"])
+    def test_verdict_json_is_the_verdict(self, survey_files, tmp_path, private):
+        out = tmp_path / "verdict.json"
+        code = run("verify", *self._flags(survey_files, 0.0), *private,
+                   "--output", str(out), "--quiet")
+        assert code in (EXIT_OK, EXIT_REJECT)
+        assert set(json.loads(out.read_text())) == _field_names(Verdict) | {"manifest"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_kappa_must_be_finite_and_non_negative(self, survey_files, value, capsys):
+        flags = self._flags(survey_files, 0.0)
+        flags[flags.index("--kappa") + 1] = value
+        assert run("verify", *flags, "--quiet") == EXIT_RUNTIME
+        assert "kappa must be finite and non-negative" in capsys.readouterr().err
+
     def test_notes_on_stderr_and_in_json(self, survey_files, tmp_path, capsys):
         out = tmp_path / "pv.json"
         code = run("verify", *self._flags(survey_files, 0.0), "--alpha", "2.0",
@@ -217,6 +267,18 @@ class TestVerify:
         assert any(n.startswith("radius") for n in notes)
         assert any(n.startswith("lambda_min estimated") for n in notes)
         assert capsys.readouterr().err == "".join(f"survkit: note: {n}\n" for n in notes)
+
+
+def _float_flags_read() -> list[tuple[str, str]]:
+    """(bound name, flag) for every float-typed flag each _BOUNDS row reads."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    floats = {a.dest for a in commands["bounds"]._actions if a.type is float}
+    return [(name, "--" + dest.replace("_", "-")) for name, (_, reads, _, _) in _BOUNDS.items()
+            for dest in reads if dest in floats]
+
+
+_FLOAT_FLAGS_READ = _float_flags_read()
 
 
 class TestBoundsCommand:
@@ -256,6 +318,19 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("name, flag, value", [
         ("error-bound-laplace", "--c-eps", "0"),
         ("error-bound-gaussian", "--sigma-eps", "-1"),
+        ("min-samples-laplace", "--c-eps", "-5"),
+        ("error-bound-laplace", "--radius", "-1"),
+        ("error-bound-gaussian", "--radius", "0"),
+        ("error-bound-gaussian", "--m", "0"),
+        ("lower-re", "--m", "-1"),
+        ("min-samples-gaussian", "--c", "-1"),
+        ("squared-subexp-tail", "--c", "-1"),
+        ("matrix-deviation-bound", "--c", "-1"),
+        ("lower-re", "--c1", "-1"),
+        ("matrix-deviation-level", "--c1", "-1"),
+        ("error-bound-gaussian", "--c2", "-1"),
+        ("error-bound-laplace", "--c2", "-1"),
+        *[(name, flag, value) for name, flag in _FLOAT_FLAGS_READ for value in ("nan", "inf")],
         *[(name, "--lambda-min", "0") for name in (
             "min-samples-gaussian", "min-samples-laplace", "error-bound-gaussian",
             "error-bound-laplace", "lower-re")],
@@ -354,6 +429,17 @@ class TestSweepCommand:
         assert code == EXIT_OK
         summary = json.loads((tmp_path / "error-vs-samples_summary.json").read_text())
         assert "manifest" in summary and "grid" in summary
+
+    def test_summary_json_is_the_run_sweep_summary_plus_manifest(self, tmp_path):
+        assert run("sweep", "--experiment", "model-distance", "--trials", "2", "--d", "3",
+                   "--m", "200", "--mu-grid", "0.0,1.0", "--tol-grid", "0.2", "--seed", "3",
+                   "--output", str(tmp_path), "--quiet") == EXIT_OK
+        written = json.loads((tmp_path / "model-distance_summary.json").read_text())
+        spec = SweepSpec(experiment="model-distance", trials=2, seed=3, output_dir=tmp_path,
+                         d=3, m=200, mu_grid=(0.0, 1.0), tol_grid=(0.2,))
+        summary = json.loads(json.dumps(run_sweep(spec).summary))
+        assert written == {**summary, "manifest": written["manifest"]}
+        assert written["manifest"]["command"] == "sweep"
 
 
 class TestConfigFile:

@@ -339,6 +339,32 @@ class TestCsvReaderEquivalence:
             assert _float_only(cell), (text, new, old)
 
 
+class TestReaderOfRecord:
+    """The row reader defines the format; np.loadtxt reads only plain files."""
+
+    @pytest.mark.parametrize("text", [
+        'x1,y\n"1.5",2\n3,"-4e-3"\n',
+        '"x1",y\r\n1,"2"\r\n',
+        'x1,x2,y\n1,"2\n",3\n4," 5 ",6\n',
+        'x1,y\n1,2\n"nan",3\n',
+    ])
+    def test_quoted_cells_go_through_the_row_reader(self, tmp_path, text):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(datagen, "_read_rows", wraps=datagen._read_rows) as rows:
+            new = _outcome(_load_arrays, path)
+        assert rows.call_count == 1
+        assert new == _outcome(_row_by_row_load_csv, path)
+
+    def test_plain_file_stays_on_the_fast_path(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        save_csv(Dataset(np.eye(3), np.arange(3.0), ModelBounds(1, 4, 1)), path)
+        with mock.patch.object(datagen, "_read_rows") as rows:
+            back = load_csv(path)
+        rows.assert_not_called()
+        assert back.x.tobytes() == np.eye(3).tobytes()
+
+
 _SPECIAL_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0,

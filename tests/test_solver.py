@@ -316,8 +316,9 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(mode="constrained")
-        with pytest.raises(ValueError):
-            SolverConfig(mode="lagrangian", lambda_n=-1.0)
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda_n must be finite and non-negative"):
+                SolverConfig(mode="lagrangian", lambda_n=lam)
         with pytest.raises(ValueError):
             SolverConfig(mode="nonsense", radius=1.0)
 

@@ -23,6 +23,12 @@ from survkit import (
 )
 
 
+@pytest.mark.parametrize("kappa", [-1.0, math.nan, math.inf])
+def test_kappa_must_be_finite_and_non_negative(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+        TestConfig(kappa=kappa, tol=0.2, delta=0.1, bounds=ModelBounds(1.0, 1.0, 1.0))
+
+
 class TestValidationSampleSize:
     def test_constructed_exact_log(self):
         # delta = 4/e^2 makes ln(4/delta) exactly 2
