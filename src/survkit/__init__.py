@@ -54,7 +54,6 @@ from .tester import (
 from .bounds import (
     BoundResult,
     LowerREParams,
-    empirical_tail_check,
     error_bound_gaussian,
     error_bound_laplace,
     lower_re_params,

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,6 @@ class BoundResult:
     vacuous: bool
     side_conditions: dict[str, bool] = field(default_factory=dict)
     constants: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def conditions_ok(self) -> bool:
-        return all(self.side_conditions.values())
 
 
 def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
@@ -278,81 +271,3 @@ def matrix_deviation_level(n: int, d: int, c_max: float, c1: float = 1.0) -> flo
     if n < 1 or d < 2 or c_max <= 0:
         raise ValueError("need n >= 1, d >= 2, c_max > 0")
     return c1 * c_max * math.sqrt(math.log(d) / n)
-
-
-@dataclass(frozen=True)
-class TailCheckReport:
-    """Monte-Carlo exceedance frequency versus an analytic bound.
-
-    ``passed`` is the comparison frequency <= bound + 3 sigma Monte-Carlo
-    slack; ``skipped`` flags that the bound's stated side conditions do not
-    hold at (n, t), in which case the comparison is reported but carries no
-    soundness claim (``reason`` says why).
-    """
-
-    frequency: float
-    bound: float
-    slack: float
-    trials: int
-    passed: bool
-    skipped: bool
-    reason: str | None = None
-    side_conditions: dict[str, bool] = field(default_factory=dict)
-
-
-def empirical_tail_check(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n: int,
-    t: float,
-    bound_fn: Callable[[int, float], BoundResult],
-    trials: int,
-    rng: np.random.Generator,
-    chunk: int = 200,
-) -> TailCheckReport:
-    """Estimate P[S_n > n t] by Monte-Carlo and compare to an analytic bound.
-
-    ``sampler(gen, size)`` must return centered draws of the summand; each
-    trial sums n of them and the exceedance frequency over ``trials``
-    repetitions is compared to ``bound_fn(n, t)`` plus a 3-sigma binomial
-    slack term.
-    """
-    if trials < 1 or n < 1:
-        raise ValueError("need trials >= 1 and n >= 1")
-    result = bound_fn(n, t)
-    exceed = 0
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        draws = sampler(rng, k * n).reshape(k, n)
-        exceed += int(np.count_nonzero(draws.mean(axis=1) > t))
-        done += k
-    freq = exceed / trials
-    b = result.value
-    slack = 3.0 * math.sqrt(b * (1.0 - b) / trials)
-    ok = result.conditions_ok
-    reason = None
-    if not ok:
-        failed = [k for k, v in result.side_conditions.items() if not v]
-        reason = "side conditions not satisfied: " + ", ".join(failed)
-    return TailCheckReport(
-        frequency=freq,
-        bound=b,
-        slack=slack,
-        trials=trials,
-        passed=freq <= b + slack,
-        skipped=not ok,
-        reason=reason,
-        side_conditions=dict(result.side_conditions),
-    )
-
-
-def centered_squares_sampler(
-    base: Callable[[np.random.Generator, int], np.ndarray], second_moment: float
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Sampler of X^2 - E[X^2] built from a sampler of X."""
-
-    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
-        x = base(gen, size)
-        return x * x - second_moment
-
-    return draw

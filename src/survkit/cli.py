@@ -14,6 +14,7 @@ entropy: all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import json
 import sys
@@ -308,22 +309,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "experiment")
-    spec = SweepSpec(
-        experiment=args.experiment,
-        trials=args.trials,
-        seed=args.seed,
-        output_dir=Path(args.output or "."),
-        d=args.d,
-        m=args.m,
-        mu_grid=args.mu_grid,
-        tol_grid=args.tol_grid,
-        m_grid=args.m_grid,
-        alpha_grid=args.alpha_grid,
-        beta=args.beta,
-        delta=args.delta,
-        kappa=args.kappa,
-        workers=args.workers,
-    )
+    names = [f.name for f in dataclasses.fields(SweepSpec) if f.name != "output_dir"]
+    spec = SweepSpec(output_dir=Path(args.output or "."), **{n: getattr(args, n) for n in names})
     result = run_sweep(spec, manifest=_manifest(args))
     _emit(args, {"trials_csv": str(result.trials_csv), "summary_json": str(result.summary_json)})
     return EXIT_OK
@@ -331,6 +318,14 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser assembly
+
+# The SweepSpec fields with a flag of their own, and each flag's parser; the
+# flags' defaults are SweepSpec's.
+_SWEEP_FLAGS = {
+    "d": int, "m": int, "mu_grid": _floats, "tol_grid": _floats, "m_grid": _ints,
+    "alpha_grid": _floats, "beta": float, "delta": float, "kappa": float, "workers": int,
+}
+
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
@@ -420,16 +415,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", parents=[common], help="run a seeded experiment grid")
     p.add_argument("--experiment", default=None, choices=tuple(EXPERIMENTS), help="required")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--m", type=int, default=10_000)
-    p.add_argument("--mu-grid", type=_floats, default=(0.0, 0.5, 1.0, 1.5, 2.0))
-    p.add_argument("--tol-grid", type=_floats, default=(0.1, 0.2))
-    p.add_argument("--m-grid", type=_ints, default=(1_000, 3_000, 10_000, 30_000, 100_000))
-    p.add_argument("--alpha-grid", type=_floats, default=(2.0,))
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
+    defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+    for name, parse in _SWEEP_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=parse, default=defaults[name])
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -44,13 +44,24 @@ class ModelBounds:
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
 
 
+# The sub-stream tag of each consumer of an RngSpec.  A tag fixes its
+# consumer's draws, so tags are never renumbered or shared.
+_RNG_TAGS = {
+    "noise": 0,  # privatization noise (mechanisms.privatize)
+    "validation": 1,  # validation draws (tester)
+    "data": 2,  # synthetic data (datagen, the error-vs-samples sweep)
+    "covariate_noise": 3,  # family-2 covariate noise (datagen)
+    "distance": 4,  # model-distance probes (sweeps)
+}
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Deterministic randomness root: a 64-bit seed plus a sub-stream index.
 
     Identical (seed, stream) pairs reproduce identical draws bit-for-bit
     across runs.  Operations that consume randomness derive child generators
-    via :meth:`derive` with small fixed integer tags, so independent
+    via :meth:`derive` with the tags of ``_RNG_TAGS``, so independent
     consumers of the same spec never collide.
     """
 

@@ -28,15 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, ModelBounds, RngSpec, validate_dataset
+from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, validate_dataset
 from .mechanisms import NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset
 from .tester import ValidationSource
 
 log = logging.getLogger(__name__)
-
-# Sub-stream tags (0 = privatization noise, 1 = validation draws).
-_DATA_TAG = 2
-_COVARIATE_NOISE_TAG = 3
 
 # Family-1 distribution parameters (second argument = variance).
 _REG_NOISE_VAR_1 = 0.1
@@ -165,7 +161,7 @@ def gen_synthetic1(
     """
     if d < 1 or m_survey < 1:
         raise ValueError("need d >= 1 and m_survey >= 1")
-    gen = rng.derive(_DATA_TAG)
+    gen = rng.derive(_RNG_TAGS["data"])
     theta_s = gen.normal(0.0, math.sqrt(_COEFF_VAR_1), size=d)
     theta_star = gen.normal(mu, math.sqrt(_COEFF_VAR_1), size=d)
     x = gen.normal(size=(m_survey, d))
@@ -202,7 +198,7 @@ def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray,
     """The part of :func:`gen_synthetic2` that both noise kinds share:
     (clean, theta_star, u), u being the clipped uniform block that
     :func:`_with_covariate_noise` transforms into either kind's noise."""
-    gen = rng.derive(_DATA_TAG)
+    gen = rng.derive(_RNG_TAGS["data"])
     theta_star = sparse_coefficients(d, gen)
     x = gen.normal(size=(m, d))
     y = x @ theta_star + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_2), size=m)
@@ -212,7 +208,7 @@ def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray,
     del x, y  # clean holds its own copy; free these before the uniform block
     if clips.total:
         log.info("family-2 generator clipped %d cells to the 4-sigma envelope", clips.total)
-    u = rng.derive(_COVARIATE_NOISE_TAG).random(size=(m, d))
+    u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=(m, d))
     np.clip(u, _U_EPS, 1.0 - _U_EPS, out=u)
     return clean, theta_star, u
 

@@ -29,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RngSpec
-
-# Sub-stream tag reserved for privatization noise (see RngSpec.derive).
-_NOISE_TAG = 0
+from .core import _RNG_TAGS, Dataset, RngSpec
 
 
 class Accounting(enum.Enum):
@@ -201,14 +198,14 @@ def privatize(
     Requires a validated dataset (all |x_ij| <= zeta), since the calibration
     in ``spec`` is only meaningful for bounded covariates.  Responses are
     copied unchanged.  The noise matrix is filled in a canonical row-major
-    order from the (seed, stream) sub-stream with tag 0, so the output is a
+    order from the (seed, stream) sub-stream tagged "noise", so the output is a
     pure function of (ds, spec, params, rng).
     """
     if not ds.validated:
         raise ValueError(
             "dataset must be validated against its declared bounds before privatization"
         )
-    gen = rng.derive(_NOISE_TAG)
+    gen = rng.derive(_RNG_TAGS["noise"])
     shape = (ds.size, ds.dim)
     if spec.scale == 0.0:
         w = np.zeros(shape)

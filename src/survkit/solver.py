@@ -151,7 +151,7 @@ class SolverConfig:
     "lagrangian" adds lambda_n * ||theta||_1 to the objective instead, with
     ``radius`` acting as an optional feasibility guard (projection after
     every step) when set.  ``lambda_n=None`` in Lagrangian mode selects the
-    default rule c_pen * sqrt(ln d / m).  ``step=None`` selects the automatic
+    default level sqrt(ln d / m).  ``step=None`` selects the automatic
     step 1 / spectral_bound(gamma_mat).  ``tol`` bounds the optimality gap
     at the returned iterate relative to the gap at the start:
     ``converged`` means gap <= tol * max(1, gap(theta_0)) (see :func:`solve`).
@@ -163,7 +163,6 @@ class SolverConfig:
     max_iter: int = 10000
     tol: float = 1e-9
     step: float | None = None
-    c_pen: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("constrained", "lagrangian"):
@@ -209,7 +208,7 @@ def _resolve_lambda(config: SolverConfig, moments: CorrectedMoments) -> float:
     if config.lambda_n is not None:
         return config.lambda_n
     d = moments.dim
-    return config.c_pen * math.sqrt(math.log(d) / moments.m) if d > 1 else 0.0
+    return math.sqrt(math.log(d) / moments.m) if d > 1 else 0.0
 
 
 def solve(

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelBounds, RngSpec, model_distance
+from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
     _clip, _synthetic2_base, _with_covariate_noise, _write_json, gen_synthetic1,
     sparse_coefficients,
@@ -44,8 +44,6 @@ from .tester import TestConfig, verify_survey
 
 _GRID_CAP = 10**6
 _TRIAL_CAP = 10**6
-_DATA_TAG = 2
-_DISTANCE_TAG = 4
 _DISTANCE_PROBES = 2048
 
 
@@ -76,6 +74,12 @@ class SweepSpec:
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        # The trials' own parameter types reject a bad value before any trial
+        # runs; TestConfig does not check its bounds, so any bounds do.
+        for alpha in self.alpha_grid:
+            PrivacyParams(alpha=alpha, beta=self.beta)
+        for tol in self.tol_grid:
+            TestConfig(kappa=self.kappa, tol=tol, delta=self.delta, bounds=ModelBounds(1, 1, 1))
 
 
 @dataclass
@@ -101,7 +105,7 @@ def _model_distance_trial(spec: SweepSpec, mu: float, tol: float, rng: RngSpec) 
     survey, _, theta_star, sampler = gen_synthetic1(spec.d, spec.m, mu, rng)
     cfg = TestConfig(kappa=spec.kappa, tol=tol, delta=spec.delta, bounds=survey.bounds)
     verdict = verify_survey(survey, sampler, cfg, rng)
-    probes = rng.derive(_DISTANCE_TAG).normal(size=(_DISTANCE_PROBES, spec.d))
+    probes = rng.derive(_RNG_TAGS["distance"]).normal(size=(_DISTANCE_PROBES, spec.d))
     dist = model_distance(verdict.theta_hat, theta_star, probes)
     return {
         "mu": mu,
@@ -116,7 +120,7 @@ def _model_distance_trial(spec: SweepSpec, mu: float, tol: float, rng: RngSpec) 
 
 
 def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec) -> dict:
-    gen = rng.derive(_DATA_TAG)
+    gen = rng.derive(_RNG_TAGS["data"])
     theta_star = sparse_coefficients(spec.d, gen)
     x = gen.uniform(-1.0, 1.0, size=(m, spec.d))
     y = x @ theta_star + gen.normal(size=m)

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset
+from .core import (
+    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset,
+)
 from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
-
-# Sub-stream tag reserved for validation draws (privatization uses tag 0).
-_VALIDATION_TAG = 1
 
 _LAMBDA_MIN_FLOOR = 1e-6
 
@@ -300,7 +299,7 @@ def _verify(
         + j_hat
     )
     t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
-    xv, yv = source.draw(t, rng.derive(_VALIDATION_TAG))
+    xv, yv = source.draw(t, rng.derive(_RNG_TAGS["validation"]))
     over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
     if over:
         notes.append(f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}")

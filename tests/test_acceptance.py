@@ -23,21 +23,19 @@ from survkit import (
     SolverConfig,
     SweepSpec,
     TestConfig,
-    empirical_tail_check,
     gen_synthetic1,
     privatize,
     project_l1,
     run_sweep,
     solve,
-    squared_subexp_tail,
     survey_loss_bound,
     validate_dataset,
     validation_sample_size,
     verify_survey,
 )
-from survkit.bounds import centered_squares_sampler
 from survkit.cli import EXIT_OK, EXIT_REJECT, main
 
+from test_bounds import laplace_square_tail
 from test_solver import grid_search_1d, project_l1_bisection
 
 
@@ -199,17 +197,12 @@ def test_10_tail_bound_soundness():
     t0 = time.perf_counter()
     # CLT calibration for Laplace(0,1) squares: Var(X^2)=20, c = 1/(2*20) <= 1
     c = 0.025
-    lap_squares = centered_squares_sampler(lambda gen, size: gen.laplace(size=size), 2.0)
     details, ok = [], True
     rng = np.random.default_rng(40)
     for t in (0.2, 0.3, 0.5):
-        rep = empirical_tail_check(
-            lap_squares, 10_000, t,
-            lambda n, tt: squared_subexp_tail(n, tt, 1.0, c=c),
-            trials=2000, rng=rng,
-        )
-        ok &= rep.frequency <= rep.bound + rep.slack
-        details.append(f"t={t}: freq={rep.frequency:.4g} bound={rep.bound:.3g}+slack={rep.slack:.3g}")
+        freq, bound, slack = laplace_square_tail(10_000, t, c, 2000, rng)
+        ok &= freq <= bound + slack
+        details.append(f"t={t}: freq={freq:.4g} bound={bound:.3g}+slack={slack:.3g}")
     dt = time.perf_counter() - t0
     report(10, "tail-bound-soundness", ok and dt < 60.0, "; ".join(details) + f", {dt:.1f}s")
 

@@ -441,6 +441,18 @@ class TestSweepCommand:
         assert written == {**summary, "manifest": written["manifest"]}
         assert written["manifest"]["command"] == "sweep"
 
+    @pytest.mark.parametrize("experiment, flag, message", [
+        ("model-distance", "--kappa", "kappa must be finite and non-negative"),
+        ("error-vs-samples", "--alpha-grid", "alpha must be positive, got nan"),
+    ])
+    def test_invalid_value_rejected_before_any_trial(self, tmp_path, capsys, experiment,
+                                                     flag, message):
+        code = run("sweep", "--experiment", experiment, flag, "nan",
+                   "--output", str(tmp_path), "--quiet")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"survkit: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigFile:
     def test_config_supplies_required_flags(self, tmp_path, capsys):

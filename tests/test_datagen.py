@@ -28,7 +28,8 @@ from survkit import (
     sparse_coefficients,
 )
 from survkit import datagen
-from survkit.datagen import _COVARIATE_NOISE_TAG, CsvFormatError, source_from_spec
+from survkit.core import _RNG_TAGS
+from survkit.datagen import CsvFormatError, source_from_spec
 
 
 class TestClipToBounds:
@@ -141,7 +142,7 @@ class TestSynthetic2:
         from scipy.special import ndtri
 
         m, d, rng = 300, 4, RngSpec(5, 2)
-        u = rng.derive(_COVARIATE_NOISE_TAG).random(size=(m, d))
+        u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=(m, d))
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         scale = 1.0 / math.sqrt(2.0)
         noise = {

@@ -297,8 +297,8 @@ class TestSolve:
 
     def test_default_lambda_rule(self):
         m = CorrectedMoments(np.eye(4), np.zeros(4), 25)
-        res = solve(m, SolverConfig(mode="lagrangian", c_pen=2.0))
-        assert res.converged  # lambda resolved to 2 sqrt(ln 4 / 25) without error
+        res = solve(m, SolverConfig(mode="lagrangian"))
+        assert res.converged  # lambda resolved to sqrt(ln 4 / 25) without error
 
     def test_unguarded_indefinite_lagrangian_diverges(self):
         m = CorrectedMoments(np.array([[-1.0]]), np.array([1.0]), 1)

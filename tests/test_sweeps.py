@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -166,6 +167,11 @@ class TestSweepMechanics:
             SweepSpec(experiment="nope", trials=1, seed=0, output_dir=tmp_path)
         with pytest.raises(ValueError):
             SweepSpec(experiment="model-distance", trials=0, seed=0, output_dir=tmp_path)
+        for bad in (dict(kappa=-1.0), dict(delta=0.0), dict(tol_grid=(0.1, 2.0)),
+                    dict(alpha_grid=(math.inf,)), dict(beta=1.0)):
+            with pytest.raises(ValueError):
+                SweepSpec(experiment="noise-comparison", trials=1, seed=0,
+                          output_dir=tmp_path, **bad)
 
 
 def _rows(csv_path):
