@@ -39,7 +39,6 @@ from .solver import (
 from .tester import (
     Decision,
     InsufficientValidationError,
-    LossBoundForm,
     PooledSource,
     TestConfig,
     ValidationSource,

@@ -6,9 +6,9 @@ only), 1 usage or parse errors, 2 runtime or numeric errors.
 Every command echoes a ``manifest`` block (package version, seed, and the
 fully resolved configuration) into its JSON output so runs are replayable.
 An optional JSON config file (--config) supplies defaults whose keys mirror
-the flag names with JSON-native values (numbers, arrays for the grid
-flags); explicit flags override the file.  No command reads ambient
-entropy: all randomness flows from --seed.
+the flag names; its values are parsed exactly like flags (see
+_config_argv), and explicit flags override the file.  No command reads
+ambient entropy: all randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -423,21 +423,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Apply config-file values to every known flag not given explicitly."""
+def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with the config file's entries spelled as flags right after the
+    subcommand, so argparse parses them like typed flags and an explicit
+    flag, coming later, wins.  A list joins with commas, true is the bare
+    flag, false and null are left out; a key that names no flag of the
+    subcommand is ignored.  Every flag is spelled --<dest with dashes>."""
     conf = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    explicit = {
-        tok.split("=", 1)[0][2:].replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
-    }
+    if not isinstance(conf, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    tokens = []
     for key, value in conf.items():
         dest = key.replace("-", "_")
-        if dest in explicit or not hasattr(args, dest):
+        if dest in ("command", "config", "func") or not hasattr(args, dest):
             continue
-        if isinstance(value, list):
-            value = tuple(value)
-        setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"{flag}={value}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv=None) -> int:
@@ -446,9 +453,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _merge_config(args, argv)
+            args = parser.parse_args(_config_argv(args, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:  # an unreadable or malformed config file
+        print(f"survkit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -131,6 +131,14 @@ def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, C
     return out, ClipReport(tuple(int(c) for c in cov), resp)
 
 
+def _check_generator_args(d: int, m: int, mu: float = 0.0) -> None:
+    """The generators' argument checks, which ``SweepSpec`` runs before any trial."""
+    if d < 1 or m < 1:
+        raise ValueError("need d >= 1 and m >= 1")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+
+
 def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:
     """Sparse coefficient vector: Unif(1, 10) with probability 1/sqrt(d),
     else 0.  Redraws the all-zero outcome so the vector is never empty."""
@@ -159,8 +167,7 @@ def gen_synthetic1(
     N(mu, 0.01) coordinates.  The returned sampler draws fresh rows from
     the theta_star model.
     """
-    if d < 1 or m_survey < 1:
-        raise ValueError("need d >= 1 and m_survey >= 1")
+    _check_generator_args(d, m_survey, mu)
     gen = rng.derive(_RNG_TAGS["data"])
     theta_s = gen.normal(0.0, math.sqrt(_COEFF_VAR_1), size=d)
     theta_star = gen.normal(mu, math.sqrt(_COEFF_VAR_1), size=d)
@@ -186,8 +193,7 @@ def gen_synthetic2(
     both kinds are inverse-CDF transforms of one shared uniform block, so
     the two noisy versions of the same RngSpec are coupled.
     """
-    if d < 1 or m < 1:
-        raise ValueError("need d >= 1 and m >= 1")
+    _check_generator_args(d, m)
     if not isinstance(noise_kind, NoiseKind):
         raise ValueError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
     clean, theta_star, u = _synthetic2_base(d, m, rng)

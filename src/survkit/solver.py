@@ -151,10 +151,11 @@ class SolverConfig:
     "lagrangian" adds lambda_n * ||theta||_1 to the objective instead, with
     ``radius`` acting as an optional feasibility guard (projection after
     every step) when set.  ``lambda_n=None`` in Lagrangian mode selects the
-    default level sqrt(ln d / m).  ``step=None`` selects the automatic
-    step 1 / spectral_bound(gamma_mat).  ``tol`` bounds the optimality gap
-    at the returned iterate relative to the gap at the start:
-    ``converged`` means gap <= tol * max(1, gap(theta_0)) (see :func:`solve`).
+    default level sqrt(ln d / m).  The step is always
+    1 / spectral_bound(gamma_mat).  ``converged`` means the optimality gap at
+    the returned iterate is at most tol * max(1, gap(theta_0)) (see
+    :func:`solve`): relative to the starting gap when that exceeds 1, and the
+    absolute threshold ``tol`` otherwise.
     """
 
     mode: str = "constrained"
@@ -162,7 +163,6 @@ class SolverConfig:
     lambda_n: float | None = None
     max_iter: int = 10000
     tol: float = 1e-9
-    step: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("constrained", "lagrangian"):
@@ -179,8 +179,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("fixed step must be positive")
 
 
 @dataclass(frozen=True)
@@ -225,8 +223,9 @@ def solve(
     the plain step from x is taken and momentum restarts; with the exact
     step that never raises the objective, even for indefinite gamma_mat.
 
-    ``converged`` certifies gap <= tol * max(1, gap(theta_0)).  The gap is
-    the Frank-Wolfe gap <g, theta> + radius * ||g||_inf (constrained mode;
+    ``converged`` certifies gap <= tol * max(1, gap(theta_0)), which is the
+    absolute threshold ``tol`` whenever gap(theta_0) < 1.  The gap is the
+    Frank-Wolfe gap <g, theta> + radius * ||g||_inf (constrained mode;
     Jaggi 2013), which bounds f(theta) - f* when gamma_mat is PSD, or the
     residual ||theta - prox(theta - eta * g)||_inf / eta (Lagrangian mode);
     for indefinite gamma_mat both measure stationarity.  The run also ends,
@@ -249,7 +248,7 @@ def solve(
     constrained = config.mode == "constrained"
     radius = config.radius
     lam = 0.0 if constrained else _resolve_lambda(config, moments)
-    eta = config.step or 1.0 / max(spectral_bound(gm), 1e-12)
+    eta = 1.0 / max(spectral_bound(gm), 1e-12)
 
     def prox(v):
         # v is always a fresh temporary, so a feasible v is returned as is;

@@ -33,8 +33,8 @@ import numpy as np
 
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
-    _clip, _synthetic2_base, _with_covariate_noise, _write_json, gen_synthetic1,
-    sparse_coefficients,
+    _check_generator_args, _clip, _synthetic2_base, _with_covariate_noise, _write_json,
+    gen_synthetic1, sparse_coefficients,
 )
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
@@ -74,8 +74,12 @@ class SweepSpec:
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        # The trials' own parameter types reject a bad value before any trial
-        # runs; TestConfig does not check its bounds, so any bounds do.
+        # The trials' own checks reject a bad value before any trial runs;
+        # TestConfig does not check its bounds, so any bounds do.
+        for m in (self.m, *self.m_grid):
+            _check_generator_args(self.d, m)
+        for mu in self.mu_grid:
+            _check_generator_args(self.d, self.m, mu)
         for alpha in self.alpha_grid:
             PrivacyParams(alpha=alpha, beta=self.beta)
         for tol in self.tol_grid:

@@ -30,17 +30,15 @@ from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
 
 _LAMBDA_MIN_FLOOR = 1e-6
+# The paper's unspecified constants: c2 scales the privacy penalties, c_eps is
+# the regression-noise tail scale of the Laplace penalty.  Each verdict
+# reports them under ``constants``.
+_C2 = 1.0
+_C_EPS = 1.0
 
 
 class InsufficientValidationError(RuntimeError):
     """The validation source ran out before the required draw count."""
-
-
-class LossBoundForm(enum.Enum):
-    """Dimension factor in the middle term of the survey-loss bound."""
-
-    LOG_D = "log-d"
-    SQRT_D_PLUS_1 = "sqrt-d-plus-1"
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,13 @@ class TestConfig:
 
     kappa is the acceptance slack, tol the rejection tolerance (and the
     additive accuracy of the validation estimate), delta the confidence
-    budget.  c2 scales the privacy penalties and c_eps is the declared
-    regression-noise tail scale used by the pure-LDP penalty; both are the
-    paper's unspecified constants and default to 1.0.
+    budget.
     """
 
     kappa: float
     tol: float
     delta: float
     bounds: ModelBounds
-    loss_bound_form: LossBoundForm = LossBoundForm.LOG_D
-    c2: float = 1.0
-    c_eps: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.kappa < math.inf:
@@ -125,7 +118,6 @@ class Verdict:
     j_hat: float
     theta_hat: np.ndarray
     margin: float
-    loss_bound_form: LossBoundForm
     constants: dict[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
@@ -146,19 +138,10 @@ def validation_sample_size(tau: float, delta: float, tol: float) -> int:
     return math.ceil(tau * tau * math.log(4.0 / delta) / (2.0 * tol * tol))
 
 
-def survey_loss_bound(
-    l_hat: float,
-    m: int,
-    d: int,
-    bounds: ModelBounds,
-    delta: float,
-    form: LossBoundForm = LossBoundForm.LOG_D,
-) -> float:
-    """Upper confidence bound on the population loss of the survey fit.
+def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: float) -> float:
+    """Upper confidence bound on the population loss of the survey fit:
 
-    LOG_D form:   l_hat + 8 tau zeta R^2 sqrt(2 ln(2d)) / sqrt(m)
-                        + 3 tau sqrt(ln(4/delta) / (2m))
-    SQRT_D_PLUS_1 form replaces sqrt(2 ln(2d)) with sqrt(d + 1).
+    l_hat + 8 tau zeta R^2 sqrt(2 ln(2d)) / sqrt(m) + 3 tau sqrt(ln(4/delta) / (2m))
     """
     if l_hat < 0:
         raise ValueError("l_hat must be non-negative")
@@ -167,11 +150,7 @@ def survey_loss_bound(
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
     tau, zeta, r = bounds.tau, bounds.zeta, bounds.radius
-    if form is LossBoundForm.LOG_D:
-        dim_factor = math.sqrt(2.0 * math.log(2.0 * d))
-    else:
-        dim_factor = math.sqrt(d + 1.0)
-    mid = 8.0 * tau * zeta * r * r * dim_factor / math.sqrt(m)
+    mid = 8.0 * tau * zeta * r * r * math.sqrt(2.0 * math.log(2.0 * d)) / math.sqrt(m)
     conf = 3.0 * tau * math.sqrt(math.log(4.0 / delta) / (2.0 * m))
     return l_hat + mid + conf
 
@@ -184,18 +163,12 @@ def _dimension_factor(lambda_min: float, m: int, d: int) -> float:
 
 
 def privacy_penalty_gaussian(
-    bounds: ModelBounds,
-    alpha: float,
-    beta: float,
-    lambda_min: float,
-    m: int,
-    d: int,
-    c2: float = 1.0,
+    bounds: ModelBounds, alpha: float, beta: float, lambda_min: float, m: int, d: int
 ) -> float:
     """Survey-loss penalty for Gaussian-noise publication.
 
     2 c2 zeta^3 / lambda_min * sqrt(ln(1/beta)) / alpha
-    * (ln(1/beta)/alpha + 1) * R * sqrt(d ln d / m).
+    * (ln(1/beta)/alpha + 1) * R * sqrt(d ln d / m), with c2 = 1.
     Degenerates to 0 at d = 1 (ln d = 0); ``verify_private_survey`` notes
     that in the verdict.
     """
@@ -204,28 +177,22 @@ def privacy_penalty_gaussian(
     root = _dimension_factor(lambda_min, m, d)
     lb = math.log(1.0 / beta)
     zeta, r = bounds.zeta, bounds.radius
-    return 2.0 * c2 * zeta**3 / lambda_min * math.sqrt(lb) / alpha * (lb / alpha + 1.0) * r * root
+    return 2.0 * _C2 * zeta**3 / lambda_min * math.sqrt(lb) / alpha * (lb / alpha + 1.0) * r * root
 
 
 def privacy_penalty_laplace(
-    bounds: ModelBounds,
-    alpha: float,
-    c_eps: float,
-    lambda_min: float,
-    m: int,
-    d: int,
-    c2: float = 1.0,
+    bounds: ModelBounds, alpha: float, c_eps: float, lambda_min: float, m: int, d: int
 ) -> float:
     """Survey-loss penalty for Laplace-noise publication.
 
     c2 zeta / lambda_min * max(zeta/alpha, zeta^2, c_eps) * R
-    * sqrt(d ln d / m).  Degenerates to 0 at d = 1; ``verify_private_survey``
-    notes that in the verdict.
+    * sqrt(d ln d / m), with c2 = 1.  Degenerates to 0 at d = 1;
+    ``verify_private_survey`` notes that in the verdict.
     """
     root = _dimension_factor(lambda_min, m, d)
     zeta, r = bounds.zeta, bounds.radius
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
-    return c2 * zeta / lambda_min * big_m * r * root
+    return _C2 * zeta / lambda_min * big_m * r * root
 
 
 def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
@@ -255,7 +222,6 @@ def _verify(
     notes = _check_survey(survey, cfg)
     x = survey.x
     j_hat = 0.0
-    step = None
     if privacy is None:
         moments = moments_from_arrays(survey.x, survey.y)
     else:
@@ -267,37 +233,26 @@ def _verify(
         pds = privatize(to_publish, spec, privacy, rng)
         moments = corrected_moments(pds)
         x = pds.z
-        # One eigendecomposition gives both the solver's exact step and the
-        # lambda_min estimate.
-        eig = np.linalg.eigvalsh(moments.gamma_mat)
-        step = 1.0 / max(float(np.max(np.abs(eig))), 1e-12)
         if lambda_min is None:
-            lambda_min = max(float(eig[0]), _LAMBDA_MIN_FLOOR)
+            lambda_min = max(float(np.linalg.eigvalsh(moments.gamma_mat)[0]), _LAMBDA_MIN_FLOOR)
             notes.append(
                 f"lambda_min estimated from corrected moments as {lambda_min:g} "
                 f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
             )
         if privacy.beta > 0:
             j_hat = privacy_penalty_gaussian(
-                cfg.bounds, privacy.alpha, privacy.beta, lambda_min,
-                survey.size, survey.dim, cfg.c2,
+                cfg.bounds, privacy.alpha, privacy.beta, lambda_min, survey.size, survey.dim
             )
         else:
             j_hat = privacy_penalty_laplace(
-                cfg.bounds, privacy.alpha, cfg.c_eps, lambda_min,
-                survey.size, survey.dim, cfg.c2,
+                cfg.bounds, privacy.alpha, _C_EPS, lambda_min, survey.size, survey.dim
             )
         if survey.dim == 1:
             notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
-    config = SolverConfig(mode="constrained", radius=cfg.bounds.radius, step=step)
+    config = SolverConfig(mode="constrained", radius=cfg.bounds.radius)
     theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
-    gamma_s = (
-        survey_loss_bound(
-            l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta, cfg.loss_bound_form
-        )
-        + j_hat
-    )
+    gamma_s = survey_loss_bound(l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta) + j_hat
     t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
     xv, yv = source.draw(t, rng.derive(_RNG_TAGS["validation"]))
     over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
@@ -314,8 +269,7 @@ def _verify(
         j_hat=j_hat,
         theta_hat=theta_hat,
         margin=margin,
-        loss_bound_form=cfg.loss_bound_form,
-        constants={"c2": float(cfg.c2), "c_eps": float(cfg.c_eps)},
+        constants={"c2": _C2, "c_eps": _C_EPS},
         notes=tuple(notes),
     )
 
@@ -346,8 +300,8 @@ def verify_private_survey(
     and the empirical loss is computed on the privatized covariates (the
     only ones available after publication).  The survey-loss bound gains
     the privacy penalty matching the mechanism (Gaussian for beta > 0,
-    Laplace for beta = 0, which also reads cfg.c_eps), scaled by cfg.c2.
-    Validation draws are used in the clear.
+    Laplace for beta = 0), with the constants c2 = c_eps = 1 that the
+    verdict reports.  Validation draws are used in the clear.
 
     lambda_min is the smallest eigenvalue of the clean covariate covariance;
     when not declared it is estimated from the corrected Gram matrix,

@@ -441,13 +441,16 @@ class TestSweepCommand:
         assert written == {**summary, "manifest": written["manifest"]}
         assert written["manifest"]["command"] == "sweep"
 
-    @pytest.mark.parametrize("experiment, flag, message", [
-        ("model-distance", "--kappa", "kappa must be finite and non-negative"),
-        ("error-vs-samples", "--alpha-grid", "alpha must be positive, got nan"),
+    @pytest.mark.parametrize("experiment, flag, value, message", [
+        ("model-distance", "--kappa", "nan", "kappa must be finite and non-negative"),
+        ("error-vs-samples", "--alpha-grid", "nan", "alpha must be positive, got nan"),
+        ("model-distance", "--d", "0", "need d >= 1 and m >= 1"),
+        ("noise-comparison", "--m-grid", "0", "need d >= 1 and m >= 1"),
+        ("model-distance", "--mu-grid", "nan", "mu must be finite, got nan"),
     ])
     def test_invalid_value_rejected_before_any_trial(self, tmp_path, capsys, experiment,
-                                                     flag, message):
-        code = run("sweep", "--experiment", experiment, flag, "nan",
+                                                     flag, value, message):
+        code = run("sweep", "--experiment", experiment, flag, value,
                    "--output", str(tmp_path), "--quiet")
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == f"survkit: error: {message}\n"
@@ -470,6 +473,40 @@ class TestConfigFile:
         assert run("bounds", "--config", str(conf), "--t", "0.0") == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 1.0
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({
+            "name": "one-sided-bernstein", "n": 100, "t": 0.1, "second_moment": 1.0,
+        }))
+        assert run("bounds", "--config", str(conf), "--second", "2.0") == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(np.exp(-0.5))
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "one-sided-bernstein", "t": "abc"}',
+         "survkit bounds: error: argument --t: invalid float value: 'abc'"),
+        ("[1, 2]", "survkit: error: config file"),
+        ("{", "survkit: error: Expecting property name"),
+    ])
+    def test_config_values_are_parsed_like_flags(self, tmp_path, capsys, text, message):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        assert run("bounds", "--config", str(conf)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_config_spelling_of_lists_and_booleans(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "noise-comparison", "trials": 1, "d": 3,
+                                    "m_grid": [200, 300], "quiet": True, "no-such-key": 1}))
+        assert run("sweep", "--config", str(conf), "--output", str(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        summary = json.loads((tmp_path / "noise-comparison_summary.json").read_text())
+        assert summary["spec"]["m_grid"] == [200, 300]
+        conf.write_text(json.dumps({"name": "one-sided-bernstein", "quiet": False}))
+        assert run("bounds", "--config", str(conf)) == EXIT_OK
+        assert "value" in json.loads(capsys.readouterr().out)
 
 
 class TestDeterminism:

@@ -1,20 +1,33 @@
-"""Every public top-level function and class of ``survkit`` is used by the
-package itself: ROADMAP aim 2 allows no public symbol that neither ``src/``
-nor the CLI uses.
+"""The package carries nothing that nothing uses, checked with ``ast``.
 
-The package is parsed with ``ast``.  A use is a name, an attribute, an
-import alias or a string constant anywhere in ``src/survkit`` outside the
-symbol's own definition; string constants count because cli's ``_BOUNDS``
-table looks the bound functions up by name.  The re-exports in
-``__init__.py`` do not count.  ``clip_to_bounds`` passes only through the
-``sweeps`` import that the traced benchmark's binding needs (see
-test_bench_bindings.py).
+Every public top-level function and class of ``survkit`` is used by the
+package itself: ROADMAP aim 2 allows no public symbol that neither ``src/``
+nor the CLI uses.  A use is a name, an attribute, an import alias or a
+string constant anywhere in ``src/survkit`` outside the symbol's own
+definition; string constants count because cli's ``_BOUNDS`` table looks
+the bound functions up by name.  The re-exports in ``__init__.py`` do not
+count.  ``clip_to_bounds`` passes only through the ``sweeps`` import that
+the traced benchmark's binding needs (see test_bench_bindings.py).
+
+Every field of the config types ``SolverConfig``, ``TestConfig``,
+``PrivacyParams`` and ``SweepSpec`` is one a caller sets: some call of the
+type in ``src/survkit`` passes it by keyword or by position, or the call
+unpacks ``**`` keywords inside a subcommand handler and one of that
+subcommand's ``build_parser()`` flags has the field's name as its dest (so
+``_cmd_sweep`` fills ``SweepSpec``), or the field is in
+``_UNSET_FIELDS_ALLOWED`` with the reason it stays.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
+from survkit.cli import build_parser
+
 _SRC = Path(__file__).resolve().parents[1] / "src" / "survkit"
+_CONFIGS = ("SolverConfig", "TestConfig", "PrivacyParams", "SweepSpec")
+# "Type.field" -> why the field stays although nothing in src sets it.
+_UNSET_FIELDS_ALLOWED: dict[str, str] = {}
 
 
 def _uses(node: ast.AST) -> set[str]:
@@ -43,3 +56,41 @@ def test_every_public_definition_is_used_in_src():
                 defined[own] = f"{path.stem}.{own}"
     unused = sorted(qual for name, qual in defined.items() if name not in used)
     assert not unused, f"public definitions that nothing in src uses: {unused}"
+
+
+def _calls(node: ast.AST, owner: str | None = None):
+    """Every call under ``node`` with the name of the function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, owner
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _calls(child, child.name if is_def else owner)
+
+
+def test_every_config_field_is_set_in_src():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))]
+    fields = {
+        stmt.name: [s.target.id for s in stmt.body if isinstance(s, ast.AnnAssign)]
+        for tree in trees for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef) and stmt.name in _CONFIGS
+    }
+    assert sorted(fields) == sorted(_CONFIGS)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flag_dests = {p.get_default("func").__name__: {a.dest for a in p._actions}
+                  for p in commands.values()}
+    passed = set()
+    for tree in trees:
+        for call, owner in _calls(tree):
+            cls = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if cls not in fields:
+                continue
+            passed |= {f"{cls}.{f}" for f in fields[cls][: len(call.args)]}
+            for kw in call.keywords:
+                names = flag_dests.get(owner, set()) if kw.arg is None else {kw.arg}
+                passed |= {f"{cls}.{n}" for n in names}
+    unset = sorted(
+        f"{cls}.{f}" for cls, names in fields.items() for f in names
+        if f"{cls}.{f}" not in passed | set(_UNSET_FIELDS_ALLOWED)
+    )
+    assert not unset, f"config fields that nothing in src sets: {unset}"

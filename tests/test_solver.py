@@ -354,7 +354,7 @@ def _reference_solve(moments, config, trace=None):
     constrained = config.mode == "constrained"
     radius = config.radius
     lam = 0.0 if constrained else _resolve_lambda(config, moments)
-    eta = config.step or 1.0 / max(spectral_bound(gm), 1e-12)
+    eta = 1.0 / max(spectral_bound(gm), 1e-12)
 
     def prox(v):
         if constrained:

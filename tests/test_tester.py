@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from survkit import (
+    Dataset,
     Decision,
     InsufficientValidationError,
-    LossBoundForm,
     ModelBounds,
     PooledSource,
     PrivacyParams,
     RngSpec,
+    SolverConfig,
     TestConfig,
+    corrected_moments,
     gen_synthetic1,
     make_noise_spec,
     privacy_penalty_gaussian,
     privacy_penalty_laplace,
+    privatize,
+    solve,
     survey_loss_bound,
+    validate_dataset,
     validation_sample_size,
     verify_private_survey,
     verify_survey,
@@ -64,14 +69,6 @@ class TestSurveyLossBound:
         # 8 sqrt(2 ln 2) + 3 sqrt(ln 4 / 2) = 11.91694401359689
         got = survey_loss_bound(0.0, 1, 1, self.UNIT, 1.0)
         assert got == pytest.approx(11.91694401359689, rel=1e-12)
-
-    def test_alternate_dimension_factor(self):
-        lo = survey_loss_bound(0.0, 100, 10, self.UNIT, 0.5, LossBoundForm.LOG_D)
-        hi = survey_loss_bound(0.0, 100, 10, self.UNIT, 0.5, LossBoundForm.SQRT_D_PLUS_1)
-        # sqrt(d+1) > sqrt(2 ln 2d) at d = 10
-        assert hi > lo
-        diff = (hi - lo) * math.sqrt(100) / 8.0
-        assert diff == pytest.approx(math.sqrt(11) - math.sqrt(2 * math.log(20)), rel=1e-12)
 
     def test_never_below_empirical_loss(self):
         rng = np.random.default_rng(0)
@@ -277,11 +274,8 @@ class TestVerifySurvey:
 
 class TestVerifyPrivateSurvey:
     def test_reduces_to_public_when_noise_and_penalty_vanish(self):
-        survey, sampler, cfg0, _ = _survey_and_cfg(0.0, m=2000)
-        cfg = TestConfig(
-            kappa=cfg0.kappa, tol=cfg0.tol, delta=cfg0.delta, bounds=cfg0.bounds,
-            c2=0.0,
-        )
+        # At d = 1 the penalty is exactly 0 (the ln d factor vanishes).
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=2000, d=1)
         pub = verify_survey(survey, sampler, cfg, RngSpec(4))
         priv = verify_private_survey(
             survey, sampler, cfg, PrivacyParams(alpha=1e9), RngSpec(4), lambda_min=1.0
@@ -290,6 +284,20 @@ class TestVerifyPrivateSurvey:
         assert priv.decision == pub.decision
         assert priv.gamma_s == pytest.approx(pub.gamma_s, rel=1e-4)
         assert priv.gamma_d == pytest.approx(pub.gamma_d, rel=1e-6)
+
+    @pytest.mark.parametrize("lambda_min", [None, 1.0])
+    def test_fit_is_the_solver_fit_on_the_privatized_survey(self, lambda_min):
+        # The same privatization from the same RngSpec, then the plain
+        # constrained fit with the solver's own step: bit for bit.
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=3000)
+        privacy, rng = PrivacyParams(alpha=2.0), RngSpec(4)
+        v = verify_private_survey(survey, sampler, cfg, privacy, rng, lambda_min=lambda_min)
+        spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
+        to_publish = Dataset(survey.x, survey.y, cfg.bounds)
+        validate_dataset(to_publish)
+        pds = privatize(to_publish, spec, privacy, rng)
+        config = SolverConfig(mode="constrained", radius=cfg.bounds.radius)
+        assert np.array_equal(v.theta_hat, solve(corrected_moments(pds), config).theta_hat)
 
     def test_private_close_accepts_majority(self):
         hits = 0
