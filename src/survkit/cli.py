@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +63,19 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
+
+
+def _sigma_w(text: str) -> str:
+    """``--sigma-w``: 'from-sidecar' or a finite number >= 0, kept as typed
+    so the manifest echoes it unchanged."""
+    try:
+        if text == "from-sidecar" or 0.0 <= float(text) < math.inf:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected 'from-sidecar' or a finite number >= 0, got {text!r}"
+    )
 
 
 def _jsonable(v):
@@ -149,7 +163,7 @@ def _cmd_publish(args) -> int:
     _require(args, "input", "alpha", "zeta")
     raw = load_csv(args.input)
     tau = max(float(np.max(np.abs(raw.y))), 1e-12)
-    ds = Dataset(raw.x, raw.y, ModelBounds(args.zeta, tau, 1.0))
+    ds = Dataset._adopt(raw.x, raw.y, ModelBounds(args.zeta, tau, 1.0))
     report = validate_dataset(ds)
     if not report.ok:
         first = report.violations[:5]
@@ -360,7 +374,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", parents=[common], help="fit the corrected l1 model")
     p.add_argument("--input", default=None, help="dataset CSV or private bundle CSV (required)")
-    p.add_argument("--sigma-w", default="0.0",
+    p.add_argument("--sigma-w", type=_sigma_w, default="0.0",
                    help="per-coordinate noise variance, or 'from-sidecar'")
     p.add_argument("--mode", choices=("constrained", "lagrangian"), default="constrained")
     p.add_argument("--radius", type=float, default=None)

@@ -11,6 +11,14 @@ rejected everywhere.
 All types here are immutable after construction (arrays are marked
 read-only) and safe to share across workers; the one exception is the
 ``validated`` flag on :class:`Dataset`, which `validate_dataset` may set.
+
+Ownership: the public constructors of :class:`Dataset` and
+``mechanisms.PrivateDataset`` copy their arrays, since the caller may still
+hold and write them.  Their private ``_adopt`` classmethods keep the arrays
+themselves and only mark them read-only.  Only the package's own producers
+call ``_adopt``, with float64 C-contiguous arrays that are either fresh
+buffers no one else holds or the read-only arrays of another dataset; each
+such caller is listed in ``tests/test_public_surface.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,16 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _adoptable(*arrays: np.ndarray) -> None:
+    """The precondition of the ``_adopt`` classmethods: float64,
+    C-contiguous ndarrays, so that keeping them gives the same bytes and
+    the same memory layout as the public constructors' copies."""
+    for a in arrays:
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous):
+            raise ValueError("only float64 C-contiguous arrays are adopted")
 
 
 @dataclass(frozen=True)
@@ -93,8 +111,24 @@ class Dataset:
     __slots__ = ("x", "y", "bounds", "_validated")
 
     def __init__(self, x, y, bounds: ModelBounds):
-        x = _as_float_array(x, "covariates", 2)
-        y = _as_float_array(y, "responses", 1)
+        self._hold(
+            _as_float_array(x, "covariates", 2).copy(),
+            _as_float_array(y, "responses", 1).copy(),
+            bounds,
+        )
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> Dataset:
+        """A Dataset that keeps ``x`` and ``y`` themselves rather than
+        copies, after the constructor's checks.  They are fresh buffers the
+        caller gives up or another dataset's read-only arrays; they are
+        marked read-only, and nothing may write them again."""
+        _adoptable(x, y)
+        ds = cls.__new__(cls)
+        ds._hold(_as_float_array(x, "covariates", 2), _as_float_array(y, "responses", 1), bounds)
+        return ds
+
+    def _hold(self, x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"row count mismatch: {x.shape[0]} covariate rows, {y.shape[0]} responses"
@@ -103,8 +137,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one row")
         if x.shape[1] < 1:
             raise ValueError("dataset dimension must be >= 1")
-        x = x.copy()
-        y = y.copy()
         x.setflags(write=False)
         y.setflags(write=False)
         self.x = x

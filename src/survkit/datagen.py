@@ -119,14 +119,15 @@ def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipR
 
 
 def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, ClipReport]:
-    """:func:`clip_to_bounds` for arrays the caller gives up: they are
-    clamped in place, so no pre-clip copy is made."""
+    """:func:`clip_to_bounds` for fresh float64 C-contiguous arrays the
+    caller gives up: they are clamped in place and the returned dataset
+    keeps them, so neither a pre-clip nor a post-clip copy is made."""
     zeta, tau = bounds.zeta, bounds.tau
     cov = np.count_nonzero(x > zeta, axis=0) + np.count_nonzero(x < -zeta, axis=0)
     resp = int(np.count_nonzero(y > tau) + np.count_nonzero(y < -tau))
     np.clip(x, -zeta, zeta, out=x)
     np.clip(y, -tau, tau, out=y)
-    out = Dataset(x, y, bounds)
+    out = Dataset._adopt(x, y, bounds)
     validate_dataset(out)
     return out, ClipReport(tuple(int(c) for c in cov), resp)
 
@@ -211,7 +212,6 @@ def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray,
     zeta, tau, _ = _envelope_bounds(theta_star, _REG_NOISE_VAR_2)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
     clean, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
-    del x, y  # clean holds its own copy; free these before the uniform block
     if clips.total:
         log.info("family-2 generator clipped %d cells to the 4-sigma envelope", clips.total)
     u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=(m, d))
@@ -245,7 +245,7 @@ def _with_covariate_noise(
         w *= u
         spec = NoiseSpec(NoiseKind.LAPLACE, scale)
     w += clean.x
-    return PrivateDataset(
+    return PrivateDataset._adopt(
         z=w,
         y=clean.y,
         noise_variance=1.0,
@@ -433,7 +433,8 @@ def load_private(path) -> PrivateDataset:
     rng = None
     if meta.get("seed") is not None:
         rng = RngSpec(int(meta["seed"]), int(meta.get("stream", 0)))
-    return PrivateDataset(
+    # ds is discarded; its read-only arrays need no copy.
+    return PrivateDataset._adopt(
         z=ds.x,
         y=ds.y,
         noise_variance=float(meta["sigma_w_diagonal"]),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, RngSpec
+from .core import _RNG_TAGS, Dataset, RngSpec, _adoptable
 
 
 class Accounting(enum.Enum):
@@ -158,8 +158,23 @@ class PrivateDataset:
         privacy: PrivacyParams | None,
         rng: RngSpec | None,
     ):
-        z = np.array(z, dtype=np.float64)
-        y = np.array(y, dtype=np.float64)
+        self._hold(
+            np.array(z, dtype=np.float64, order="C"), np.array(y, dtype=np.float64),
+            noise_variance, noise, privacy, rng,
+        )
+
+    @classmethod
+    def _adopt(cls, z: np.ndarray, y: np.ndarray, **meta) -> PrivateDataset:
+        """A PrivateDataset that keeps ``z`` and ``y`` themselves rather
+        than copies, after the constructor's checks; ``meta`` holds the
+        constructor's other arguments.  See the ownership rule in
+        :mod:`survkit.core`."""
+        _adoptable(z, y)
+        pds = cls.__new__(cls)
+        pds._hold(z, y, **meta)
+        return pds
+
+    def _hold(self, z, y, noise_variance, noise, privacy, rng) -> None:
         if z.ndim != 2 or y.ndim != 1 or z.shape[0] != y.shape[0]:
             raise ValueError("z must be an (m, d) matrix with matching responses")
         if not np.all(np.isfinite(z)) or not np.all(np.isfinite(y)):
@@ -196,10 +211,11 @@ def privatize(
     """Add one independent noise draw to every covariate coordinate.
 
     Requires a validated dataset (all |x_ij| <= zeta), since the calibration
-    in ``spec`` is only meaningful for bounded covariates.  Responses are
-    copied unchanged.  The noise matrix is filled in a canonical row-major
-    order from the (seed, stream) sub-stream tagged "noise", so the output is a
-    pure function of (ds, spec, params, rng).
+    in ``spec`` is only meaningful for bounded covariates.  Responses pass
+    through unchanged: the result shares the read-only ``ds.y``, and its
+    ``z`` is a fresh array.  The noise matrix is filled in a canonical
+    row-major order from the (seed, stream) sub-stream tagged "noise", so
+    the output is a pure function of (ds, spec, params, rng).
     """
     if not ds.validated:
         raise ValueError(
@@ -214,7 +230,7 @@ def privatize(
     else:
         w = gen.normal(loc=0.0, scale=spec.scale, size=shape)
     w += ds.x  # in place: the same sums as ds.x + w, one m x d buffer fewer
-    return PrivateDataset(
+    return PrivateDataset._adopt(
         z=w,
         y=ds.y,
         noise_variance=spec.per_coordinate_variance,

@@ -87,6 +87,8 @@ def moments_from_arrays(x, y, noise_variance: float = 0.0) -> CorrectedMoments:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise ValueError("need an (m, d) matrix and a length-m response vector")
+    if not (np.isfinite(noise_variance) and noise_variance >= 0):
+        raise ValueError("noise variance must be non-negative")
     m = x.shape[0]
     gm = x.T @ x / m - noise_variance * np.eye(x.shape[1])
     gv = x.T @ y / m

@@ -131,7 +131,6 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
     tau = 4.0 * math.sqrt(float(theta_star @ theta_star) / 3.0 + 1.0)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
     ds, _ = _clip(x, y, ModelBounds(1.0, tau, radius))
-    del x, y  # ds holds its own copy; free these before privatizing
     privacy = PrivacyParams(alpha=alpha, beta=spec.beta)
     noise = make_noise_spec(privacy, ds.bounds.zeta, spec.d)
     pds = privatize(ds, noise, privacy, rng)

@@ -227,7 +227,7 @@ def _verify(
     else:
         # Privatize against the configured bounds: _check_survey guarantees the
         # data satisfies them, so sensitivity is calibrated from cfg.bounds.zeta.
-        to_publish = Dataset(survey.x, survey.y, cfg.bounds)
+        to_publish = Dataset._adopt(survey.x, survey.y, cfg.bounds)
         validate_dataset(to_publish)
         spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
         pds = privatize(to_publish, spec, privacy, rng)

@@ -163,6 +163,16 @@ class TestPublishAndFit:
                    "--lambda", value, "--quiet") == EXIT_RUNTIME
         assert "lambda_n must be finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
+    def test_sigma_w_must_be_from_sidecar_or_finite_and_non_negative(
+        self, survey_files, value, capsys
+    ):
+        assert run("fit", "--input", f"{survey_files}_survey.csv", f"--sigma-w={value}",
+                   "--radius", "1.0", "--quiet") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "survkit fit: error: argument --sigma-w:" in err
+        assert "Warning" not in err
+
 
 class TestVerify:
     def _flags(self, prefix, mu_truth):

@@ -16,6 +16,11 @@ unpacks ``**`` keywords inside a subcommand handler and one of that
 subcommand's ``build_parser()`` flags has the field's name as its dest (so
 ``_cmd_sweep`` fills ``SweepSpec``), or the field is in
 ``_UNSET_FIELDS_ALLOWED`` with the reason it stays.
+
+Every use of the private ``_adopt`` path of ``Dataset`` and
+``PrivateDataset``, which keeps the arrays it is given instead of copying
+them, sits in a function of ``_ADOPT_CALLERS`` with the reason no copy is
+needed there, so a new caller fails here until its arrays are checked.
 """
 
 import argparse
@@ -28,6 +33,16 @@ _SRC = Path(__file__).resolve().parents[1] / "src" / "survkit"
 _CONFIGS = ("SolverConfig", "TestConfig", "PrivacyParams", "SweepSpec")
 # "Type.field" -> why the field stays although nothing in src sets it.
 _UNSET_FIELDS_ALLOWED: dict[str, str] = {}
+# "module.function" -> why the arrays it hands to ``_adopt`` need no copy.
+_ADOPT_CALLERS = {
+    "datagen._clip": "clamps in place the fresh arrays its callers give up "
+                     "(clip_to_bounds gives it copies)",
+    "datagen._with_covariate_noise": "the noise buffer is its own; clean.y is read-only",
+    "mechanisms.privatize": "the noise buffer is its own; ds.y is read-only",
+    "datagen.load_private": "the read-only arrays of the load_csv Dataset it discards",
+    "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",
+    "tester._verify": "the survey's read-only arrays, under the configured bounds",
+}
 
 
 def _uses(node: ast.AST) -> set[str]:
@@ -58,13 +73,12 @@ def test_every_public_definition_is_used_in_src():
     assert not unused, f"public definitions that nothing in src uses: {unused}"
 
 
-def _calls(node: ast.AST, owner: str | None = None):
-    """Every call under ``node`` with the name of the function it sits in."""
+def _nodes(node: ast.AST, owner: str | None = None):
+    """Every node under ``node`` with the name of the function it sits in."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            yield child, owner
+        yield child, owner
         is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _calls(child, child.name if is_def else owner)
+        yield from _nodes(child, child.name if is_def else owner)
 
 
 def test_every_config_field_is_set_in_src():
@@ -81,7 +95,9 @@ def test_every_config_field_is_set_in_src():
                   for p in commands.values()}
     passed = set()
     for tree in trees:
-        for call, owner in _calls(tree):
+        for call, owner in _nodes(tree):
+            if not isinstance(call, ast.Call):
+                continue
             cls = getattr(call.func, "id", getattr(call.func, "attr", None))
             if cls not in fields:
                 continue
@@ -94,3 +110,14 @@ def test_every_config_field_is_set_in_src():
         if f"{cls}.{f}" not in passed | set(_UNSET_FIELDS_ALLOWED)
     )
     assert not unset, f"config fields that nothing in src sets: {unset}"
+
+
+def test_adopt_is_used_only_by_the_allowed_callers():
+    users = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node, owner in _nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_adopt" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                users.add(f"{path.stem}.{owner}")
+    unlisted = sorted(users - set(_ADOPT_CALLERS))
+    assert not unlisted, f"_adopt used outside _ADOPT_CALLERS: {unlisted}"
+    assert users == set(_ADOPT_CALLERS), "stale _ADOPT_CALLERS entries"

@@ -62,6 +62,11 @@ class TestCorrectedMoments:
         np.testing.assert_allclose(m.gamma_mat, x.T @ x / 20)
         np.testing.assert_allclose(m.gamma_vec, x.T @ y / 20)
 
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_noise_variance_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="noise variance must be non-negative"):
+            moments_from_arrays(np.ones((2, 1)), np.ones(2), value)
+
     def test_symmetrized_exactly(self):
         m = CorrectedMoments(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), 1)
         assert np.array_equal(m.gamma_mat, m.gamma_mat.T)
