@@ -15,7 +15,12 @@ are recovered by minimizing
 either over the l1 ball of a given radius (constrained mode) or with the
 l1 penalty (Lagrangian mode), by FISTA with adaptive restart and the exact
 step 1 / ||gamma_mat||_2, stopped on a certified gap (Frank-Wolfe gap or
-proximal-gradient residual).  The correction can make gamma_mat
+proximal-gradient residual).  Proximal gradient finds the optimum's sign
+pattern after finitely many steps (Nutini, Schmidt & Hare 2019), so once
+the pattern of the iterates has settled the solver tries to finish with one
+linear solve of the reduced stationarity system ("polishing", as in OSQP;
+Stellato et al. 2020) and keeps the result only when the same gap
+certifies it.  The correction can make gamma_mat
 indefinite; the monotone iteration from zero still converges to a
 stationary point, and for statistically sized radii all such points carry
 equivalent estimation error.
@@ -157,7 +162,8 @@ class SolverConfig:
     1 / spectral_bound(gamma_mat).  ``converged`` means the optimality gap at
     the returned iterate is at most tol * max(1, gap(theta_0)) (see
     :func:`solve`): relative to the starting gap when that exceeds 1, and the
-    absolute threshold ``tol`` otherwise.
+    absolute threshold ``tol`` otherwise.  The same threshold decides whether
+    a polished point is kept; polishing has no setting of its own.
     """
 
     mode: str = "constrained"
@@ -191,6 +197,7 @@ class SolveResult:
     converged: bool
     step_size_used: float
     gap: float
+    polished: bool
 
 
 def objective(moments: CorrectedMoments, theta, lambda_n: float = 0.0) -> float:
@@ -240,10 +247,25 @@ def solve(
     entry, the start is perturbed by +1e-8 on the most negative diagonal
     coordinate so the iteration escapes the maximizer deterministically.
 
-    One iteration costs one product with gamma_mat plus O(d) vector work;
-    the sort-based projection runs only when a gradient step leaves the l1
-    ball.  When ``trace`` is a list, the objective value after every
-    iteration is appended to it.
+    Polish.  After an iteration whose gap does not certify, let s be the
+    sign pattern of theta and S its support.  Once s has held unchanged for
+    max(1, |S|^3 // (3 d^2)) iterations (the cost of one polish in products
+    with gamma_mat) and has not been polished before, the solver solves
+    Gamma_SS x_S = gamma_S - lambda_n s_S (lambda_n = 0 in constrained mode)
+    with x = 0 off S; when a radius is set and that point is not kept, it
+    also tries the system bordered by s_S and the radius, which puts x on the
+    sphere ||x||_1 = radius.  A point is kept only if it is finite, keeps
+    every sign of s_S, has ||x||_1 <= radius as computed, does not raise the
+    objective and its gap meets the threshold above; the run then ends,
+    converged, with ``polished`` true.  A point that is not kept is dropped
+    and the FISTA path goes on unchanged.
+
+    ``iterations`` counts gradient steps.  When ``trace`` is a list, the
+    objective value after every iteration is appended to it, and the
+    polished objective after that, so len(trace) == iterations + polished
+    and trace[-1] == final_objective.  One iteration costs one product with
+    gamma_mat plus O(d) vector work; the sort-based projection runs only
+    when a gradient step leaves the l1 ball.
     """
     d = moments.dim
     gm, gv = moments.gamma_mat, moments.gamma_vec
@@ -284,6 +306,41 @@ def solve(
             )
         return x, gx, f
 
+    def polish(signs):
+        # (x, f(x), gap(x)) for the first point of the reduced systems on
+        # the sign pattern (the free one, then the bordered one) that passes
+        # every check in the docstring of solve; None if neither does.
+        support = np.flatnonzero(signs)
+        s = signs[support].astype(np.float64)
+        k = support.shape[0]
+        a, b = gm[np.ix_(support, support)], gv[support] - lam * s
+        for bordered in (False, True) if radius is not None else (False,):
+            if bordered:
+                a = np.block([[a, s[:, None]], [s[None, :], np.zeros((1, 1))]])
+                b = np.append(b, radius)
+            try:
+                z = np.linalg.solve(a, b)[:k]
+            except np.linalg.LinAlgError:
+                continue
+            if not (np.all(np.isfinite(z)) and np.array_equal(np.sign(z), s)):
+                continue
+            x = np.zeros(d)
+            x[support] = z
+            l1 = float(np.abs(x).sum())
+            if bordered and l1 > radius:
+                # s_S . x_S = radius holds only to rounding.
+                x *= radius / l1
+                l1 = float(np.abs(x).sum())
+            if radius is not None and l1 > radius:
+                continue
+            gx = gm @ x
+            f = 0.5 * float(x @ gx) - float(gv @ x) + lam * l1
+            if f <= obj:
+                g = gap_at(x, gx)
+                if g <= threshold:
+                    return x, f, g
+        return None
+
     theta = np.zeros(d)
     diag = np.diag(gm)
     if not np.any(gv) and np.min(diag) < 0:
@@ -293,7 +350,10 @@ def solve(
     gap = gap_at(theta, g_theta)
     threshold = config.tol * max(1.0, gap)
     y, g_y, t, beta = theta, g_theta, 1.0, 0.0
-    iterations, converged = 0, False
+    iterations, converged, polished = 0, False, False
+    # The sign pattern of theta, how many iterations it has held unchanged,
+    # and the patterns already polished.
+    pattern, held, tried = None, 0, set()
     # numpy's transient overflow warnings on the divergent path carry no
     # information beyond the non-finite objective.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,6 +377,23 @@ def solve(
                 trace.append(obj)
             gap = gap_at(theta, g_theta)
             converged = gap <= threshold
+            if not converged:
+                signs = np.sign(theta).astype(np.int8)
+                key = signs.tobytes()
+                if key == pattern:
+                    held += 1
+                else:
+                    pattern, held = key, 0
+                    size = int(np.count_nonzero(signs))
+                    cost = max(1, size**3 // (3 * d * d))
+                if size and held == cost and key not in tried:
+                    tried.add(key)
+                    kept = polish(signs)
+                    if kept is not None:
+                        theta, obj, gap = kept
+                        if trace is not None:
+                            trace.append(obj)
+                        converged = polished = True
             if converged or (
                 delta < _ABS_OBJECTIVE_FLOOR
                 and np.abs(step).max() < _STAGNATION_TOL * max(1.0, np.abs(theta).max())
@@ -330,4 +407,5 @@ def solve(
         converged=converged,
         step_size_used=eta,
         gap=gap,
+        polished=polished,
     )

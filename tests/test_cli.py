@@ -100,6 +100,7 @@ class TestPublishAndFit:
         result = json.loads(fit_out.read_text())
         assert result["converged"]
         assert abs(result["gap"]) < 1e-6  # the certified gap behind "converged"
+        assert isinstance(result["polished"], bool)
         got = np.array(result["theta_hat"])
         assert np.linalg.norm(got - theta) < 0.25
 
