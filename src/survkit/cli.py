@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import sys
@@ -96,6 +97,10 @@ def _manifest(args: argparse.Namespace) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "config", "command")
     }
+    # A flag the command does not read reaches here unchecked; JSON has no nan or inf.
+    for k, v in config.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"--{k.replace('_', '-')} must be finite, got {v}")
     return {
         "version": __version__,
         "command": args.command,
@@ -110,14 +115,8 @@ def _record(result, args: argparse.Namespace) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    if args.quiet:
-        return
-    if args.format == "csv":
-        for k, v in sorted(payload.items()):
-            if not isinstance(v, (dict, list)):
-                print(f"{k},{v}")
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    if not args.quiet:
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -250,65 +249,39 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
-def _number(value, constants: dict) -> dict:
-    return {"value": value, "side_conditions": {}, "constants_used": constants, "vacuous": False}
-
-
-def _re_pair(re: bnd.LowerREParams, constants: dict) -> dict:
-    payload = _number({"alpha_ell": re.alpha_ell, "tau_md": re.tau_md}, constants)
-    payload["side_conditions"] = {"feasible": re.feasible}
-    return payload
-
-
-def _probability(r: bnd.BoundResult, _constants: dict) -> dict:
-    return {"value": r.value, "side_conditions": r.side_conditions,
-            "constants_used": r.constants, "vacuous": r.vacuous}
-
-
-# Bound name -> (survkit.bounds function name, flag dests in call order,
-# constants reported, result shape).  The dests are the function's parameter
-# names, so a bound reads and validates only its own flags.  The function is
-# looked up by name at call time, where the traced benchmark (bench/spans.py)
-# wraps it.
+# Bound name -> survkit.bounds function name.  A bound reads the flags named
+# as its parameters, so it validates only its own flags, and reports the
+# parameters with a default as its constants.  The function is looked up by
+# name at call time, where the traced benchmark (bench/spans.py) wraps it;
+# inspect.signature sees through that wrapper.
 _BOUNDS = {
-    "min-samples-gaussian": (
-        "min_samples_gaussian", ("lambda_min", "zeta", "alpha", "beta", "d", "c"), ("c",),
-        _number,
-    ),
-    "min-samples-laplace": (
-        "min_samples_laplace", ("lambda_min", "zeta", "alpha", "c_eps", "d"), (), _number
-    ),
-    "error-bound-gaussian": (
-        "error_bound_gaussian",
-        ("sigma_eps", "lambda_min", "zeta", "alpha", "beta", "radius", "d", "m", "c2"),
-        ("c2",), _number,
-    ),
-    "error-bound-laplace": (
-        "error_bound_laplace",
-        ("c_eps", "lambda_min", "zeta", "alpha", "radius", "d", "m", "c2"), ("c2",), _number,
-    ),
-    "lower-re": ("lower_re_params", ("lambda_min", "c_max", "m", "d", "c1"), ("c1",), _re_pair),
-    "subweibull-right-tail": (
-        "subweibull_right_tail",
-        ("n", "t", "alpha_shape", "c_alpha", "sigma_minus_sq", "beta_split"), (), _probability,
-    ),
-    "squared-subexp-tail": ("squared_subexp_tail", ("n", "t", "c_x", "c"), (), _probability),
-    "one-sided-bernstein": ("one_sided_bernstein", ("n", "t", "second_moment"), (), _probability),
-    "matrix-deviation-bound": (
-        "matrix_deviation_bound", ("n", "d1", "d2", "c_max", "t", "c"), (), _probability
-    ),
-    "matrix-deviation-level": (
-        "matrix_deviation_level", ("n", "d", "c_max", "c1"), ("c1",), _number
-    ),
+    "min-samples-gaussian": "min_samples_gaussian",
+    "min-samples-laplace": "min_samples_laplace",
+    "error-bound-gaussian": "error_bound_gaussian",
+    "error-bound-laplace": "error_bound_laplace",
+    "lower-re": "lower_re_params",
+    "subweibull-right-tail": "subweibull_right_tail",
+    "squared-subexp-tail": "squared_subexp_tail",
+    "one-sided-bernstein": "one_sided_bernstein",
+    "matrix-deviation-bound": "matrix_deviation_bound",
+    "matrix-deviation-level": "matrix_deviation_level",
 }
 
 
 def _bound_dispatch(args) -> dict:
     if args.name not in _BOUNDS:
         raise ValueError(f"unknown bound name {args.name!r}")
-    fn_name, reads, constants, shape = _BOUNDS[args.name]
-    out = getattr(bnd, fn_name)(*(getattr(args, r) for r in reads))
-    return shape(out, {c: getattr(args, c) for c in constants})
+    fn = getattr(bnd, _BOUNDS[args.name])
+    params = inspect.signature(fn).parameters
+    out = fn(*(getattr(args, p) for p in params))
+    if isinstance(out, bnd.BoundResult):
+        return {"value": out.value, "side_conditions": out.side_conditions,
+                "constants_used": out.constants, "vacuous": out.vacuous}
+    side = {}
+    if isinstance(out, bnd.LowerREParams):
+        out, side = {"alpha_ell": out.alpha_ell, "tau_md": out.tau_md}, {"feasible": out.feasible}
+    constants = {p: getattr(args, p) for p, v in params.items() if v.default is not v.empty}
+    return {"value": out, "side_conditions": side, "constants_used": constants, "vacuous": False}
 
 
 def _cmd_bounds(args) -> int:
@@ -345,8 +318,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     common.add_argument("--output", default=None, help="output file or directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout echo format")
     common.add_argument("--quiet", action="store_true", help="suppress stdout echo")
     common.add_argument("--config", default=None,
                         help="JSON file of defaults; keys mirror the flags")

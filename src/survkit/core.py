@@ -12,9 +12,12 @@ All types here are immutable after construction (arrays are marked
 read-only) and safe to share across workers; the one exception is the
 ``validated`` flag on :class:`Dataset`, which `validate_dataset` may set.
 
-Ownership: the public constructors of :class:`Dataset` and
-``mechanisms.PrivateDataset`` copy their arrays, since the caller may still
-hold and write them.  Their private ``_adopt`` classmethods keep the arrays
+Rows and ownership: every holder of (x, y) rows - :class:`Dataset`,
+``mechanisms.PrivateDataset`` and ``tester.PooledSource`` - takes its
+arrays through :func:`_rows`, the one place where the row rule (an (m, d)
+matrix with m, d >= 1, m responses, every entry finite) and the ownership
+rule live.  The public constructors copy, since the caller may still hold
+and write the arrays.  The private ``_adopt`` classmethods keep the arrays
 themselves and only mark them read-only.  Only the package's own producers
 call ``_adopt``, with float64 C-contiguous arrays that are either fresh
 buffers no one else holds or the read-only arrays of another dataset; each
@@ -37,14 +40,28 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _adoptable(*arrays: np.ndarray) -> None:
-    """The precondition of the ``_adopt`` classmethods: float64,
-    C-contiguous ndarrays, so that keeping them gives the same bytes and
-    the same memory layout as the public constructors' copies."""
-    for a in arrays:
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.flags.c_contiguous):
-            raise ValueError("only float64 C-contiguous arrays are adopted")
+def _rows(x, y, adopt: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` checked as an (m, d) covariate matrix with m, d >= 1
+    and m responses, every entry finite, and returned read-only: C-order
+    copies, or, when ``adopt``, the arrays themselves.  Adopted arrays must
+    be float64 and C-contiguous, so that keeping them gives the same bytes
+    and the same memory layout as a copy."""
+    if adopt and not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                         and a.flags.c_contiguous for a in (x, y)):
+        raise ValueError("only float64 C-contiguous arrays are adopted")
+    x = _as_float_array(x, "covariates", 2)
+    y = _as_float_array(y, "responses", 1)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"row count mismatch: {x.shape[0]} covariate rows, {y.shape[0]} responses"
+        )
+    if min(x.shape) < 1:
+        raise ValueError(f"need at least one row and one column, got shape {x.shape}")
+    if not adopt:
+        x, y = x.copy(), y.copy()  # ndarray.copy is C-order
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -111,11 +128,7 @@ class Dataset:
     __slots__ = ("x", "y", "bounds", "_validated")
 
     def __init__(self, x, y, bounds: ModelBounds):
-        self._hold(
-            _as_float_array(x, "covariates", 2).copy(),
-            _as_float_array(y, "responses", 1).copy(),
-            bounds,
-        )
+        self._hold(*_rows(x, y), bounds)
 
     @classmethod
     def _adopt(cls, x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> Dataset:
@@ -123,22 +136,11 @@ class Dataset:
         copies, after the constructor's checks.  They are fresh buffers the
         caller gives up or another dataset's read-only arrays; they are
         marked read-only, and nothing may write them again."""
-        _adoptable(x, y)
         ds = cls.__new__(cls)
-        ds._hold(_as_float_array(x, "covariates", 2), _as_float_array(y, "responses", 1), bounds)
+        ds._hold(*_rows(x, y, adopt=True), bounds)
         return ds
 
     def _hold(self, x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> None:
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"row count mismatch: {x.shape[0]} covariate rows, {y.shape[0]} responses"
-            )
-        if x.shape[0] < 1:
-            raise ValueError("dataset must contain at least one row")
-        if x.shape[1] < 1:
-            raise ValueError("dataset dimension must be >= 1")
-        x.setflags(write=False)
-        y.setflags(write=False)
         self.x = x
         self.y = y
         self.bounds = bounds

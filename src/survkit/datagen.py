@@ -375,8 +375,10 @@ def _read_rows(path: Path) -> np.ndarray:
 
 def _write_json(path, payload: dict) -> None:
     """Write ``payload`` the one way every survkit JSON file is written:
-    sorted keys, indent 2, a trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    strict JSON (a non-finite number raises ValueError before the file is
+    opened), sorted keys, indent 2, a trailing newline."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def sidecar_path(csv_path) -> Path:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, RngSpec, _adoptable
+from .core import _RNG_TAGS, Dataset, RngSpec, _rows
 
 
 class Accounting(enum.Enum):
@@ -158,10 +158,7 @@ class PrivateDataset:
         privacy: PrivacyParams | None,
         rng: RngSpec | None,
     ):
-        self._hold(
-            np.array(z, dtype=np.float64, order="C"), np.array(y, dtype=np.float64),
-            noise_variance, noise, privacy, rng,
-        )
+        self._hold(*_rows(z, y), noise_variance, noise, privacy, rng)
 
     @classmethod
     def _adopt(cls, z: np.ndarray, y: np.ndarray, **meta) -> PrivateDataset:
@@ -169,20 +166,13 @@ class PrivateDataset:
         than copies, after the constructor's checks; ``meta`` holds the
         constructor's other arguments.  See the ownership rule in
         :mod:`survkit.core`."""
-        _adoptable(z, y)
         pds = cls.__new__(cls)
-        pds._hold(z, y, **meta)
+        pds._hold(*_rows(z, y, adopt=True), **meta)
         return pds
 
     def _hold(self, z, y, noise_variance, noise, privacy, rng) -> None:
-        if z.ndim != 2 or y.ndim != 1 or z.shape[0] != y.shape[0]:
-            raise ValueError("z must be an (m, d) matrix with matching responses")
-        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(y)):
-            raise ValueError("private dataset contains non-finite entries")
         if not (np.isfinite(noise_variance) and noise_variance >= 0):
             raise ValueError("noise variance must be non-negative")
-        z.setflags(write=False)
-        y.setflags(write=False)
         self.z = z
         self.y = y
         self.noise_variance = float(noise_variance)

@@ -175,18 +175,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("constrained", "lagrangian"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.mode == "constrained":
-            if self.radius is None or not self.radius > 0:
-                raise ValueError("constrained mode requires a positive radius")
-        else:
-            if self.lambda_n is not None and not 0 <= self.lambda_n < math.inf:
-                raise ValueError("lambda_n must be finite and non-negative")
-            if self.radius is not None and not self.radius > 0:
-                raise ValueError("radius guard must be positive when given")
+        if self.radius is None and self.mode == "constrained":
+            raise ValueError("constrained mode requires a radius")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and positive")
+        if self.lambda_n is not None and not 0 <= self.lambda_n < math.inf:
+            raise ValueError("lambda_n must be finite and non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)

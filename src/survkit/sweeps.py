@@ -72,10 +72,14 @@ class SweepSpec:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
-            if not getattr(self, name):
+            grid = getattr(self, name)
+            if not grid:
                 raise ValueError(f"{name} must be non-empty")
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} repeats a value: {grid}")
         # The trials' own checks reject a bad value before any trial runs;
         # TestConfig does not check its bounds, so any bounds do.
+        RngSpec(self.seed)
         for m in (self.m, *self.m_grid):
             _check_generator_args(self.d, m)
         for mu in self.mu_grid:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _within, mean_squared_loss, validate_dataset,
+    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within, mean_squared_loss,
+    validate_dataset,
 )
 from .mechanisms import PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
@@ -82,10 +83,7 @@ class PooledSource(ValidationSource):
     """Validation draws served front-to-back from a fixed pool of rows."""
 
     def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
-            raise ValueError("pool must be an (n, d) matrix with matching responses")
+        self.x, self.y = _rows(x, y)
         self._next = 0
 
     def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +155,8 @@ def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: 
 
 def _dimension_factor(lambda_min: float, m: int, d: int) -> float:
     """sqrt(d ln d / m), the last factor of both privacy penalties."""
-    if lambda_min <= 0 or m < 1 or d < 1:
-        raise ValueError("need lambda_min > 0, m >= 1, d >= 1")
+    if not 0 < lambda_min < math.inf or m < 1 or d < 1:
+        raise ValueError("need 0 < lambda_min < inf, m >= 1, d >= 1")
     return math.sqrt(d * math.log(d) / m)
 
 

@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from survkit import (
     Dataset,
     ModelBounds,
+    NoiseKind,
+    NoiseSpec,
+    PooledSource,
+    PrivateDataset,
     RngSpec,
     ValidationReport,
     mean_squared_loss,
@@ -92,6 +96,42 @@ class TestDatasetConstruction:
         for bad in [(0.0, 1, 1), (1, -1, 1), (1, 1, 0)]:
             with pytest.raises(ValueError):
                 ModelBounds(*bad)
+
+
+# Every holder of (x, y) rows, built from arrays it may keep.
+_HOLDERS = {
+    "Dataset": lambda x, y: Dataset(x, y, UNIT),
+    "Dataset._adopt": lambda x, y: Dataset._adopt(x, y, UNIT),
+    "PrivateDataset": lambda x, y: PrivateDataset(
+        x, y, 1.0, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, None),
+    "PrivateDataset._adopt": lambda x, y: PrivateDataset._adopt(
+        x, y, noise_variance=1.0, noise=NoiseSpec(NoiseKind.LAPLACE, 1.0), privacy=None,
+        rng=None),
+    "PooledSource": PooledSource,
+}
+
+
+def _with(value, at):
+    a = np.zeros(3) if at == "y" else np.zeros((3, 2))
+    a.flat[1] = value
+    return a
+
+
+@pytest.mark.parametrize("holder", sorted(_HOLDERS))
+@pytest.mark.parametrize("x, y", [
+    (np.zeros((0, 2)), np.zeros(0)),
+    (np.zeros((4, 0)), np.zeros(4)),
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((3, 2)), np.zeros((3, 1))),
+    *[(_with(v, "x"), np.zeros(3)) for v in (np.nan, np.inf, -np.inf)],
+    *[(np.zeros((3, 2)), _with(v, "y")) for v in (np.nan, np.inf, -np.inf)],
+], ids=["no-rows", "no-columns", "row-mismatch", "x-1d", "y-2d", "x-nan", "x-inf", "x-neginf",
+        "y-nan", "y-inf", "y-neginf"])
+def test_every_row_holder_applies_the_row_rule(holder, x, y):
+    """An (m, d) matrix with m, d >= 1, m responses, every entry finite."""
+    with pytest.raises(ValueError):
+        _HOLDERS[holder](x, y)
 
 
 class TestEmpiricalLoss:

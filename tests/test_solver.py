@@ -326,6 +326,12 @@ class TestSolve:
                 SolverConfig(mode="lagrangian", lambda_n=lam)
         with pytest.raises(ValueError):
             SolverConfig(mode="nonsense", radius=1.0)
+        for mode in ("constrained", "lagrangian"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="radius must be finite and positive"):
+                    SolverConfig(mode=mode, radius=bad)
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    SolverConfig(mode=mode, radius=1.0, tol=bad)
 
 
 def _psd_instance(rng, d, cond):

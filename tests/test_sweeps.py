@@ -167,11 +167,20 @@ class TestSweepMechanics:
             SweepSpec(experiment="nope", trials=1, seed=0, output_dir=tmp_path)
         with pytest.raises(ValueError):
             SweepSpec(experiment="model-distance", trials=0, seed=0, output_dir=tmp_path)
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            SweepSpec(experiment="model-distance", trials=1, seed=-1, output_dir=tmp_path)
         for bad in (dict(kappa=-1.0), dict(delta=0.0), dict(tol_grid=(0.1, 2.0)),
                     dict(alpha_grid=(math.inf,)), dict(beta=1.0)):
             with pytest.raises(ValueError):
                 SweepSpec(experiment="noise-comparison", trials=1, seed=0,
                           output_dir=tmp_path, **bad)
+
+    @pytest.mark.parametrize("grid", [dict(mu_grid=(0.0, 0.0)), dict(tol_grid=(0.2, 0.1, 0.2)),
+                                      dict(m_grid=(300, 300)), dict(alpha_grid=(2.0, 2.0))])
+    def test_repeated_grid_value_rejected(self, tmp_path, grid):
+        name = next(iter(grid))
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            SweepSpec(experiment="model-distance", trials=1, seed=0, output_dir=tmp_path, **grid)
 
 
 def _rows(csv_path):

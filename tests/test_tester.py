@@ -104,6 +104,14 @@ class TestPrivacyPenalties:
         assert hi == pytest.approx(hi2, rel=1e-12)
         assert privacy_penalty_laplace(b, 0.5, 1.0, 1.0, 10**18, 3) < 1e-6
 
+    @pytest.mark.parametrize("lambda_min", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_min_must_be_positive_and_finite(self, lambda_min):
+        b = ModelBounds(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="need 0 < lambda_min < inf"):
+            privacy_penalty_laplace(b, 1.0, 1.0, lambda_min, 100, 3)
+        with pytest.raises(ValueError, match="need 0 < lambda_min < inf"):
+            privacy_penalty_gaussian(b, 1.0, 0.5, lambda_min, 100, 3)
+
     @pytest.mark.filterwarnings("error")
     def test_dimension_one_is_zero_with_warning(self):
         # The zero penalty is a verdict note, not a warning.
