@@ -97,16 +97,20 @@ def _manifest(args: argparse.Namespace) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "config", "command")
     }
-    # A flag the command does not read reaches here unchecked; JSON has no nan or inf.
-    for k, v in config.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"--{k.replace('_', '-')} must be finite, got {v}")
     return {
         "version": __version__,
         "command": args.command,
         "seed": getattr(args, "seed", None),
         "config": config,
     }
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    """Reject a non-finite float flag before the command runs: the manifest
+    echoes every flag, read or not, and JSON has no nan or inf."""
+    for k, v in sorted(vars(args).items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"--{k.replace('_', '-')} must be finite, got {v}")
 
 
 def _record(result, args: argparse.Namespace) -> dict:
@@ -445,6 +449,7 @@ def main(argv=None) -> int:
         print(f"survkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_finite(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"survkit: error: {exc}", file=sys.stderr)

@@ -13,14 +13,16 @@ are recovered by minimizing
     0.5 * theta^T gamma_mat theta - <gamma_vec, theta>  (+ lambda_n ||theta||_1)
 
 either over the l1 ball of a given radius (constrained mode) or with the
-l1 penalty (Lagrangian mode), by FISTA with adaptive restart and the exact
-step 1 / ||gamma_mat||_2, stopped on a certified gap (Frank-Wolfe gap or
-proximal-gradient residual).  Proximal gradient finds the optimum's sign
-pattern after finitely many steps (Nutini, Schmidt & Hare 2019), so once
-the pattern of the iterates has settled the solver tries to finish with one
-linear solve of the reduced stationarity system ("polishing", as in OSQP;
-Stellato et al. 2020) and keeps the result only when the same gap
-certifies it.  The correction can make gamma_mat
+l1 penalty (Lagrangian mode), by FISTA with adaptive restart, stopped on a
+certified gap (Frank-Wolfe gap or proximal-gradient residual).  The step is
+the exact 1 / ||gamma_mat||_2 up to d = 64; above that it comes from
+backtracking on the descent inequality (Beck & Teboulle 2009), which needs
+no eigendecomposition and never takes a shorter step.  Proximal gradient
+finds the optimum's sign pattern after finitely many steps (Nutini, Schmidt
+& Hare 2019), so once the pattern of the iterates has settled the solver
+tries to finish with one linear solve of the reduced stationarity system
+("polishing", as in OSQP; Stellato et al. 2020) and keeps the result only
+when the same gap certifies it.  The correction can make gamma_mat
 indefinite; the monotone iteration from zero still converges to a
 stationary point, and for statistically sized radii all such points carry
 equivalent estimation error.
@@ -38,6 +40,10 @@ from .mechanisms import PrivateDataset
 _ABS_OBJECTIVE_FLOOR = 1e-14
 _STAGNATION_TOL = 1e-12
 _TIE_BREAK_EPS = 1e-8
+# Largest dimension solved with the exact step 1 / spectral_bound; above it
+# the step comes from backtracking, which needs no eigendecomposition.
+_EXACT_STEP_MAX_DIM = 64
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -150,6 +156,29 @@ def spectral_bound(gamma_mat) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(g)), initial=0.0))
 
 
+def _checked_step(x, gx, y, gy, theta, eta: float, rows: float) -> float:
+    """The step size for the prox step y -> x taken with step eta.
+
+    eta itself when the step meets the descent inequality
+    d . (gx - gy) <= ||d||^2 / eta, d = x - y, up to an allowance for the
+    rounding of gx and gy, the products of gamma_mat with x and y; gy may
+    be extrapolated from products at x and theta.  Each entry of such a
+    product is off by at most about d * eps * rows * ||x||_2, where rows,
+    the largest row norm of gamma_mat, bounds the entries of
+    |gamma_mat| |x| per unit ||x||_2.  Otherwise 1 / the step's Rayleigh
+    quotient less that allowance: a shorter step, but no shorter than
+    1 / lambda_max(gamma_mat).
+    """
+    dx = x - y
+    dd = float(dx @ dx)
+    curv = float(dx @ (gx - gy))
+    norms = math.sqrt(x @ x) + math.sqrt(y @ y) + math.sqrt(theta @ theta)
+    slack = 8 * x.shape[0] * _EPS * rows * norms * float(np.abs(dx).sum())
+    if not curv > dd / eta + slack:
+        return eta
+    return dd / (curv - slack)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Optimization mode and iteration controls.
@@ -158,8 +187,9 @@ class SolverConfig:
     "lagrangian" adds lambda_n * ||theta||_1 to the objective instead, with
     ``radius`` acting as an optional feasibility guard (projection after
     every step) when set.  ``lambda_n=None`` in Lagrangian mode selects the
-    default level sqrt(ln d / m).  The step is always
-    1 / spectral_bound(gamma_mat).  ``converged`` means the optimality gap at
+    default level sqrt(ln d / m).  The step is 1 / spectral_bound(gamma_mat)
+    up to d = 64 and found by backtracking above (see :func:`solve`); it has
+    no setting.  ``converged`` means the optimality gap at
     the returned iterate is at most tol * max(1, gap(theta_0)) (see
     :func:`solve`): relative to the starting gap when that exceeds 1, and the
     absolute threshold ``tol`` otherwise.  The same threshold decides whether
@@ -221,20 +251,31 @@ def solve(
 ) -> SolveResult:
     """Minimize the corrected quadratic by FISTA with adaptive restart.
 
-    From theta_0 = 0 with eta = 1 / max(spectral_bound, 1e-12), each step is
-    x+ = prox(y - eta * grad(y)) at the momentum point y (Beck & Teboulle
-    2009); prox is project_l1 (constrained mode) or the soft threshold at
-    eta * lambda_n plus the radius-guard projection when configured
-    (Lagrangian mode).  Momentum restarts when <y - x+, x+ - x> > 0
-    (O'Donoghue & Candes 2015).  If the momentum step raises the objective,
-    the plain step from x is taken and momentum restarts; with the exact
-    step that never raises the objective, even for indefinite gamma_mat.
+    From theta_0 = 0, each step is x+ = prox(y - eta * grad(y)) at the
+    momentum point y (Beck & Teboulle 2009); prox is project_l1 (constrained
+    mode) or the soft threshold at eta * lambda_n plus the radius-guard
+    projection when configured (Lagrangian mode).  Momentum restarts when
+    <y - x+, x+ - x> > 0 (O'Donoghue & Candes 2015).  If the momentum step
+    raises the objective, the plain step from x is taken and momentum
+    restarts; with a step that meets the descent inequality below, that
+    never raises the objective, even for indefinite gamma_mat.
+
+    The step.  For d <= 64, eta = 1 / max(spectral_bound, 1e-12), fixed.
+    For d > 64 no eigenvalue is computed: 1 / eta starts at the largest row
+    norm of gamma_mat (floored at 1e-12), a lower bound on ||gamma_mat||_2,
+    and every step, momentum or plain, must meet the descent inequality
+    (x+ - y) . gamma_mat (x+ - y) <= ||x+ - y||^2 / eta up to an allowance
+    for the rounding of the products.  A step that fails raises 1 / eta to
+    its Rayleigh quotient less that allowance, at most lambda_max, and is
+    taken again.  So 1 / eta never exceeds ||gamma_mat||_2 and no step is
+    shorter than the exact one.  ``step_size_used`` is the final eta.
 
     ``converged`` certifies gap <= tol * max(1, gap(theta_0)), which is the
     absolute threshold ``tol`` whenever gap(theta_0) < 1.  The gap is the
     Frank-Wolfe gap <g, theta> + radius * ||g||_inf (constrained mode;
     Jaggi 2013), which bounds f(theta) - f* when gamma_mat is PSD, or the
-    residual ||theta - prox(theta - eta * g)||_inf / eta (Lagrangian mode);
+    residual ||theta - prox(theta - eta * g)||_inf / eta (Lagrangian mode)
+    at the current eta, so a backtrack recomputes the Lagrangian threshold;
     for indefinite gamma_mat both measure stationarity.  The run also ends,
     unconverged unless the gap test holds, when rounding stalls it
     (objective change < 1e-14 and move < 1e-12 * max(1, ||theta||_inf)) or
@@ -258,19 +299,28 @@ def solve(
     converged, with ``polished`` true.  A point that is not kept is dropped
     and the FISTA path goes on unchanged.
 
-    ``iterations`` counts gradient steps.  When ``trace`` is a list, the
+    ``iterations`` counts accepted gradient steps; a step taken again after
+    a backtrack is not counted twice.  When ``trace`` is a list, the
     objective value after every iteration is appended to it, and the
     polished objective after that, so len(trace) == iterations + polished
     and trace[-1] == final_objective.  One iteration costs one product with
-    gamma_mat plus O(d) vector work; the sort-based projection runs only
-    when a gradient step leaves the l1 ball.
+    gamma_mat plus O(d) vector work, and one more product per backtrack;
+    the sort-based projection runs only when a gradient step leaves the l1
+    ball.
     """
     d = moments.dim
     gm, gv = moments.gamma_mat, moments.gamma_vec
     constrained = config.mode == "constrained"
     radius = config.radius
     lam = 0.0 if constrained else _resolve_lambda(config, moments)
-    eta = 1.0 / max(spectral_bound(gm), 1e-12)
+    backtrack = d > _EXACT_STEP_MAX_DIM
+    if backtrack:
+        # The largest row norm of gamma_mat is at most ||gamma_mat||_2, as
+        # row i is gamma_mat e_i.
+        rows = float(np.sqrt(np.einsum("ij,ij->i", gm, gm).max()))
+        eta = 1.0 / max(rows, 1e-12)
+    else:
+        eta = 1.0 / max(spectral_bound(gm), 1e-12)
 
     def prox(v):
         # v is always a fresh temporary, so a feasible v is returned as is;
@@ -292,9 +342,20 @@ def solve(
         # The new iterate, gamma_mat times it (reused for the objective, the
         # gap and the next gradient) and its objective.  Divergence (possible
         # for indefinite quadratics in unguarded Lagrangian mode) shows as a
-        # non-finite objective.
-        x = prox(y - eta * (gy - gv))
-        gx = gm @ x
+        # non-finite objective.  Above _EXACT_STEP_MAX_DIM a step that fails
+        # _checked_step is taken again at the shorter step it returns.
+        nonlocal eta, threshold
+        while True:
+            x = prox(y - eta * (gy - gv))
+            gx = gm @ x
+            if not backtrack:
+                break
+            checked = _checked_step(x, gx, y, gy, theta, eta, rows)
+            if checked == eta:
+                break
+            eta = checked
+            if not constrained:
+                threshold = config.tol * max(1.0, gap_at(*start))
         f = 0.5 * float(x @ gx) - float(gv @ x)
         if not constrained:
             f += lam * float(np.abs(x).sum())
@@ -344,6 +405,7 @@ def solve(
     if not np.any(gv) and np.min(diag) < 0:
         theta[int(np.argmin(diag))] = _TIE_BREAK_EPS
     g_theta = gm @ theta
+    start = theta, g_theta
     obj = objective(moments, theta, lam)
     gap = gap_at(theta, g_theta)
     threshold = config.tol * max(1.0, gap)

@@ -31,6 +31,15 @@ def _truth(prefix):
     return json.loads(Path(f"{prefix}_truth.json").read_text())
 
 
+def _rejection(flag: str, value: str, message: str) -> str:
+    """The error for ``flag value``: a non-finite float is rejected by
+    ``main`` before the command runs, anything else by the command's own
+    check with ``message``."""
+    if value in ("nan", "inf"):
+        return f"survkit: error: {flag} must be finite, got {float(value)}\n"
+    return message
+
+
 def _field_names(result_type) -> set[str]:
     return {f.name for f in dataclasses.fields(result_type)}
 
@@ -162,7 +171,8 @@ class TestPublishAndFit:
     def test_lambda_must_be_finite_and_non_negative(self, survey_files, value, capsys):
         assert run("fit", "--input", f"{survey_files}_survey.csv", "--mode", "lagrangian",
                    "--lambda", value, "--quiet") == EXIT_RUNTIME
-        assert "lambda_n must be finite and non-negative" in capsys.readouterr().err
+        message = _rejection("--lambda", value, "lambda_n must be finite and non-negative")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
     def test_sigma_w_must_be_from_sidecar_or_finite_and_non_negative(
@@ -267,7 +277,21 @@ class TestVerify:
         flags = self._flags(survey_files, 0.0)
         flags[flags.index("--kappa") + 1] = value
         assert run("verify", *flags, "--quiet") == EXIT_RUNTIME
-        assert "kappa must be finite and non-negative" in capsys.readouterr().err
+        message = _rejection("--kappa", value, "kappa must be finite and non-negative")
+        assert message in capsys.readouterr().err
+
+    def test_unread_non_finite_flag_rejected_before_the_test_runs(
+        self, survey_files, tmp_path, capsys
+    ):
+        # --beta is read only with --alpha, but the manifest echoes it.
+        out = tmp_path / "verdict.json"
+        code = run("verify", *self._flags(survey_files, 0.0), "--beta", "nan",
+                   "--output", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert "survkit: note:" not in err
+        assert err == "survkit: error: --beta must be finite, got nan\n"
+        assert not out.exists()
 
     def test_notes_on_stderr_and_in_json(self, survey_files, tmp_path, capsys):
         out = tmp_path / "pv.json"
@@ -353,7 +377,8 @@ class TestBoundsCommand:
     ])
     def test_flags_the_bound_reads_are_validated(self, name, flag, value, capsys):
         assert run("bounds", "--name", name, flag, value, "--quiet") == EXIT_RUNTIME
-        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        message = _rejection(flag, value, f"{flag[2:].replace('-', '_')} must be")
+        assert message in capsys.readouterr().err
 
 
 # Non-default values for every `bounds` flag, so a flag read from the wrong
@@ -448,7 +473,8 @@ class TestSweepCommand:
         assert written["manifest"]["command"] == "sweep"
 
     @pytest.mark.parametrize("experiment, flag, value, message", [
-        ("model-distance", "--kappa", "nan", "kappa must be finite and non-negative"),
+        ("model-distance", "--kappa", "nan", "--kappa must be finite, got nan"),
+        ("model-distance", "--kappa", "-1", "kappa must be finite and non-negative"),
         ("error-vs-samples", "--alpha-grid", "nan", "alpha must be positive, got nan"),
         ("model-distance", "--d", "0", "need d >= 1 and m >= 1"),
         ("noise-comparison", "--m-grid", "0", "need d >= 1 and m >= 1"),

@@ -25,7 +25,8 @@ from survkit import (
     spectral_bound,
     validate_dataset,
 )
-from survkit.solver import _resolve_lambda
+from survkit import solver as solver_module
+from survkit.solver import _checked_step, _resolve_lambda
 
 
 def project_l1_bisection(v, radius):
@@ -469,6 +470,11 @@ class TestMatchesReferenceLoop:
              tie_break=True, max_iter=3000)
     @example(seed=2, d=1, shift=0.0, lagrangian=True, guard=True, lambda_n=None,
              tie_break=False, max_iter=1)
+    # d = 64, the largest d solved with the exact step.
+    @example(seed=3, d=64, shift=0.5, lagrangian=False, guard=False, lambda_n=None,
+             tie_break=False, max_iter=3000)
+    @example(seed=4, d=64, shift=0.0, lagrangian=True, guard=True, lambda_n=1e-3,
+             tie_break=False, max_iter=3000)
     def test_equal_up_to_the_polish(self, seed, d, shift, lagrangian, guard, lambda_n,
                                     tie_break, max_iter):
         # PSD (shift 0) or indefinite Gamma; the tie-break start needs
@@ -659,3 +665,118 @@ class TestPolish:
         moments, config = _gate_instance(np.random.default_rng(5), 200, 10.0)
         res = solve(moments, config)
         assert res.converged and not res.polished
+
+
+def _large_instance(seed, d, indefinite, guarded, active):
+    """A seeded instance above d = 64: PSD or indefinite Gamma with
+    condition number up to 100, constrained or guarded Lagrangian with
+    lambda_n = 0, radius well above or below ||theta*||_1; returns theta*,
+    the optimum when Gamma is PSD and the constraint inactive."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eig = np.logspace(0.0, -rng.uniform(0.0, 2.0), d)
+    if indefinite:
+        eig = eig - rng.uniform(0.1, 0.5)
+    gm = (q * eig) @ q.T
+    theta = rng.normal(size=d) * 0.3
+    moments = CorrectedMoments(gm, gm @ theta, 1)
+    radius = float(np.abs(theta).sum()) * (0.5 if active else 2.0)
+    if guarded:
+        return moments, SolverConfig(mode="lagrangian", lambda_n=0.0, radius=radius), theta
+    return moments, SolverConfig(radius=radius), theta
+
+
+class TestBacktracking:
+    """Above d = 64 the step comes from backtracking on the descent
+    inequality instead of an eigendecomposition."""
+
+    @pytest.mark.parametrize("mode", ["constrained", "guarded"])
+    def test_exact_step_at_d_64(self, mode):
+        moments, config, _ = _large_instance(8, 64, True, mode == "guarded", False)
+        res = solve(moments, config)
+        assert res.step_size_used == 1.0 / max(spectral_bound(moments.gamma_mat), 1e-12)
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(radius=10.0),
+        SolverConfig(mode="lagrangian", lambda_n=1e-3),
+        SolverConfig(mode="lagrangian", lambda_n=1e-3, radius=10.0),
+    ], ids=["constrained", "lagrangian", "guarded"])
+    def test_no_eigendecomposition_above_d_64(self, monkeypatch, config):
+        moments, _ = _gate_instance(np.random.default_rng(5), 200, 10.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition at d = 200")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(solver_module, "spectral_bound", forbidden)
+        assert solve(moments, config).converged
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(65, 160),
+        indefinite=st.booleans(),
+        guarded=st.booleans(),
+        active=st.booleans(),
+    )
+    def test_accepted_steps_descend(self, seed, d, indefinite, guarded, active):
+        moments, config, theta_star = _large_instance(seed, d, indefinite, guarded, active)
+        gm = moments.gamma_mat
+        checks = []
+
+        def recorded(x, gx, y, gy, theta, eta, rows):
+            checked = _checked_step(x, gx, y, gy, theta, eta, rows)
+            checks.append((x, y, theta, eta, checked))
+            return checked
+
+        trace = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_checked_step", recorded)
+            res = solve(moments, config, trace=trace)
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(gm))))
+        assert len(checks) >= res.iterations
+        for x, y, theta, eta, checked in checks:
+            if checked != eta:
+                assert checked < eta
+                continue
+            # The descent inequality with G (x - y) recomputed, up to a
+            # rounding allowance far below a real violation.
+            dx = x - y
+            scale = sum(float(np.linalg.norm(v)) for v in (x, y, theta))
+            assert dx @ (gm @ dx) <= dx @ dx / eta + 1e-10 * norm * scale * np.linalg.norm(dx)
+        assert res.step_size_used >= (1 - 1e-12) / norm
+        assert len(trace) == res.iterations + res.polished
+        assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[1:])))
+        eta = res.step_size_used
+        if res.converged:
+            gap0 = _certified_gap(moments, config, _start(moments), eta)
+            gap = _certified_gap(moments, config, res.theta_hat, eta)
+            assert gap <= config.tol * max(1.0, gap0) * (1 + 1e-9) + 1e-14
+        if not indefinite and not active:
+            assert res.converged
+            assert float(np.max(np.abs(res.theta_hat - theta_star))) <= 1e-6
+
+    def test_rounding_allowance_at_a_near_optimal_point(self):
+        # Restart at y = theta* + s v, v the top eigenvector, with the exact
+        # step 1 / lambda_max: the plain step lands on theta*, and its
+        # curvature equals ||x - y||^2 / eta up to the rounding of G x and
+        # G y, which alone decides the raw inequality.  The allowance must
+        # keep the step.
+        moments, config = _gate_instance(np.random.default_rng(9), 100, 10.0)
+        gm, gv = moments.gamma_mat, moments.gamma_vec
+        theta_star = np.linalg.solve(gm, gv)
+        lam, vecs = np.linalg.eigh(gm)
+        eta = 1.0 / lam[-1]
+        rows = float(np.sqrt(np.max(np.sum(gm * gm, axis=1))))
+        rng = np.random.default_rng(10)
+        raw_failures = 0
+        for _ in range(200):
+            s = 1e-8 * float(np.linalg.norm(theta_star)) * rng.uniform(0.5, 2.0)
+            y = theta_star + s * vecs[:, -1] * rng.choice([-1.0, 1.0])
+            gy = gm @ y
+            x = project_l1(y - eta * (gy - gv), config.radius)
+            gx = gm @ x
+            dx = x - y
+            raw_failures += bool(dx @ (gx - gy) > dx @ dx / eta)
+            assert _checked_step(x, gx, y, gy, y, eta, rows) == eta
+        assert raw_failures > 0
