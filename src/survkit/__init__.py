@@ -18,8 +18,6 @@ from .mechanisms import (
     NoiseSpec,
     PrivacyParams,
     PrivateDataset,
-    l1_sensitivity,
-    l2_sensitivity,
     make_noise_spec,
     privatize,
 )

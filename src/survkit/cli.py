@@ -26,7 +26,10 @@ import numpy as np
 
 from . import __version__, datagen
 from .core import Dataset, ModelBounds, RngSpec, validate_dataset
-from .datagen import _write_json, load_csv, load_private, save_csv, save_private, source_from_spec
+from .datagen import (
+    _read_json_object, _write_json, load_csv, load_private, save_csv, save_private,
+    source_from_spec,
+)
 from .mechanisms import Accounting, NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, corrected_moments, moments_from_arrays, solve
 from .tester import PooledSource, TestConfig, verify_private_survey, verify_survey
@@ -80,8 +83,6 @@ def _sigma_w(text: str) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, Path):
-        return str(v)
     if isinstance(v, enum.Enum):
         return v.value
     if isinstance(v, tuple):
@@ -165,8 +166,8 @@ def _cmd_gen(args) -> int:
 def _cmd_publish(args) -> int:
     _require(args, "input", "alpha", "zeta")
     raw = load_csv(args.input)
-    tau = max(float(np.max(np.abs(raw.y))), 1e-12)
-    ds = Dataset._adopt(raw.x, raw.y, ModelBounds(args.zeta, tau, 1.0))
+    # tau and the placeholder radius are the envelope load_csv declares.
+    ds = Dataset._adopt(raw.x, raw.y, ModelBounds(args.zeta, raw.bounds.tau, raw.bounds.radius))
     report = validate_dataset(ds)
     if not report.ok:
         first = report.violations[:5]
@@ -224,8 +225,8 @@ def _cmd_verify(args) -> int:
     bounds = ModelBounds(args.zeta, args.tau, args.radius)
     survey = load_csv(args.survey, bounds)
     if str(args.validation).endswith(".json"):
-        spec = json.loads(Path(args.validation).read_text(encoding="utf-8"))
-        source = source_from_spec(spec.get("generator", spec))
+        spec = _read_json_object(args.validation, "validation spec")
+        source = source_from_spec(spec.get("generator", spec), args.validation)
         kind, dim = "generator", source.theta.shape[0]
     else:
         pool = load_csv(args.validation)
@@ -418,9 +419,7 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
     flag, coming later, wins.  A list joins with commas, true is the bare
     flag, false and null are left out; a key that names no flag of the
     subcommand is ignored.  Every flag is spelled --<dest with dashes>."""
-    conf = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(conf, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
+    conf = _read_json_object(args.config, "config file")
     tokens = []
     for key, value in conf.items():
         dest = key.replace("-", "_")

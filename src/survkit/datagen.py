@@ -24,6 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +68,10 @@ class LinearModelSource(ValidationSource):
 
     def __init__(self, theta, noise_var: float, covariate: str = "normal", scale: float = 1.0):
         self.theta = np.asarray(theta, dtype=np.float64)
-        if self.theta.ndim != 1:
-            raise ValueError("theta must be a vector")
-        if noise_var < 0 or scale <= 0:
-            raise ValueError("noise_var must be >= 0 and scale > 0")
+        if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
+            raise ValueError("theta must be a finite vector")
+        if not (0 <= noise_var < math.inf and 0 < scale < math.inf):
+            raise ValueError("noise_var must be finite and >= 0, scale finite and > 0")
         if covariate not in ("normal", "uniform"):
             raise ValueError(f"unknown covariate kind {covariate!r}")
         self.noise_var = float(noise_var)
@@ -96,15 +97,15 @@ class LinearModelSource(ValidationSource):
         }
 
 
-def source_from_spec(spec: dict) -> LinearModelSource:
-    if spec.get("type") != "linear-model":
-        raise ValueError(f"unknown validation generator type {spec.get('type')!r}")
-    return LinearModelSource(
-        np.asarray(spec["theta"], dtype=np.float64),
-        float(spec["noise_var"]),
-        spec.get("covariate", "normal"),
-        float(spec.get("scale", 1.0)),
-    )
+def source_from_spec(spec: dict, path="the generator spec") -> LinearModelSource:
+    """The validation generator that ``spec``, read from the file ``path``, describes."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind != "linear-model":
+        raise ValueError(f"{path}: unknown validation generator type {kind!r}")
+    spec = {"covariate": "normal", "scale": 1.0, **spec}
+    theta = _json_field(spec, "theta", lambda v: np.asarray(v, dtype=np.float64), path)
+    noise_var, scale = (_json_field(spec, k, float, path) for k in ("noise_var", "scale"))
+    return LinearModelSource(theta, noise_var, spec["covariate"], scale)
 
 
 def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipReport]:
@@ -150,11 +151,9 @@ def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:
             return np.where(mask, vals, 0.0)
 
 
-def _envelope_bounds(theta: np.ndarray, reg_noise_var: float) -> tuple[float, float, float]:
-    zeta = _ENVELOPE_SIGMAS
-    y_sigma = math.sqrt(float(theta @ theta) + reg_noise_var)
-    tau = _ENVELOPE_SIGMAS * y_sigma
-    return zeta, tau, y_sigma
+def _envelope_bounds(theta: np.ndarray, reg_noise_var: float) -> tuple[float, float]:
+    """(zeta, tau): 4 sigma of a covariate and of the response."""
+    return _ENVELOPE_SIGMAS, _ENVELOPE_SIGMAS * math.sqrt(float(theta @ theta) + reg_noise_var)
 
 
 def gen_synthetic1(
@@ -174,7 +173,7 @@ def gen_synthetic1(
     theta_star = gen.normal(mu, math.sqrt(_COEFF_VAR_1), size=d)
     x = gen.normal(size=(m_survey, d))
     y = x @ theta_s + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_1), size=m_survey)
-    zeta, tau, _ = _envelope_bounds(theta_s, _REG_NOISE_VAR_1)
+    zeta, tau = _envelope_bounds(theta_s, _REG_NOISE_VAR_1)
     radius = max(1.0, 1.5 * float(np.sum(np.abs(theta_s))))
     survey, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
     if clips.total:
@@ -209,7 +208,7 @@ def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray,
     theta_star = sparse_coefficients(d, gen)
     x = gen.normal(size=(m, d))
     y = x @ theta_star + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_2), size=m)
-    zeta, tau, _ = _envelope_bounds(theta_star, _REG_NOISE_VAR_2)
+    zeta, tau = _envelope_bounds(theta_star, _REG_NOISE_VAR_2)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
     clean, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
     if clips.total:
@@ -267,20 +266,24 @@ def _header(d: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)] + ["y"]
 
 
-def _write_rows(path: Path, x: np.ndarray, y: np.ndarray) -> None:
-    # A float's repr never needs quoting, so these are the bytes csv.writer
-    # would write: comma-separated cells, rows ended by "\r\n".
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_header(x.shape[1])) + "\r\n")
-        for start in range(0, y.shape[0], _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            block = np.column_stack((x[start:stop], y[start:stop])).tolist()
-            fh.writelines([",".join(map(repr, row)) + "\r\n" for row in block])
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` of text cells that need no quoting, such as a
+    float's repr, as csv.writer would: comma-separated, CRLF-ended, UTF-8."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+def _write_rows(path, x: np.ndarray, y: np.ndarray) -> None:
+    b = _WRITE_BLOCK_ROWS
+    blocks = (np.column_stack((x[i:i + b], y[i:i + b])).tolist() for i in range(0, len(y), b))
+    # A float's repr reads back exactly.
+    _write_csv(path, _header(x.shape[1]), (map(repr, row) for block in blocks for row in block))
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset with header x1,...,xd,y; exact round-trip floats."""
-    _write_rows(Path(path), ds.x, ds.y)
+    _write_rows(path, ds.x, ds.y)
 
 
 def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
@@ -381,6 +384,24 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _read_json_object(path, what: str, error=ValueError) -> dict:
+    """The JSON object in the file ``path``; ``error`` naming the ``what`` file otherwise."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+def _json_field(obj: dict, key: str, cast, path, error=ValueError):
+    """``cast(obj[key])``; ``error`` naming the file and the key if that fails."""
+    try:
+        return cast(obj[key])
+    except KeyError:
+        raise error(f"{path}: missing key {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise error(f"{path}: key {key!r}: {exc}") from None
+
+
 def sidecar_path(csv_path) -> Path:
     p = Path(csv_path)
     return p.with_suffix(".meta.json") if p.suffix == ".csv" else Path(str(p) + ".meta.json")
@@ -417,7 +438,7 @@ def load_private(path) -> PrivateDataset:
     side = sidecar_path(path)
     if not side.exists():
         raise CsvFormatError(f"{path}: missing sidecar {side}")
-    meta = json.loads(side.read_text(encoding="utf-8"))
+    meta = {"stream": 0, **_read_json_object(side, "sidecar", CsvFormatError)}
     ds = load_csv(path)
     declared = (meta.get("m"), meta.get("d"))
     if declared != (ds.size, ds.dim):
@@ -425,22 +446,19 @@ def load_private(path) -> PrivateDataset:
             f"{path}: sidecar {side} declares m x d = {declared[0]} x {declared[1]}, "
             f"the CSV holds {ds.size} x {ds.dim}"
         )
+    field = partial(_json_field, meta, path=side, error=CsvFormatError)
     privacy = None
     if meta.get("alpha") is not None:
         privacy = PrivacyParams(
-            alpha=float(meta["alpha"]),
-            beta=float(meta["beta"]),
-            accounting=Accounting(meta["accounting"]),
+            field("alpha", float), field("beta", float), field("accounting", Accounting)
         )
-    rng = None
-    if meta.get("seed") is not None:
-        rng = RngSpec(int(meta["seed"]), int(meta.get("stream", 0)))
+    rng = None if meta.get("seed") is None else RngSpec(field("seed", int), field("stream", int))
     # ds is discarded; its read-only arrays need no copy.
     return PrivateDataset._adopt(
         z=ds.x,
         y=ds.y,
-        noise_variance=float(meta["sigma_w_diagonal"]),
-        noise=NoiseSpec(NoiseKind(meta["noise_kind"]), float(meta["noise_scale"])),
+        noise_variance=field("sigma_w_diagonal", float),
+        noise=NoiseSpec(field("noise_kind", NoiseKind), field("noise_scale", float)),
         privacy=privacy,
         rng=rng,
     )

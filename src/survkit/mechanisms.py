@@ -3,17 +3,10 @@
 Each covariate coordinate receives one independent draw of Laplace noise
 (pure alpha-LDP, beta = 0) or Gaussian noise (approximate (alpha, beta)-LDP,
 beta > 0), calibrated from the declared covariate bound zeta through the
-l1/l2 sensitivity of the identity release.  Responses are never perturbed.
+l1/l2 sensitivity of the identity release, accounted per coordinate or per
+whole record (see :func:`make_noise_spec`).  Responses are never perturbed.
 The published bundle records the exact noise covariance that was added,
 which the downstream solver subtracts out of the Gram matrix.
-
-Sensitivity accounting comes in two flavours:
-
-* ``per-coordinate`` - each coordinate is treated as its own release with
-  sensitivity 2*zeta.  With beta = 0 this gives Laplace scale 2*zeta/alpha
-  and per-coordinate variance 8*zeta^2/alpha^2.
-* ``whole-record`` - one release of the full d-vector, so the l1 sensitivity
-  is 2*zeta*d and the l2 sensitivity 2*zeta*sqrt(d).
 
 Covariates outside [-zeta, zeta] are a hard error, never silently clipped:
 silent clipping would invalidate the sensitivity computation without a
@@ -86,34 +79,14 @@ class NoiseSpec:
         return self.scale * self.scale
 
 
-def l1_sensitivity(zeta: float, d: int, accounting: Accounting) -> float:
-    """l1 sensitivity of releasing a covariate record bounded by zeta.
-
-    One coordinate of the identity map on [-zeta, zeta] moves by at most
-    2*zeta; a whole d-coordinate record by at most 2*zeta*d.
-    """
-    if not (zeta > 0):
-        raise ValueError("zeta must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if accounting is Accounting.WHOLE_RECORD:
-        return 2.0 * zeta * d
-    return 2.0 * zeta
-
-
-def l2_sensitivity(zeta: float, d: int, accounting: Accounting) -> float:
-    """l2 sensitivity of the covariate release: 2*zeta or 2*zeta*sqrt(d)."""
-    if not (zeta > 0):
-        raise ValueError("zeta must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if accounting is Accounting.WHOLE_RECORD:
-        return 2.0 * zeta * math.sqrt(d)
-    return 2.0 * zeta
-
-
 def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     """Calibrate the additive noise for the requested privacy level.
+
+    Releasing a covariate record bounded by zeta moves one coordinate of
+    the identity map on [-zeta, zeta] by at most 2*zeta, so per-coordinate
+    accounting has sensitivities Delta_1 = Delta_2 = 2*zeta; a whole
+    d-coordinate record moves by at most Delta_1 = 2*zeta*d in l1 and
+    Delta_2 = 2*zeta*sqrt(d) in l2.
 
     beta = 0 -> Laplace with scale b = Delta_1 / alpha, so per-coordinate
     accounting gives b = 2*zeta/alpha and variance 8*zeta^2/alpha^2.
@@ -124,15 +97,20 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     outside that region a RuntimeWarning (not an error) is raised at the
     caller, the package's only Python warning.
     """
+    if not (zeta > 0):
+        raise ValueError("zeta must be positive")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    # Coordinates per release: Delta_1 = 2*zeta*k and Delta_2 = 2*zeta*sqrt(k).
+    k = d if params.accounting is Accounting.WHOLE_RECORD else 1
     if params.beta == 0.0:
-        b = l1_sensitivity(zeta, d, params.accounting) / params.alpha
-        return NoiseSpec(NoiseKind.LAPLACE, b)
+        return NoiseSpec(NoiseKind.LAPLACE, 2.0 * zeta * k / params.alpha)
     if params.alpha > 1:
         warnings.warn(
             f"Gaussian mechanism calibration at alpha={params.alpha} > 1 is outside "
             "the classical validity region", RuntimeWarning, stacklevel=2,
         )
-    delta2 = l2_sensitivity(zeta, d, params.accounting)
+    delta2 = 2.0 * zeta * math.sqrt(k)
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha
     return NoiseSpec(NoiseKind.GAUSSIAN, sigma)
 

@@ -23,7 +23,6 @@ trial per grid point) and one summary JSON per run.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -33,8 +32,8 @@ import numpy as np
 
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
-    _check_generator_args, _clip, _synthetic2_base, _with_covariate_noise, _write_json,
-    gen_synthetic1, sparse_coefficients,
+    _check_generator_args, _clip, _synthetic2_base, _with_covariate_noise, _write_csv,
+    _write_json, gen_synthetic1, sparse_coefficients,
 )
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
@@ -275,12 +274,9 @@ def run_sweep(spec: SweepSpec, **extra) -> SweepResult:
                 rows.extend(point_rows)
 
     trials_csv = out / f"{spec.experiment}_trials.csv"
-    fieldnames = sorted({k for row in rows for k in row}) if rows else []
-    with trials_csv.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    fieldnames = sorted({k for row in rows for k in row})
+    # str, as csv.writer formats a cell: a Python float's str is its repr.
+    _write_csv(trials_csv, fieldnames, ([str(row[k]) for k in fieldnames] for row in rows))
 
     summary = {
         "grid": summarize(spec, rows),

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within, mean_squared_loss,
-    validate_dataset,
+    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, mean_squared_loss, validate_dataset,
 )
-from .mechanisms import PrivacyParams, make_noise_spec, privatize
+from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
 
 _LAMBDA_MIN_FLOOR = 1e-6
@@ -193,21 +192,6 @@ def privacy_penalty_laplace(
     return _C2 * zeta / lambda_min * big_m * r * root
 
 
-def _check_survey(survey: Dataset, cfg: TestConfig) -> list[str]:
-    b = cfg.bounds
-    if not (_within(survey.x, b.zeta) and _within(survey.y, b.tau)):
-        raise ValueError("survey violates the configured bounds; validate or clip first")
-    notes = []
-    cap = b.tau / (b.zeta * math.sqrt(survey.dim + 1))
-    if b.radius > cap:
-        notes.append(
-            f"radius {b.radius:g} exceeds tau/(zeta*sqrt(d+1)) = {cap:g}; "
-            "predictions may leave [-tau, tau] and the validation-accuracy "
-            "guarantee degrades"
-        )
-    return notes
-
-
 def _verify(
     survey: Dataset,
     source: ValidationSource,
@@ -217,18 +201,27 @@ def _verify(
     lambda_min: float | None,
 ) -> Verdict:
     """The credibility test; ``privacy`` None runs it on the clear survey."""
-    notes = _check_survey(survey, cfg)
+    # The survey under the configured bounds, from which the noise, if any,
+    # is calibrated: checked once here, then privatized as it is.
+    b = cfg.bounds
+    ds = Dataset._adopt(survey.x, survey.y, b)
+    if not validate_dataset(ds).ok:
+        raise ValueError("survey violates the configured bounds; validate or clip first")
+    notes = []
+    cap = b.tau / (b.zeta * math.sqrt(survey.dim + 1))
+    if b.radius > cap:
+        notes.append(
+            f"radius {b.radius:g} exceeds tau/(zeta*sqrt(d+1)) = {cap:g}; "
+            "predictions may leave [-tau, tau] and the validation-accuracy "
+            "guarantee degrades"
+        )
     x = survey.x
     j_hat = 0.0
     if privacy is None:
         moments = moments_from_arrays(survey.x, survey.y)
     else:
-        # Privatize against the configured bounds: _check_survey guarantees the
-        # data satisfies them, so sensitivity is calibrated from cfg.bounds.zeta.
-        to_publish = Dataset._adopt(survey.x, survey.y, cfg.bounds)
-        validate_dataset(to_publish)
-        spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
-        pds = privatize(to_publish, spec, privacy, rng)
+        spec = make_noise_spec(privacy, b.zeta, survey.dim)
+        pds = privatize(ds, spec, privacy, rng)
         moments = corrected_moments(pds)
         x = pds.z
         if lambda_min is None:
@@ -237,25 +230,25 @@ def _verify(
                 f"lambda_min estimated from corrected moments as {lambda_min:g} "
                 f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
             )
-        if privacy.beta > 0:
+        if spec.kind is NoiseKind.GAUSSIAN:
             j_hat = privacy_penalty_gaussian(
-                cfg.bounds, privacy.alpha, privacy.beta, lambda_min, survey.size, survey.dim
+                b, privacy.alpha, privacy.beta, lambda_min, survey.size, survey.dim
             )
         else:
             j_hat = privacy_penalty_laplace(
-                cfg.bounds, privacy.alpha, _C_EPS, lambda_min, survey.size, survey.dim
+                b, privacy.alpha, _C_EPS, lambda_min, survey.size, survey.dim
             )
         if survey.dim == 1:
             notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
-    config = SolverConfig(mode="constrained", radius=cfg.bounds.radius)
+    config = SolverConfig(mode="constrained", radius=b.radius)
     theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
-    gamma_s = survey_loss_bound(l_hat, survey.size, survey.dim, cfg.bounds, cfg.delta) + j_hat
-    t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+    gamma_s = survey_loss_bound(l_hat, survey.size, survey.dim, b, cfg.delta) + j_hat
+    t = validation_sample_size(b.tau, cfg.delta, cfg.tol)
     xv, yv = source.draw(t, rng.derive(_RNG_TAGS["validation"]))
-    over = int(np.count_nonzero(np.abs(yv) > cfg.bounds.tau))
+    over = int(np.count_nonzero(np.abs(yv) > b.tau))
     if over:
-        notes.append(f"{over} of {t} validation responses exceed tau = {cfg.bounds.tau:g}")
+        notes.append(f"{over} of {t} validation responses exceed tau = {b.tau:g}")
     gamma_d = mean_squared_loss(theta_hat, xv, yv)
     margin = math.sqrt(gamma_d) - math.sqrt(gamma_s) - cfg.kappa - cfg.tol
     return Verdict(
@@ -297,8 +290,8 @@ def verify_private_survey(
     The survey is privatized, the model fitted on bias-corrected moments,
     and the empirical loss is computed on the privatized covariates (the
     only ones available after publication).  The survey-loss bound gains
-    the privacy penalty matching the mechanism (Gaussian for beta > 0,
-    Laplace for beta = 0), with the constants c2 = c_eps = 1 that the
+    the privacy penalty of the noise kind that ``make_noise_spec`` chose
+    (Gaussian for beta > 0, Laplace for beta = 0), with the constants c2 = c_eps = 1 that the
     verdict reports.  Validation draws are used in the clear.
 
     lambda_min is the smallest eigenvalue of the clean covariate covariance;

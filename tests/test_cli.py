@@ -132,6 +132,29 @@ class TestPublishAndFit:
             f"survkit: error: {src}: missing sidecar {tmp_path / 'data.meta.json'}\n"
         )
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ({"sigma_w_diagonal": "drop"}, "missing key 'sigma_w_diagonal'"),
+        ({"beta": None}, "key 'beta': float() argument"),
+        ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
+        ([1, 2], "must hold a JSON object"),
+    ])
+    def test_fit_from_malformed_sidecar(self, tmp_path, capsys, sidecar, message):
+        src, out = tmp_path / "data.csv", tmp_path / "pub.csv"
+        save_csv(Dataset(np.full((5, 2), 0.5), np.zeros(5), ModelBounds(1, 1, 1)), src)
+        assert run("publish", "--input", str(src), "--output", str(out),
+                   "--alpha", "1.0", "--zeta", "1.0", "--quiet") == EXIT_OK
+        side = tmp_path / "pub.meta.json"
+        if isinstance(sidecar, dict):
+            meta = json.loads(side.read_text())
+            meta.update(sidecar)
+            sidecar = {k: v for k, v in meta.items() if v != "drop"}
+        side.write_text(json.dumps(sidecar))
+        code = run("fit", "--input", str(out), "--sigma-w", "from-sidecar",
+                   "--radius", "1.0", "--quiet")
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err.startswith("survkit: error: ") and str(side) in err and message in err
+
     def test_fit_clean_csv_with_explicit_sigma(self, tmp_path):
         gen = np.random.default_rng(1)
         x = gen.normal(size=(500, 2))
@@ -195,6 +218,21 @@ class TestVerify:
             "--tau", str(b["tau"]), "--radius", str(b["radius"]),
             "--zeta", str(b["zeta"]), "--seed", "17",
         ]
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1], "validation spec {path} must hold a JSON object"),
+        ({"type": "linear-model"}, "{path}: missing key 'theta'"),
+        ({"generator": {"type": "linear-model", "theta": [0.0] * 6, "noise_var": None}},
+         "{path}: key 'noise_var': float() argument"),
+        ({"generator": [1]}, "{path}: unknown validation generator type None"),
+    ])
+    def test_malformed_validation_spec(self, survey_files, tmp_path, capsys, spec, message):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(spec))
+        code = run("verify", *self._flags(survey_files, 0.0), "--validation", str(path), "--quiet")
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err.startswith("survkit: error: " + message.format(path=path))
 
     def test_accept_close_regime(self, survey_files, tmp_path):
         out = tmp_path / "verdict.json"

@@ -182,6 +182,14 @@ class TestModelDistance:
             assert dab == model_distance(b, a, xs)
             assert dab <= model_distance(a, c, xs) + model_distance(c, b, xs) + 1e-12
 
+    @pytest.mark.parametrize("a, b, xs, message", [
+        ([1.0], [1.0, 2.0], [[1.0]], "coefficient vectors must have equal dimension"),
+        ([1.0, 2.0], [0.0, 0.0], [[1.0]], "covariate dimension does not match coefficients"),
+    ])
+    def test_rejects_mismatched_shapes(self, a, b, xs, message):
+        with pytest.raises(ValueError, match=message):
+            model_distance(a, b, xs)
+
 
 class TestRngSpec:
     def test_identical_spec_reproduces_bitwise(self):

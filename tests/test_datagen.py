@@ -62,6 +62,12 @@ class TestClipToBounds:
         assert rep2.total == 0
         assert np.array_equal(once.x, twice.x)
 
+    @pytest.mark.parametrize("zeta, tau", [(0.0, 1.0), (1.0, -1.0)])
+    def test_bounds_must_be_positive(self, zeta, tau):
+        ds = Dataset([[0.5]], [0.1], ModelBounds(1, 1, 1))
+        with pytest.raises(ValueError, match="zeta and tau must be positive"):
+            clip_to_bounds(ds, zeta, tau)
+
 
 class TestSparseCoefficients:
     def test_expected_support_size(self):
@@ -123,6 +129,10 @@ class TestSynthetic2:
         assert vl == pytest.approx(1.0, rel=0.02)
         assert vg == pytest.approx(vl, rel=0.02)
 
+    def test_noise_kind_must_be_a_noise_kind(self):
+        with pytest.raises(ValueError, match="noise_kind must be a NoiseKind, got 'laplace'"):
+            gen_synthetic2(2, 10, "laplace", RngSpec(0))
+
     def test_laplace_scale_matches_unit_variance(self):
         # Laplace(0, 1/sqrt 2) has variance 2 * (1/sqrt 2)^2 = 1
         _, noisy, _ = gen_synthetic2(2, 10, NoiseKind.LAPLACE, RngSpec(0))
@@ -182,6 +192,12 @@ class TestCsvRoundTrip:
         p = tmp_path / "empty.csv"
         p.write_text("x1,y\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(p)
+
+    def test_zero_byte_file_rejected(self, tmp_path):
+        p = tmp_path / "zero.csv"
+        p.write_bytes(b"")
+        with pytest.raises(CsvFormatError, match="zero.csv: empty file"):
             load_csv(p)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -435,6 +451,19 @@ class TestLinearModelSource:
         x1, y1 = src.draw(10, np.random.default_rng(0))
         x2, y2 = back.draw(10, np.random.default_rng(0))
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("args, message", [
+        (([[1.0]], 0.1), "theta must be a finite vector"),
+        (([1.0, math.nan], 0.1), "theta must be a finite vector"),
+        (([1.0], -0.1), "noise_var must be finite and >= 0, scale finite and > 0"),
+        (([1.0], math.nan), "noise_var must be finite and >= 0, scale finite and > 0"),
+        (([1.0], 0.1, "normal", 0.0), "noise_var must be finite and >= 0, scale finite and > 0"),
+        (([1.0], 0.1, "normal", math.inf), "noise_var must be finite and >= 0, scale finite"),
+        (([1.0], 0.1, "cauchy"), "unknown covariate kind 'cauchy'"),
+    ])
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            LinearModelSource(*args)
 
     def test_unknown_spec_type_rejected(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,8 @@ from survkit import (
     NoiseKind,
     NoiseSpec,
     PrivacyParams,
+    PrivateDataset,
     RngSpec,
-    l1_sensitivity,
-    l2_sensitivity,
     make_noise_spec,
     privatize,
     validate_dataset,
@@ -28,22 +27,41 @@ def _validated(x, y, bounds):
     return ds
 
 
+def _delta1(zeta, d, accounting):
+    """Delta_1 read off make_noise_spec: the Laplace scale at alpha = 1."""
+    return make_noise_spec(PrivacyParams(alpha=1.0, accounting=accounting), zeta, d).scale
+
+
+def _delta2(zeta, d, accounting):
+    """Delta_2 read off make_noise_spec: the Gaussian sigma at alpha = 1,
+    over the calibration factor sqrt(2 ln(1.25 / beta)), which is 2 at
+    beta = 1.25 / e^2."""
+    beta = 1.25 / math.e**2
+    spec = make_noise_spec(PrivacyParams(alpha=1.0, beta=beta, accounting=accounting), zeta, d)
+    return spec.scale / math.sqrt(2.0 * math.log(1.25 / beta))
+
+
 class TestSensitivity:
     def test_l1_values(self):
-        assert l1_sensitivity(1.0, 5, PC) == 2.0
-        assert l1_sensitivity(1.0, 5, WR) == 10.0
-        assert l1_sensitivity(0.5, 1, PC) == l1_sensitivity(0.5, 1, WR) == 1.0
+        assert _delta1(1.0, 5, PC) == 2.0
+        assert _delta1(1.0, 5, WR) == 10.0
+        assert _delta1(0.5, 1, PC) == _delta1(0.5, 1, WR) == 1.0
 
     def test_l2_values(self):
-        assert l2_sensitivity(1.0, 4, WR) == 4.0
-        assert l2_sensitivity(1.0, 1, PC) == 2.0
-        assert l2_sensitivity(2.0, 9, WR) == 12.0
+        assert _delta2(1.0, 4, WR) == pytest.approx(4.0, rel=1e-15)
+        assert _delta2(1.0, 1, PC) == pytest.approx(2.0, rel=1e-15)
+        assert _delta2(2.0, 9, WR) == pytest.approx(12.0, rel=1e-15)
+        assert _delta2(1.0, 9, PC) == pytest.approx(2.0, rel=1e-15)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            l1_sensitivity(0.0, 1, PC)
-        with pytest.raises(ValueError):
-            l2_sensitivity(1.0, 0, PC)
+        for zeta, d, message in [
+            (0.0, 1, "zeta must be positive"),
+            (math.nan, 1, "zeta must be positive"),
+            (1.0, 0, "d must be >= 1"),
+        ]:
+            for beta in (0.0, 0.1):
+                with pytest.raises(ValueError, match=message):
+                    make_noise_spec(PrivacyParams(alpha=1.0, beta=beta), zeta, d)
 
 
 class TestNoiseCalibration:
@@ -85,6 +103,17 @@ class TestNoiseCalibration:
             PrivacyParams(alpha=0.0)
         with pytest.raises(ValueError):
             PrivacyParams(alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_noise_scale_must_be_finite_and_non_negative(self, scale):
+        with pytest.raises(ValueError, match="noise scale must be non-negative"):
+            NoiseSpec(NoiseKind.LAPLACE, scale)
+
+    @pytest.mark.parametrize("variance", [-1.0, math.nan])
+    def test_bundle_variance_must_be_finite_and_non_negative(self, variance):
+        spec = NoiseSpec(NoiseKind.LAPLACE, 1.0)
+        with pytest.raises(ValueError, match="noise variance must be non-negative"):
+            PrivateDataset([[0.1]], [0.0], variance, spec, None, None)
 
 
 class TestPrivatize:

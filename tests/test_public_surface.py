@@ -17,6 +17,10 @@ subcommand's ``build_parser()`` flags has the field's name as its dest (so
 ``_cmd_sweep`` fills ``SweepSpec``), or the field is in
 ``_UNSET_FIELDS_ALLOWED`` with the reason it stays.
 
+Every import in ``src/survkit`` is used by the module that makes it.  The
+only exceptions are the names ``bench/spans.py`` lists for that module in
+``BINDINGS``, which the traced benchmark wraps where they are imported.
+
 Every use of the private ``_adopt`` path of ``Dataset`` and
 ``PrivateDataset``, which keeps the arrays it is given instead of copying
 them, sits in a function of ``_ADOPT_CALLERS`` with the reason no copy is
@@ -28,6 +32,7 @@ import ast
 from pathlib import Path
 
 from survkit.cli import build_parser
+from test_bench_bindings import _load_bindings
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "survkit"
 _CONFIGS = ("SolverConfig", "TestConfig", "PrivacyParams", "SweepSpec")
@@ -121,3 +126,24 @@ def test_adopt_is_used_only_by_the_allowed_callers():
     unlisted = sorted(users - set(_ADOPT_CALLERS))
     assert not unlisted, f"_adopt used outside _ADOPT_CALLERS: {unlisted}"
     assert users == set(_ADOPT_CALLERS), "stale _ADOPT_CALLERS entries"
+
+
+def test_every_import_is_used_by_its_module():
+    # The traced benchmark wraps some names where a module imports them
+    # without calling them; those, and only those, may go unused.
+    bindings = _load_bindings()
+    unused = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        allowed = set(bindings.get(f"survkit.{path.stem}", ()))
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - names - allowed)]
+    assert not unused, f"imports that their module never uses: {unused}"

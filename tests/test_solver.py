@@ -89,6 +89,31 @@ class TestCorrectedMoments:
         assert float(np.mean(devs)) <= 0.05
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrectedMoments(np.zeros((2, 3)), np.zeros(2), 1), "gamma_mat must be square"),
+    (lambda: CorrectedMoments(np.eye(2), np.zeros(3), 1),
+     "gamma_vec length must match gamma_mat"),
+    (lambda: CorrectedMoments(np.eye(2), np.array([0.0, math.nan]), 1),
+     "moments contain non-finite entries"),
+    (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "sample count must be >= 1"),
+    (lambda: moments_from_arrays(np.zeros(3), np.zeros(3)),
+     r"need an \(m, d\) matrix and a length-m response vector"),
+    (lambda: moments_from_arrays(np.zeros((3, 2)), np.zeros(2)),
+     r"need an \(m, d\) matrix and a length-m response vector"),
+    (lambda: soft_threshold([1.0], -0.5), "threshold level must be non-negative"),
+    (lambda: project_l1([1.0], 0.0), "radius must be positive"),
+    (lambda: project_l1([[1.0]], 1.0), "v must be a vector"),
+    (lambda: spectral_bound(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: objective(CorrectedMoments(np.eye(2), np.zeros(2), 1), np.zeros(2), -1.0),
+     "lambda_n must be non-negative"),
+    (lambda: objective(CorrectedMoments(np.eye(2), np.zeros(2), 1), np.zeros(3)),
+     "theta dimension does not match moments"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestProjectL1:
     def test_feasible_unchanged(self):
         v = np.array([0.3, -0.2])
@@ -658,6 +683,26 @@ class TestPolish:
         if config.radius is not None:
             off = abs(np.abs(res.theta_hat).sum() - config.radius)
             assert (off <= 1e-12 * config.radius) == active
+
+    def test_a_singular_reduced_system_is_skipped(self, monkeypatch):
+        # gamma_mat's first two rows are equal, so the reduced system on the
+        # pattern (+, +, +) is singular, and so is the bordered one: the
+        # polish skips both and FISTA certifies the solve on its own.
+        solve_linear, singular = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve_linear(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        gm = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        moments = CorrectedMoments(gm, np.ones(3), 100)
+        res = solve(moments, SolverConfig(mode="constrained", radius=10.0))
+        assert singular == [(3, 3), (4, 4)]
+        assert res.converged and not res.polished
 
     def test_a_fast_large_instance_is_not_polished(self):
         # d = 200, cond 10: FISTA certifies before the sign pattern has held

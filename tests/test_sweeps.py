@@ -161,6 +161,9 @@ class TestSweepMechanics:
                 rng = sweeps_mod._trial_rng(spec, g, t)
                 seen.add(rng.stream)
         assert len(seen) == 12
+        for g, t in ((sweeps_mod._GRID_CAP, 0), (0, sweeps_mod._TRIAL_CAP)):
+            with pytest.raises(ValueError, match="exceeds the canonical stream capacity"):
+                sweeps_mod._trial_rng(spec, g, t)
 
     def test_invalid_spec_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -169,6 +172,9 @@ class TestSweepMechanics:
             SweepSpec(experiment="model-distance", trials=0, seed=0, output_dir=tmp_path)
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
             SweepSpec(experiment="model-distance", trials=1, seed=-1, output_dir=tmp_path)
+        with pytest.raises(ValueError, match="m_grid must be non-empty"):
+            SweepSpec(experiment="model-distance", trials=1, seed=0, output_dir=tmp_path,
+                      m_grid=())
         for bad in (dict(kappa=-1.0), dict(delta=0.0), dict(tol_grid=(0.1, 2.0)),
                     dict(alpha_grid=(math.inf,)), dict(beta=1.0)):
             with pytest.raises(ValueError):

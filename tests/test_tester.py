@@ -13,6 +13,8 @@ from survkit import (
     RngSpec,
     SolverConfig,
     TestConfig,
+    ValidationSource,
+    Verdict,
     corrected_moments,
     gen_synthetic1,
     make_noise_spec,
@@ -32,6 +34,18 @@ from survkit import (
 def test_kappa_must_be_finite_and_non_negative(kappa):
     with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
         TestConfig(kappa=kappa, tol=0.2, delta=0.1, bounds=ModelBounds(1.0, 1.0, 1.0))
+
+
+def test_the_base_validation_source_draws_nothing():
+    with pytest.raises(NotImplementedError):
+        ValidationSource().draw(1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("decision, margin", [(Decision.REJECT, 0.0), (Decision.ACCEPT, 0.5)])
+def test_verdict_decision_must_follow_the_margin(decision, margin):
+    with pytest.raises(ValueError, match="decision must be REJECT exactly when margin > 0"):
+        Verdict(decision=decision, t_used=1, l_hat=0.0, gamma_s=0.0, gamma_d=0.0, j_hat=0.0,
+                theta_hat=np.zeros(1), margin=margin)
 
 
 class TestValidationSampleSize:
@@ -79,6 +93,17 @@ class TestSurveyLossBound:
             b = ModelBounds(*rng.uniform(0.1, 4, size=3))
             assert survey_loss_bound(l_hat, m, d, b, 0.1) >= l_hat
 
+    @pytest.mark.parametrize("l_hat, m, d, delta, message", [
+        (-0.1, 10, 2, 0.1, "l_hat must be non-negative"),
+        (0.1, 0, 2, 0.1, "need m >= 1 and d >= 1"),
+        (0.1, 10, 0, 0.1, "need m >= 1 and d >= 1"),
+        (0.1, 10, 2, 0.0, r"delta must lie in \(0, 1\]"),
+        (0.1, 10, 2, 1.5, r"delta must lie in \(0, 1\]"),
+    ])
+    def test_argument_checks(self, l_hat, m, d, delta, message):
+        with pytest.raises(ValueError, match=message):
+            survey_loss_bound(l_hat, m, d, self.UNIT, delta)
+
 
 class TestPrivacyPenalties:
     def test_gaussian_frozen_value(self):
@@ -111,6 +136,12 @@ class TestPrivacyPenalties:
             privacy_penalty_laplace(b, 1.0, 1.0, lambda_min, 100, 3)
         with pytest.raises(ValueError, match="need 0 < lambda_min < inf"):
             privacy_penalty_gaussian(b, 1.0, 0.5, lambda_min, 100, 3)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_gaussian_beta_must_lie_in_the_open_unit_interval(self, beta):
+        b = ModelBounds(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\)"):
+            privacy_penalty_gaussian(b, 1.0, beta, 1.0, 100, 3)
 
     @pytest.mark.filterwarnings("error")
     def test_dimension_one_is_zero_with_warning(self):
@@ -250,8 +281,15 @@ class TestVerifySurvey:
             kappa=0.0, tol=0.2, delta=0.1,
             bounds=ModelBounds(1e-6, cfg.bounds.tau, cfg.bounds.radius),
         )
-        with pytest.raises(ValueError):
+        message = "survey violates the configured bounds; validate or clip first"
+        with pytest.raises(ValueError, match=message):
             verify_survey(survey, sampler, tight, RngSpec(2))
+        with pytest.raises(ValueError, match=message):
+            verify_private_survey(survey, sampler, tight, PrivacyParams(alpha=1.0), RngSpec(2))
+        low_tau = TestConfig(kappa=0.0, tol=0.2, delta=0.1, bounds=ModelBounds(
+            cfg.bounds.zeta, float(np.abs(survey.y).max()) / 2, cfg.bounds.radius))
+        with pytest.raises(ValueError, match=message):
+            verify_survey(survey, sampler, low_tau, RngSpec(2))
 
     def test_close_models_accept_majority(self):
         hits = 0
