@@ -105,7 +105,10 @@ def source_from_spec(spec: dict, path="the generator spec") -> LinearModelSource
     spec = {"covariate": "normal", "scale": 1.0, **spec}
     theta = _json_field(spec, "theta", lambda v: np.asarray(v, dtype=np.float64), path)
     noise_var, scale = (_json_field(spec, k, float, path) for k in ("noise_var", "scale"))
-    return LinearModelSource(theta, noise_var, spec["covariate"], scale)
+    try:
+        return LinearModelSource(theta, noise_var, spec["covariate"], scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipReport]:
@@ -386,7 +389,10 @@ def _write_json(path, payload: dict) -> None:
 
 def _read_json_object(path, what: str, error=ValueError) -> dict:
     """The JSON object in the file ``path``; ``error`` naming the ``what`` file otherwise."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise error(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return obj

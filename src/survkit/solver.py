@@ -19,7 +19,7 @@ the exact 1 / ||gamma_mat||_2 up to d = 64; above that it comes from
 backtracking on the descent inequality (Beck & Teboulle 2009), which needs
 no eigendecomposition and never takes a shorter step.  Proximal gradient
 finds the optimum's sign pattern after finitely many steps (Nutini, Schmidt
-& Hare 2019), so once the pattern of the iterates has settled the solver
+& Hare 2019), so once the iterates' support or signs have settled the solver
 tries to finish with one linear solve of the reduced stationarity system
 ("polishing", as in OSQP; Stellato et al. 2020) and keeps the result only
 when the same gap certifies it.  The correction can make gamma_mat
@@ -193,7 +193,9 @@ class SolverConfig:
     the returned iterate is at most tol * max(1, gap(theta_0)) (see
     :func:`solve`): relative to the starting gap when that exceeds 1, and the
     absolute threshold ``tol`` otherwise.  The same threshold decides whether
-    a polished point is kept; polishing has no setting of its own.
+    a polished point is kept; polishing has no setting of its own.  Its
+    free reduced system is keyed on the support in constrained mode, and the
+    bordered system and every Lagrangian-mode system on the sign pattern.
     """
 
     mode: str = "constrained"
@@ -287,17 +289,23 @@ def solve(
     coordinate so the iteration escapes the maximizer deterministically.
 
     Polish.  After an iteration whose gap does not certify, let s be the
-    sign pattern of theta and S its support.  Once s has held unchanged for
+    sign pattern of theta and S its support.  Two reduced systems set x = 0
+    off S: the free one Gamma_SS x_S = gamma_S - lambda_n s_S (lambda_n = 0
+    in constrained mode) and, when a radius is set, the one bordered by s_S
+    and the radius, which puts x on the sphere ||x||_1 = radius.  Each is
+    keyed on what it depends on: the free system in constrained mode on S,
+    every other system on s.  Once its key has held unchanged for
     max(1, |S|^3 // (3 d^2)) iterations (the cost of one polish in products
-    with gamma_mat) and has not been polished before, the solver solves
-    Gamma_SS x_S = gamma_S - lambda_n s_S (lambda_n = 0 in constrained mode)
-    with x = 0 off S; when a radius is set and that point is not kept, it
-    also tries the system bordered by s_S and the radius, which puts x on the
-    sphere ||x||_1 = radius.  A point is kept only if it is finite, keeps
-    every sign of s_S, has ||x||_1 <= radius as computed, does not raise the
+    with gamma_mat) and it has not been solved for that key before, the
+    system is solved, the free one first when both are due.  A point is
+    kept only if it is finite, keeps every sign of s_S when its system
+    contains s, has ||x||_1 <= radius as computed, does not raise the
     objective and its gap meets the threshold above; the run then ends,
     converged, with ``polished`` true.  A point that is not kept is dropped
-    and the FISTA path goes on unchanged.
+    and the FISTA path goes on unchanged.  In constrained mode a dropped
+    free point would be dropped at any later iteration too (it depends on S
+    alone, the threshold is fixed and the objective only falls), so a
+    support's free system is solved at most once.
 
     ``iterations`` counts accepted gradient steps; a step taken again after
     a backtrack is not counted twice.  When ``trace`` is a list, the
@@ -365,15 +373,15 @@ def solve(
             )
         return x, gx, f
 
-    def polish(signs):
-        # (x, f(x), gap(x)) for the first point of the reduced systems on
-        # the sign pattern (the free one, then the bordered one) that passes
-        # every check in the docstring of solve; None if neither does.
+    def polish(signs, due):
+        # (x, f(x), gap(x)) for the first point of the due reduced systems on
+        # the sign pattern (False: free, True: bordered) that passes every
+        # check in the docstring of solve; None if none does.
         support = np.flatnonzero(signs)
         s = signs[support].astype(np.float64)
         k = support.shape[0]
         a, b = gm[np.ix_(support, support)], gv[support] - lam * s
-        for bordered in (False, True) if radius is not None else (False,):
+        for bordered in due:
             if bordered:
                 a = np.block([[a, s[:, None]], [s[None, :], np.zeros((1, 1))]])
                 b = np.append(b, radius)
@@ -381,7 +389,8 @@ def solve(
                 z = np.linalg.solve(a, b)[:k]
             except np.linalg.LinAlgError:
                 continue
-            if not (np.all(np.isfinite(z)) and np.array_equal(np.sign(z), s)):
+            signed = bordered or not constrained
+            if not (np.all(np.isfinite(z)) and (not signed or np.array_equal(np.sign(z), s))):
                 continue
             x = np.zeros(d)
             x[support] = z
@@ -411,9 +420,10 @@ def solve(
     threshold = config.tol * max(1.0, gap)
     y, g_y, t, beta = theta, g_theta, 1.0, 0.0
     iterations, converged, polished = 0, False, False
-    # The sign pattern of theta, how many iterations it has held unchanged,
-    # and the patterns already polished.
-    pattern, held, tried = None, 0, set()
+    # Per reduced system (free, bordered): its key at theta and how many
+    # iterations the key has held; and the (system, key) pairs solved.
+    systems = (False, True) if radius is not None else (False,)
+    keys, held, tried = [None] * len(systems), [0] * len(systems), set()
     # numpy's transient overflow warnings on the divergent path carry no
     # information beyond the non-finite objective.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -439,16 +449,21 @@ def solve(
             converged = gap <= threshold
             if not converged:
                 signs = np.sign(theta).astype(np.int8)
-                key = signs.tobytes()
-                if key == pattern:
-                    held += 1
-                else:
-                    pattern, held = key, 0
-                    size = int(np.count_nonzero(signs))
-                    cost = max(1, size**3 // (3 * d * d))
-                if size and held == cost and key not in tried:
-                    tried.add(key)
-                    kept = polish(signs)
+                size = int(np.count_nonzero(signs))
+                cost = max(1, size**3 // (3 * d * d))
+                pattern = signs.tobytes()
+                # The free system has no s in it in constrained mode, so it
+                # is keyed on the support there; every other on the pattern.
+                free = (signs != 0).tobytes() if constrained else pattern
+                due = []
+                for i, key in enumerate((free, pattern)[: len(systems)]):
+                    held[i] = held[i] + 1 if key == keys[i] else 0
+                    keys[i] = key
+                    if size and held[i] == cost and (i, key) not in tried:
+                        tried.add((i, key))
+                        due.append(systems[i])
+                if due:
+                    kept = polish(signs, due)
                     if kept is not None:
                         theta, obj, gap = kept
                         if trace is not None:

@@ -137,6 +137,7 @@ class TestPublishAndFit:
         ({"beta": None}, "key 'beta': float() argument"),
         ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
         ([1, 2], "must hold a JSON object"),
+        ("{", "Expecting property name"),  # not JSON at all
     ])
     def test_fit_from_malformed_sidecar(self, tmp_path, capsys, sidecar, message):
         src, out = tmp_path / "data.csv", tmp_path / "pub.csv"
@@ -148,7 +149,7 @@ class TestPublishAndFit:
             meta = json.loads(side.read_text())
             meta.update(sidecar)
             sidecar = {k: v for k, v in meta.items() if v != "drop"}
-        side.write_text(json.dumps(sidecar))
+        side.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         code = run("fit", "--input", str(out), "--sigma-w", "from-sidecar",
                    "--radius", "1.0", "--quiet")
         err = capsys.readouterr().err
@@ -225,10 +226,20 @@ class TestVerify:
         ({"generator": {"type": "linear-model", "theta": [0.0] * 6, "noise_var": None}},
          "{path}: key 'noise_var': float() argument"),
         ({"generator": [1]}, "{path}: unknown validation generator type None"),
+        ("{", "validation spec {path}: Expecting property name"),  # not JSON at all
+        # Well-typed but out of range: LinearModelSource's message, after the file.
+        ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": -1},
+         "{path}: noise_var must be finite and >= 0"),
+        ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": 1.0, "covariate": 5},
+         "{path}: unknown covariate kind 5"),
+        ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": 1.0, "scale": 0},
+         "{path}: noise_var must be finite and >= 0, scale finite and > 0"),
+        ({"type": "linear-model", "theta": [[0.0] * 6], "noise_var": 1.0},
+         "{path}: theta must be a finite vector"),
     ])
     def test_malformed_validation_spec(self, survey_files, tmp_path, capsys, spec, message):
         path = tmp_path / "v.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         code = run("verify", *self._flags(survey_files, 0.0), "--validation", str(path), "--quiet")
         err = capsys.readouterr().err
         assert code == EXIT_RUNTIME
@@ -557,14 +568,14 @@ class TestConfigFile:
         ('{"name": "one-sided-bernstein", "t": "abc"}',
          "survkit bounds: error: argument --t: invalid float value: 'abc'"),
         ("[1, 2]", "survkit: error: config file"),
-        ("{", "survkit: error: Expecting property name"),
+        ("{", "survkit: error: config file {path}: Expecting property name"),
     ])
     def test_config_values_are_parsed_like_flags(self, tmp_path, capsys, text, message):
         conf = tmp_path / "conf.json"
         conf.write_text(text)
         assert run("bounds", "--config", str(conf)) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert message.format(path=conf) in err and "Traceback" not in err
 
     def test_config_spelling_of_lists_and_booleans(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

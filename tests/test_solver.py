@@ -630,7 +630,11 @@ class TestPolish:
     def test_psd_instances_meet_the_1e6_gate(self):
         # ROADMAP item 2's solver gate: cond 1e2-1e4 PSD instances with an
         # inactive constraint reach 1e-6 of the exact optimum under the
-        # default config, or say they did not converge.
+        # default config, or say they did not converge.  Their optimum is
+        # interior and dense, so the free system on the full support
+        # certifies it.  That system has no signs in it: it is solved once
+        # the support has held for the cost of one polish (d // 3
+        # iterations), while the smallest coordinates may still change sign.
         rng = np.random.default_rng(7)
         for i in range(30):
             d = 2 + round(48 * i / 29)
@@ -640,6 +644,33 @@ class TestPolish:
             exact = np.linalg.solve(moments.gamma_mat, moments.gamma_vec)
             err = float(np.max(np.abs(res.theta_hat - exact)))
             assert not res.converged or err <= 1e-6, (i, d, cond, err)
+            assert res.polished and res.iterations <= max(1, d // 3) + 3, (i, d, cond, res)
+
+    @pytest.mark.parametrize("seed, d", [(5, 3), (29, 5), (39, 6)])
+    def test_a_support_free_system_is_solved_once(self, monkeypatch, seed, d):
+        # Constrained mode, active radius: theta's signs change on a support
+        # before a bordered system certifies.  The free system, which has no
+        # signs in it, is solved at most once per support; the bordered one
+        # once for each sign pattern, after the free one on its support.
+        moments, config = _polish_instance(seed, d, False, "constrained", True)
+        solve_linear, free, bordered = np.linalg.solve, [], []
+
+        def spy(a, b):
+            # A bordered system ends in the row (s_S, 0) = radius.
+            if a.shape[0] > 1 and a[-1, -1] == 0 and b[-1] == config.radius:
+                bordered.append((a[:-1, :-1].tobytes(), a[-1, :-1].tobytes()))
+            else:
+                free.append(a.tobytes())
+            return solve_linear(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        res = solve(moments, config)
+        assert res.polished and res.converged
+        assert len(set(free)) == len(free)
+        assert len(set(bordered)) == len(bordered)
+        supports = [support for support, _ in bordered]
+        assert set(supports) <= set(free)
+        assert max(supports.count(support) for support in supports) >= 2
 
     @settings(max_examples=120)
     @given(
