@@ -1,0 +1,97 @@
+"""Derive the ``summary`` of a committed BENCH_<n>.json from its ``runs``.
+
+A BENCH file's record is its ``runs``: one entry per ``bench/run.py`` run,
+``{"side", "workload", "seed", "trace", "result"}``, where ``result`` is the
+last stdout line of that run and ``side`` is ``parent`` or ``change``.  The
+``summary`` is derived from them: for each workload and trace level, every
+metric's per-side median (with inclusive quartiles from four runs up, and
+all values below that), the number of runs, the pairs in which the change
+side is lower on each end-to-end metric, and the attempted and failed
+operations per side.
+
+    python3 scripts/bench_summary.py BENCH_17.json            # rewrite summary
+    python3 scripts/bench_summary.py BENCH_17.json --check    # exit 1 if stale
+    python3 scripts/bench_summary.py BENCH_17.json --runs results.jsonl
+
+``--runs`` first replaces ``runs`` with the lines of a JSONL file in the
+same form.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+
+SIDES = ("parent", "change")
+END_TO_END = ("pass_s", "setup_s", "peak_rss_mb")
+
+
+def _spread(values):
+    xs = sorted(float(v) for v in values)
+    row = {"median": statistics.median(xs), "n": len(xs)}
+    if len(xs) < 4:
+        return {**row, "all": xs}
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {**row, "q1": q1, "q3": q3}
+
+
+def summarize(runs):
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        for trace in sorted({r["trace"] for r in runs if r["workload"] == workload}):
+            sel = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
+            by_side = {side: [r for r in sel if r["side"] == side] for side in SIDES}
+            metrics = {}
+            for name, metric in sel[0]["result"]["metrics"].items():
+                metrics[name] = {
+                    side: _spread(r["result"]["metrics"][name]["value"] for r in rows)
+                    for side, rows in by_side.items()
+                }
+                metrics[name]["unit"] = metric["unit"]
+            pairs = {}
+            if trace == 0:
+                value = {
+                    (r["side"], r["seed"]): r["result"]["metrics"] for r in sel
+                }
+                seeds = sorted({r["seed"] for r in sel})
+                for name in END_TO_END:
+                    lower = sum(
+                        value["change", s][name]["value"] < value["parent", s][name]["value"]
+                        for s in seeds
+                    )
+                    pairs[name] = f"change lower in {lower} of {len(seeds)} pairs"
+            summary[f"{workload} trace{trace}"] = {
+                "metrics": metrics,
+                "pairs": pairs,
+                "failed": {s: sum(r["result"]["failed"] for r in by_side[s]) for s in SIDES},
+                "attempted": {s: sum(r["result"]["attempted"] for r in by_side[s]) for s in SIDES},
+            }
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("bench_file")
+    parser.add_argument("--check", action="store_true")
+    parser.add_argument("--runs", help="JSONL file of runs to put in the file first")
+    args = parser.parse_args(argv)
+    with open(args.bench_file) as fh:
+        bench = json.load(fh)
+    if args.runs:
+        with open(args.runs) as fh:
+            bench["runs"] = [json.loads(line) for line in fh if line.strip()]
+    summary = summarize(bench["runs"])
+    if args.check:
+        if summary != bench["summary"]:
+            print(f"{args.bench_file}: summary does not match runs", file=sys.stderr)
+            return 1
+        return 0
+    bench["summary"] = summary
+    with open(args.bench_file, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,10 @@ finds the optimum's sign pattern after finitely many steps (Nutini, Schmidt
 & Hare 2019), so once the iterates' support or signs have settled the solver
 tries to finish with one linear solve of the reduced stationarity system
 ("polishing", as in OSQP; Stellato et al. 2020) and keeps the result only
-when the same gap certifies it.  The correction can make gamma_mat
-indefinite; the monotone iteration from zero still converges to a
-stationary point, and for statistically sized radii all such points carry
+when the same gap certifies it (and, unless the reduced matrix is positive
+definite, when it keeps the iterate's signs).  The correction can make
+gamma_mat indefinite; the monotone iteration from zero still converges to
+a stationary point, and for statistically sized radii all such points carry
 equivalent estimation error.
 """
 
@@ -193,9 +194,8 @@ class SolverConfig:
     the returned iterate is at most tol * max(1, gap(theta_0)) (see
     :func:`solve`): relative to the starting gap when that exceeds 1, and the
     absolute threshold ``tol`` otherwise.  The same threshold decides whether
-    a polished point is kept; polishing has no setting of its own.  Its
-    free reduced system is keyed on the support in constrained mode, and the
-    bordered system and every Lagrangian-mode system on the sign pattern.
+    a polished point is kept; polishing has no setting of its own, and what
+    each of its systems is keyed on is set out under "Polish" in :func:`solve`.
     """
 
     mode: str = "constrained"
@@ -292,20 +292,22 @@ def solve(
     sign pattern of theta and S its support.  Two reduced systems set x = 0
     off S: the free one Gamma_SS x_S = gamma_S - lambda_n s_S (lambda_n = 0
     in constrained mode) and, when a radius is set, the one bordered by s_S
-    and the radius, which puts x on the sphere ||x||_1 = radius.  Each is
-    keyed on what it depends on: the free system in constrained mode on S,
-    every other system on s.  Once its key has held unchanged for
-    max(1, |S|^3 // (3 d^2)) iterations (the cost of one polish in products
-    with gamma_mat) and it has not been solved for that key before, the
-    system is solved, the free one first when both are due.  A point is
-    kept only if it is finite, keeps every sign of s_S when its system
-    contains s, has ||x||_1 <= radius as computed, does not raise the
-    objective and its gap meets the threshold above; the run then ends,
-    converged, with ``polished`` true.  A point that is not kept is dropped
-    and the FISTA path goes on unchanged.  In constrained mode a dropped
-    free point would be dropped at any later iteration too (it depends on S
-    alone, the threshold is fixed and the objective only falls), so a
-    support's free system is solved at most once.
+    and the radius, which puts x on the sphere ||x||_1 = radius.  The free
+    system is keyed on S in constrained mode when Cholesky finds Gamma_SS
+    positive definite (then its point minimizes the objective over vectors
+    on S, theta among them); every other system is keyed on s.  Once its key
+    has held for max(1, |S|^3 // (3 d^2)) iterations (the cost of one polish
+    in products with gamma_mat) and it has not been solved for that key
+    before, the system is solved, the free one first when both are due.  A
+    point is kept only if it is finite, keeps every sign of s_S unless keyed
+    on S, has ||x||_1 <= radius as computed, does not raise the objective
+    and its gap meets the threshold above; the run then ends, converged,
+    with ``polished`` true.  A point that is not kept is dropped and the
+    FISTA path goes on unchanged.  A dropped point keyed on S would be
+    dropped later too (it depends on S alone, the threshold is fixed in
+    constrained mode and the objective only falls), so it is solved once
+    per support.  On an indefinite Gamma_SS the free point can be a saddle
+    with a zero gap; the sign check keeps it only in the iterates' orthant.
 
     ``iterations`` counts accepted gradient steps; a step taken again after
     a backtrack is not counted twice.  When ``trace`` is a list, the
@@ -373,14 +375,14 @@ def solve(
             )
         return x, gx, f
 
-    def polish(signs, due):
+    def polish(signs, due, free_signed):
         # (x, f(x), gap(x)) for the first point of the due reduced systems on
         # the sign pattern (False: free, True: bordered) that passes every
         # check in the docstring of solve; None if none does.
         support = np.flatnonzero(signs)
         s = signs[support].astype(np.float64)
         k = support.shape[0]
-        a, b = gm[np.ix_(support, support)], gv[support] - lam * s
+        a, b = gm[support[:, None], support], gv[support] - lam * s
         for bordered in due:
             if bordered:
                 a = np.block([[a, s[:, None]], [s[None, :], np.zeros((1, 1))]])
@@ -389,7 +391,7 @@ def solve(
                 z = np.linalg.solve(a, b)[:k]
             except np.linalg.LinAlgError:
                 continue
-            signed = bordered or not constrained
+            signed = bordered or free_signed
             if not (np.all(np.isfinite(z)) and (not signed or np.array_equal(np.sign(z), s))):
                 continue
             x = np.zeros(d)
@@ -420,10 +422,10 @@ def solve(
     threshold = config.tol * max(1.0, gap)
     y, g_y, t, beta = theta, g_theta, 1.0, 0.0
     iterations, converged, polished = 0, False, False
-    # Per reduced system (free, bordered): its key at theta and how many
-    # iterations the key has held; and the (system, key) pairs solved.
-    systems = (False, True) if radius is not None else (False,)
-    keys, held, tried = [None] * len(systems), [0] * len(systems), set()
+    # The support and the sign pattern of theta and how many iterations each
+    # has held; the (system, key) pairs solved; and, per support seen in
+    # constrained mode, whether Gamma_SS is positive definite.
+    keys, held, tried, definite = [None, None], [0, 0], set(), {}
     # numpy's transient overflow warnings on the divergent path carry no
     # information beyond the non-finite objective.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,19 +453,27 @@ def solve(
                 signs = np.sign(theta).astype(np.int8)
                 size = int(np.count_nonzero(signs))
                 cost = max(1, size**3 // (3 * d * d))
-                pattern = signs.tobytes()
-                # The free system has no s in it in constrained mode, so it
-                # is keyed on the support there; every other on the pattern.
-                free = (signs != 0).tobytes() if constrained else pattern
-                due = []
-                for i, key in enumerate((free, pattern)[: len(systems)]):
+                support, pattern = (signs != 0).tobytes(), signs.tobytes()
+                for i, key in enumerate((support, pattern)):
                     held[i] = held[i] + 1 if key == keys[i] else 0
                     keys[i] = key
-                    if size and held[i] == cost and (i, key) not in tried:
-                        tried.add((i, key))
-                        due.append(systems[i])
-                if due:
-                    kept = polish(signs, due)
+                if size and cost in held:
+                    if constrained and held[0] == cost and support not in definite:
+                        index = np.flatnonzero(signs)
+                        try:
+                            np.linalg.cholesky(gm[index[:, None], index])
+                            definite[support] = True
+                        except np.linalg.LinAlgError:
+                            definite[support] = False
+                    free = definite.get(support, False)
+                    systems = [(False, support, held[0]) if free else (False, pattern, held[1])]
+                    systems += [(True, pattern, held[1])] if radius is not None else []
+                    due = []
+                    for bordered, key, n in systems:
+                        if n == cost and (bordered, key) not in tried:
+                            tried.add((bordered, key))
+                            due.append(bordered)
+                    kept = polish(signs, due, not free) if due else None
                     if kept is not None:
                         theta, obj, gap = kept
                         if trace is not None:

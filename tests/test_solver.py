@@ -672,6 +672,22 @@ class TestPolish:
         assert set(supports) <= set(free)
         assert max(supports.count(support) for support in supports) >= 2
 
+    def test_an_indefinite_free_point_keeps_the_sign_check(self):
+        # Constrained, Gamma = diag(1, 0.01, -1e-4): at iteration 2 the
+        # support {0, 1, 2} and the pattern (+, +, +) have both held for the
+        # cost.  Gamma_SS is indefinite, and its free point (1, 1, -1e-4) is
+        # an interior saddle with a zero gap and f = -0.505, below the
+        # iterate.  Its signs differ from the iterate's, so it is dropped,
+        # and the bordered system on (+, +, +) gives the minimum over the
+        # ball, about (0.999, 0.919, 8.08) with f about -0.5082.
+        gm = np.diag([1.0, 0.01, -1e-4])
+        moments = CorrectedMoments(gm, np.array([1.0, 0.01, 1e-8]), 100)
+        res = solve(moments, SolverConfig(radius=10.0))
+        assert res.polished and res.converged
+        assert abs(res.final_objective - -0.5082327305788515) <= 1e-9
+        assert np.all(res.theta_hat > 0.9)
+        assert abs(np.abs(res.theta_hat).sum() - 10.0) <= 1e-12
+
     @settings(max_examples=120)
     @given(
         seed=st.integers(0, 2**32 - 1),
