@@ -103,8 +103,10 @@ def source_from_spec(spec: dict, path="the generator spec") -> LinearModelSource
     if kind != "linear-model":
         raise ValueError(f"{path}: unknown validation generator type {kind!r}")
     spec = {"covariate": "normal", "scale": 1.0, **spec}
-    theta = _json_field(spec, "theta", lambda v: np.asarray(v, dtype=np.float64), path)
-    noise_var, scale = (_json_field(spec, k, float, path) for k in ("noise_var", "scale"))
+    # Any nesting reaches LinearModelSource, which names a non-vector theta.
+    numbers = np.vectorize(_number, otypes=[np.float64])
+    theta = _json_field(spec, "theta", lambda v: numbers(np.asarray(v, dtype=object)), path)
+    noise_var, scale = (_json_field(spec, k, _number, path) for k in ("noise_var", "scale"))
     try:
         return LinearModelSource(theta, noise_var, spec["covariate"], scale)
     except ValueError as exc:
@@ -404,8 +406,16 @@ def _json_field(obj: dict, key: str, cast, path, error=ValueError):
         return cast(obj[key])
     except KeyError:
         raise error(f"{path}: missing key {key!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{path}: key {key!r}: {exc}") from None
+
+
+def _number(value, kind=float):
+    """``kind(value)`` if ``value`` is a JSON number (an integer where ``kind``
+    is int); else a TypeError: no string or boolean is cast, no 2.7 truncated."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"expected a JSON {'integer' if kind is int else 'number'}, got {value!r}")
+    return kind(value)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -456,15 +466,16 @@ def load_private(path) -> PrivateDataset:
     privacy = None
     if meta.get("alpha") is not None:
         privacy = PrivacyParams(
-            field("alpha", float), field("beta", float), field("accounting", Accounting)
+            field("alpha", _number), field("beta", _number), field("accounting", Accounting)
         )
-    rng = None if meta.get("seed") is None else RngSpec(field("seed", int), field("stream", int))
+    seeds = (field(k, partial(_number, kind=int)) for k in ("seed", "stream"))
+    rng = None if meta.get("seed") is None else RngSpec(*seeds)
     # ds is discarded; its read-only arrays need no copy.
     return PrivateDataset._adopt(
         z=ds.x,
         y=ds.y,
-        noise_variance=field("sigma_w_diagonal", float),
-        noise=NoiseSpec(field("noise_kind", NoiseKind), field("noise_scale", float)),
+        noise_variance=field("sigma_w_diagonal", _number),
+        noise=NoiseSpec(field("noise_kind", NoiseKind), field("noise_scale", _number)),
         privacy=privacy,
         rng=rng,
     )

@@ -20,13 +20,12 @@ backtracking on the descent inequality (Beck & Teboulle 2009), which needs
 no eigendecomposition and never takes a shorter step.  Proximal gradient
 finds the optimum's sign pattern after finitely many steps (Nutini, Schmidt
 & Hare 2019), so once the iterates' support or signs have settled the solver
-tries to finish with one linear solve of the reduced stationarity system
-("polishing", as in OSQP; Stellato et al. 2020) and keeps the result only
-when the same gap certifies it (and, unless the reduced matrix is positive
-definite, when it keeps the iterate's signs).  The correction can make
-gamma_mat indefinite; the monotone iteration from zero still converges to
-a stationary point, and for statistically sized radii all such points carry
-equivalent estimation error.
+tries to finish with one linear solve of a reduced stationarity system
+("polishing", as in OSQP; Stellato et al. 2020), off the l1 sphere only on a
+positive-definite matrix, and keeps it when the same gap certifies it.  The
+correction can make gamma_mat indefinite; the monotone iteration from zero
+still converges to a stationary point, and for statistically sized radii all
+such points carry equivalent estimation error.
 """
 
 from __future__ import annotations
@@ -194,8 +193,8 @@ class SolverConfig:
     the returned iterate is at most tol * max(1, gap(theta_0)) (see
     :func:`solve`): relative to the starting gap when that exceeds 1, and the
     absolute threshold ``tol`` otherwise.  The same threshold decides whether
-    a polished point is kept; polishing has no setting of its own, and what
-    each of its systems is keyed on is set out under "Polish" in :func:`solve`.
+    a polished point is kept; polishing has no setting, and its one rule for
+    keying and solving its systems is set out under "Polish" in :func:`solve`.
     """
 
     mode: str = "constrained"
@@ -292,22 +291,20 @@ def solve(
     sign pattern of theta and S its support.  Two reduced systems set x = 0
     off S: the free one Gamma_SS x_S = gamma_S - lambda_n s_S (lambda_n = 0
     in constrained mode) and, when a radius is set, the one bordered by s_S
-    and the radius, which puts x on the sphere ||x||_1 = radius.  The free
-    system is keyed on S in constrained mode when Cholesky finds Gamma_SS
-    positive definite (then its point minimizes the objective over vectors
-    on S, theta among them); every other system is keyed on s.  Once its key
+    and the radius, which puts x on the sphere ||x||_1 = radius.  Each is
+    keyed on what its right side holds: the free one on S in constrained
+    mode and on s in Lagrangian mode, the bordered one on s.  Once its key
     has held for max(1, |S|^3 // (3 d^2)) iterations (the cost of one polish
-    in products with gamma_mat) and it has not been solved for that key
-    before, the system is solved, the free one first when both are due.  A
-    point is kept only if it is finite, keeps every sign of s_S unless keyed
-    on S, has ||x||_1 <= radius as computed, does not raise the objective
-    and its gap meets the threshold above; the run then ends, converged,
-    with ``polished`` true.  A point that is not kept is dropped and the
-    FISTA path goes on unchanged.  A dropped point keyed on S would be
-    dropped later too (it depends on S alone, the threshold is fixed in
-    constrained mode and the objective only falls), so it is solved once
-    per support.  On an indefinite Gamma_SS the free point can be a saddle
-    with a zero gap; the sign check keeps it only in the iterates' orthant.
+    in products with gamma_mat), a system not tried for that key before is
+    tried, the free one first.  The free one is solved only if Cholesky finds
+    Gamma_SS positive definite, so its point minimizes the quadratic on S,
+    never a saddle.  A point is kept only if it is finite, keeps every
+    sign of s_S (unless it is the free point in constrained mode), has
+    ||x||_1 <= radius as computed, does not raise the objective and its gap
+    meets the threshold above; the run then ends, converged, with
+    ``polished`` true.  Otherwise the FISTA path goes on unchanged.  A
+    dropped constrained free point would be dropped later too: it depends
+    on S alone, the threshold is fixed and the objective only falls.
 
     ``iterations`` counts accepted gradient steps; a step taken again after
     a backtrack is not counted twice.  When ``trace`` is a list, the
@@ -375,7 +372,7 @@ def solve(
             )
         return x, gx, f
 
-    def polish(signs, due, free_signed):
+    def polish(signs, due):
         # (x, f(x), gap(x)) for the first point of the due reduced systems on
         # the sign pattern (False: free, True: bordered) that passes every
         # check in the docstring of solve; None if none does.
@@ -384,14 +381,16 @@ def solve(
         k = support.shape[0]
         a, b = gm[support[:, None], support], gv[support] - lam * s
         for bordered in due:
-            if bordered:
-                a = np.block([[a, s[:, None]], [s[None, :], np.zeros((1, 1))]])
-                b = np.append(b, radius)
             try:
+                if bordered:
+                    a = np.block([[a, s[:, None]], [s[None, :], np.zeros((1, 1))]])
+                    b = np.append(b, radius)
+                else:
+                    np.linalg.cholesky(a)
                 z = np.linalg.solve(a, b)[:k]
             except np.linalg.LinAlgError:
                 continue
-            signed = bordered or free_signed
+            signed = bordered or not constrained
             if not (np.all(np.isfinite(z)) and (not signed or np.array_equal(np.sign(z), s))):
                 continue
             x = np.zeros(d)
@@ -422,10 +421,10 @@ def solve(
     threshold = config.tol * max(1.0, gap)
     y, g_y, t, beta = theta, g_theta, 1.0, 0.0
     iterations, converged, polished = 0, False, False
-    # The support and the sign pattern of theta and how many iterations each
-    # has held; the (system, key) pairs solved; and, per support seen in
-    # constrained mode, whether Gamma_SS is positive definite.
-    keys, held, tried, definite = [None, None], [0, 0], set(), {}
+    # Per system (free, bordered): its key at theta, how long that has held,
+    # and the keys tried, kept apart: a support's bytes are an all-positive pattern's.
+    keys, held, tried = [None, None], [0, 0], (set(), set())
+    systems = (False, True) if radius is not None else (False,)
     # numpy's transient overflow warnings on the divergent path carry no
     # information beyond the non-finite objective.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -453,32 +452,21 @@ def solve(
                 signs = np.sign(theta).astype(np.int8)
                 size = int(np.count_nonzero(signs))
                 cost = max(1, size**3 // (3 * d * d))
-                support, pattern = (signs != 0).tobytes(), signs.tobytes()
-                for i, key in enumerate((support, pattern)):
-                    held[i] = held[i] + 1 if key == keys[i] else 0
-                    keys[i] = key
-                if size and cost in held:
-                    if constrained and held[0] == cost and support not in definite:
-                        index = np.flatnonzero(signs)
-                        try:
-                            np.linalg.cholesky(gm[index[:, None], index])
-                            definite[support] = True
-                        except np.linalg.LinAlgError:
-                            definite[support] = False
-                    free = definite.get(support, False)
-                    systems = [(False, support, held[0]) if free else (False, pattern, held[1])]
-                    systems += [(True, pattern, held[1])] if radius is not None else []
-                    due = []
-                    for bordered, key, n in systems:
-                        if n == cost and (bordered, key) not in tried:
-                            tried.add((bordered, key))
-                            due.append(bordered)
-                    kept = polish(signs, due, not free) if due else None
-                    if kept is not None:
-                        theta, obj, gap = kept
-                        if trace is not None:
-                            trace.append(obj)
-                        converged = polished = True
+                due = []
+                for bordered in systems:
+                    free = constrained and not bordered
+                    key = (signs != 0).tobytes() if free else signs.tobytes()
+                    held[bordered] = held[bordered] + 1 if key == keys[bordered] else 0
+                    keys[bordered] = key
+                    if size and held[bordered] == cost and key not in tried[bordered]:
+                        tried[bordered].add(key)
+                        due.append(bordered)
+                kept = polish(signs, due) if due else None
+                if kept is not None:
+                    theta, obj, gap = kept
+                    if trace is not None:
+                        trace.append(obj)
+                    converged = polished = True
             if converged or (
                 delta < _ABS_OBJECTIVE_FLOOR
                 and np.abs(step).max() < _STAGNATION_TOL * max(1.0, np.abs(theta).max())

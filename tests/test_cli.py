@@ -134,7 +134,12 @@ class TestPublishAndFit:
 
     @pytest.mark.parametrize("sidecar, message", [
         ({"sigma_w_diagonal": "drop"}, "missing key 'sigma_w_diagonal'"),
-        ({"beta": None}, "key 'beta': float() argument"),
+        ({"beta": None}, "key 'beta': expected a JSON number, got None"),
+        # Only JSON numbers, and only integers for the seed: nothing is cast.
+        ({"noise_scale": "0.5"}, "key 'noise_scale': expected a JSON number, got '0.5'"),
+        ({"alpha": True}, "key 'alpha': expected a JSON number, got True"),
+        ({"seed": 2.7}, "key 'seed': expected a JSON integer, got 2.7"),
+        ({"seed": 7, "stream": "0"}, "key 'stream': expected a JSON integer, got '0'"),
         ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
         ([1, 2], "must hold a JSON object"),
         ("{", "Expecting property name"),  # not JSON at all
@@ -224,7 +229,14 @@ class TestVerify:
         ([1], "validation spec {path} must hold a JSON object"),
         ({"type": "linear-model"}, "{path}: missing key 'theta'"),
         ({"generator": {"type": "linear-model", "theta": [0.0] * 6, "noise_var": None}},
-         "{path}: key 'noise_var': float() argument"),
+         "{path}: key 'noise_var': expected a JSON number, got None"),
+        # Only JSON numbers: a string or a boolean is not cast.
+        ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": "0.5"},
+         "{path}: key 'noise_var': expected a JSON number, got '0.5'"),
+        ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": 0.5, "scale": True},
+         "{path}: key 'scale': expected a JSON number, got True"),
+        ({"type": "linear-model", "theta": ["1", True, 0, 0, 0, 0], "noise_var": 0.5},
+         "{path}: key 'theta': expected a JSON number, got '1'"),
         ({"generator": [1]}, "{path}: unknown validation generator type None"),
         ("{", "validation spec {path}: Expecting property name"),  # not JSON at all
         # Well-typed but out of range: LinearModelSource's message, after the file.

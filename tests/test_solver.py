@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from survkit import (
     validate_dataset,
 )
 from survkit import solver as solver_module
+from survkit import sweeps as sweeps_module
 from survkit.solver import _checked_step, _resolve_lambda
 
 
@@ -518,7 +520,13 @@ class TestMatchesReferenceLoop:
                                   radius=radius if guard else None, max_iter=max_iter)
         else:
             config = SolverConfig(mode="constrained", radius=radius, max_iter=max_iter)
-        got = _outcome(solve, moments, config)
+        with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as linear:
+            got = _outcome(solve, moments, config)
+        # Every free reduced system solved has a positive-definite Gamma_SS;
+        # a bordered one ends in the row (s_S, 0) = radius.
+        for (a, b), _ in linear.call_args_list:
+            if not (a[-1, -1] == 0 and b[-1] == radius and np.all(np.abs(a[-1, :-1]) == 1)):
+                np.linalg.cholesky(a)
         if got[0] == "diverged" or not got[4]:
             assert got == _outcome(_reference_solve, moments, config)
             return
@@ -672,21 +680,51 @@ class TestPolish:
         assert set(supports) <= set(free)
         assert max(supports.count(support) for support in supports) >= 2
 
-    def test_an_indefinite_free_point_keeps_the_sign_check(self):
+    def test_an_indefinite_free_system_is_skipped(self, monkeypatch):
         # Constrained, Gamma = diag(1, 0.01, -1e-4): at iteration 2 the
         # support {0, 1, 2} and the pattern (+, +, +) have both held for the
-        # cost.  Gamma_SS is indefinite, and its free point (1, 1, -1e-4) is
-        # an interior saddle with a zero gap and f = -0.505, below the
-        # iterate.  Its signs differ from the iterate's, so it is dropped,
+        # cost.  Gamma_SS is indefinite, so the free system, whose point
+        # (1, 1, -1e-4) is an interior saddle with a zero gap, is not solved,
         # and the bordered system on (+, +, +) gives the minimum over the
         # ball, about (0.999, 0.919, 8.08) with f about -0.5082.
+        solve_linear, shapes = np.linalg.solve, []
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return solve_linear(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
         gm = np.diag([1.0, 0.01, -1e-4])
         moments = CorrectedMoments(gm, np.array([1.0, 0.01, 1e-8]), 100)
         res = solve(moments, SolverConfig(radius=10.0))
+        assert shapes == [(4, 4)]
         assert res.polished and res.converged
         assert abs(res.final_objective - -0.5082327305788515) <= 1e-9
         assert np.all(res.theta_hat > 0.9)
         assert abs(np.abs(res.theta_hat).sum() - 10.0) <= 1e-12
+
+    def test_an_interior_saddle_is_not_returned(self, monkeypatch):
+        # Privatized moments at small m (d = 4, m = 200, alpha = 0.5): Gamma
+        # has eigenvalues from -10.1 to 2.5.  After 2 iterations the free
+        # point on the settled support is an interior saddle with a zero gap:
+        # f = -6.82 and ||theta||_1 = 4.45 against a radius of 22.6.  FISTA
+        # alone reaches f = -1771.9 on the sphere; the solve does no worse.
+        spec = sweeps_module.SweepSpec(
+            experiment="error-vs-samples", trials=20, seed=7, d=4, m_grid=(200, 400, 800),
+            alpha_grid=(0.5, 2.0), output_dir="unused",
+        )
+        seen = []
+
+        def recording(moments, config):
+            seen.append((moments, config))
+            return solve(moments, config)
+
+        monkeypatch.setattr(sweeps_module, "solve", recording)
+        sweeps_module._error_vs_samples_trial(spec, 0.5, 200, sweeps_module._trial_rng(spec, 0, 14))
+        [(moments, config)] = seen
+        res = solve(moments, config)
+        assert res.converged
+        assert res.final_objective <= _reference_solve(moments, config).final_objective
 
     @settings(max_examples=120)
     @given(
@@ -733,8 +771,9 @@ class TestPolish:
 
     def test_a_singular_reduced_system_is_skipped(self, monkeypatch):
         # gamma_mat's first two rows are equal, so the reduced system on the
-        # pattern (+, +, +) is singular, and so is the bordered one: the
-        # polish skips both and FISTA certifies the solve on its own.
+        # support {0, 1, 2} is singular, and so is the bordered one on the
+        # pattern (+, +, +).  Cholesky rejects the free system before any
+        # solve, the bordered solve fails, and FISTA certifies on its own.
         solve_linear, singular = np.linalg.solve, []
 
         def spy(a, b):
@@ -748,7 +787,7 @@ class TestPolish:
         gm = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         moments = CorrectedMoments(gm, np.ones(3), 100)
         res = solve(moments, SolverConfig(mode="constrained", radius=10.0))
-        assert singular == [(3, 3), (4, 4)]
+        assert singular == [(4, 4)]
         assert res.converged and not res.polished
 
     def test_a_fast_large_instance_is_not_polished(self):
