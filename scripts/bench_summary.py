@@ -12,9 +12,13 @@ operations per side.
     python3 scripts/bench_summary.py BENCH_17.json            # rewrite summary
     python3 scripts/bench_summary.py BENCH_17.json --check    # exit 1 if stale
     python3 scripts/bench_summary.py BENCH_17.json --runs results.jsonl
+    python3 scripts/bench_summary.py BENCH_19.json --claim sweeps/pass_s
 
 ``--runs`` first replaces ``runs`` with the lines of a JSONL file in the
-same form.
+same form.  ``--claim WORKLOAD/METRIC`` rewrites nothing: it exits 1 unless
+the trace-0 runs show a gain on that end-to-end metric, which means at
+least 10 pairs, the change lower in at least 9 of every 10, and the medians
+apart by more than the parent's q3 - q1.
 """
 
 import argparse
@@ -35,6 +39,14 @@ def _spread(values):
     return {**row, "q1": q1, "q3": q3}
 
 
+def _lower_pairs(sel, name):
+    """(pairs in which the change side's ``name`` is lower, pairs) of the
+    trace-0 runs ``sel``; a pair is the two sides' runs at one seed."""
+    value = {(r["side"], r["seed"]): r["result"]["metrics"][name]["value"] for r in sel}
+    seeds = sorted({r["seed"] for r in sel})
+    return sum(value["change", s] < value["parent", s] for s in seeds), len(seeds)
+
+
 def summarize(runs):
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -50,16 +62,8 @@ def summarize(runs):
                 metrics[name]["unit"] = metric["unit"]
             pairs = {}
             if trace == 0:
-                value = {
-                    (r["side"], r["seed"]): r["result"]["metrics"] for r in sel
-                }
-                seeds = sorted({r["seed"] for r in sel})
                 for name in END_TO_END:
-                    lower = sum(
-                        value["change", s][name]["value"] < value["parent", s][name]["value"]
-                        for s in seeds
-                    )
-                    pairs[name] = f"change lower in {lower} of {len(seeds)} pairs"
+                    pairs[name] = "change lower in {} of {} pairs".format(*_lower_pairs(sel, name))
             summary[f"{workload} trace{trace}"] = {
                 "metrics": metrics,
                 "pairs": pairs,
@@ -69,17 +73,47 @@ def summarize(runs):
     return summary
 
 
+def claim(runs, workload, name):
+    """(whether the trace-0 ``runs`` of ``workload`` show a gain on the
+    end-to-end metric ``name``, a line saying why)."""
+    sel = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+    lower, n = _lower_pairs(sel, name) if sel else (0, 0)
+    if n < 10:
+        return False, f"{workload}/{name}: {n} pairs, fewer than 10: no claim"
+    parent, change = (
+        _spread(r["result"]["metrics"][name]["value"] for r in sel if r["side"] == side)
+        for side in SIDES
+    )
+    gap, iqr = parent["median"] - change["median"], parent["q3"] - parent["q1"]
+    holds = 10 * lower >= 9 * n and gap > iqr
+    return holds, (
+        f"{workload}/{name}: change lower in {lower} of {n} pairs; median "
+        f"{parent['median']:.6g} -> {change['median']:.6g}, gap {gap:.6g} against the "
+        f"parent's q3 - q1 {iqr:.6g}: claim {'holds' if holds else 'not met'}"
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench_file")
     parser.add_argument("--check", action="store_true")
     parser.add_argument("--runs", help="JSONL file of runs to put in the file first")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help=f"check a gain on one of {', '.join(END_TO_END)}")
     args = parser.parse_args(argv)
+    if args.claim:
+        workload, _, name = args.claim.rpartition("/")
+        if not workload or name not in END_TO_END:
+            parser.error(f"--claim takes WORKLOAD/METRIC with METRIC in {END_TO_END}")
     with open(args.bench_file) as fh:
         bench = json.load(fh)
     if args.runs:
         with open(args.runs) as fh:
             bench["runs"] = [json.loads(line) for line in fh if line.strip()]
+    if args.claim:
+        holds, line = claim(bench["runs"], workload, name)
+        print(line)
+        return 0 if holds else 1
     summary = summarize(bench["runs"])
     if args.check:
         if summary != bench["summary"]:

@@ -46,3 +46,42 @@ def test_pairs_and_spreads():
     traced = summary["w trace1"]
     assert traced["pairs"] == {}
     assert traced["metrics"]["pass_s"]["change"] == {"median": 1.0, "n": 1, "all": [1.0]}
+
+
+def _claim_runs(parent, change):
+    """Trace-0 runs of workload ``w``, pair i at seed i, with these pass_s values."""
+    def run(side, seed, pass_s):
+        metrics = {n: {"value": 1.0, "unit": "s"} for n in bench_summary.END_TO_END}
+        metrics["pass_s"]["value"] = pass_s
+        result = {"attempted": 3, "failed": 0, "metrics": metrics}
+        return {"side": side, "workload": "w", "seed": seed, "trace": 0, "result": result}
+
+    return [run(side, i, v) for side, values in zip(bench_summary.SIDES, (parent, change))
+            for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("parent, change, holds", [
+    # Lower in 9 of 10 pairs; medians 1.45 and 0.85, parent q3 - q1 0.45.
+    ([1.0 + 0.1 * i for i in range(10)], [1.1] + [0.3 + 0.1 * i for i in range(1, 10)], True),
+    # Lower in 8 of 10 pairs, the medians as far apart.
+    ([1.0 + 0.1 * i for i in range(10)], [1.1, 1.2] + [0.3 + 0.1 * i for i in range(2, 10)],
+     False),
+    # Lower in 10 of 10 pairs, but the medians are 0.05 apart.
+    ([1.0 + 0.1 * i for i in range(10)], [0.95 + 0.1 * i for i in range(10)], False),
+    # Lower in 9 of 9 pairs: too few to claim.
+    ([1.0 + 0.1 * i for i in range(9)], [0.5 + 0.1 * i for i in range(9)], False),
+])
+def test_claim_needs_nine_tenths_of_ten_pairs_and_the_parents_spread(
+        tmp_path, capsys, parent, change, holds):
+    path = tmp_path / "BENCH_0.json"
+    runs = _claim_runs(parent, change)
+    path.write_text(json.dumps({"runs": runs, "summary": bench_summary.summarize(runs)}))
+    before = path.read_text()
+    assert bench_summary.main([str(path), "--claim", "w/pass_s"]) == (0 if holds else 1)
+    assert capsys.readouterr().out.rstrip().endswith("holds" if holds else ("not met", "no claim"))
+    assert path.read_text() == before
+
+
+def test_claim_names_an_end_to_end_metric(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_summary.main([str(tmp_path / "BENCH_0.json"), "--claim", "w/solver.iterations"])

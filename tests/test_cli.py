@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestPublishAndFit:
         ({"seed": 2.7}, "key 'seed': expected a JSON integer, got 2.7"),
         ({"seed": 7, "stream": "0"}, "key 'stream': expected a JSON integer, got '0'"),
         ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
+        # JSON numbers out of range meet their object's check, named by the key.
+        ({"sigma_w_diagonal": math.nan},
+         "key 'sigma_w_diagonal': noise variance must be non-negative"),
+        ({"noise_scale": math.inf},
+         "key 'noise_scale': noise scale must be non-negative, got inf"),
+        ({"alpha": math.nan}, "key 'alpha': alpha must be positive, got nan"),
+        ({"beta": -1}, "key 'beta': beta must lie in [0, 1), got -1.0"),
         ([1, 2], "must hold a JSON object"),
         ("{", "Expecting property name"),  # not JSON at all
     ])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from survkit import (
+    ClipReport,
     Dataset,
     LinearModelSource,
     ModelBounds,
@@ -30,6 +32,87 @@ from survkit import (
 from survkit import datagen
 from survkit.core import _RNG_TAGS
 from survkit.datagen import CsvFormatError, source_from_spec
+
+
+def _reference_clip(x, y, zeta, tau):
+    """The per-column count and full clamp that ``_clip`` must agree with."""
+    cov = np.count_nonzero(x > zeta, axis=0) + np.count_nonzero(x < -zeta, axis=0)
+    resp = np.count_nonzero(y > tau) + np.count_nonzero(y < -tau)
+    report = ClipReport(tuple(int(c) for c in cov), int(resp))
+    return np.clip(x, -zeta, zeta), np.clip(y, -tau, tau), report
+
+
+@st.composite
+def _clip_cases(draw):
+    """(x, y, zeta, tau) with cells at +-bound, 0.0, -0.0 and +-inf among
+    finite values on both sides of the envelope."""
+    zeta, tau = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+    def cells(bound, n):
+        special = st.sampled_from([bound, -bound, 0.0, -0.0, math.inf, -math.inf])
+        values = st.one_of(special, st.floats(-2.0 * bound, 2.0 * bound))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    return cells(zeta, m * d).reshape(m, d), cells(tau, m), zeta, tau
+
+
+_INSIDE = np.array([[1.0, -1.0], [-0.0, 0.5]])
+
+
+class TestClipKernel:
+    @given(case=_clip_cases())
+    @example(case=(_INSIDE, np.array([2.0, -0.0]), 1.0, 2.0))  # all inside, at the bounds
+    @example(case=(_INSIDE * 3, np.array([0.5, -0.0]), 1.0, 1.0))  # only x outside
+    @example(case=(_INSIDE, np.array([3.0, -3.0]), 1.0, 1.0))  # only y outside
+    @example(case=(np.array([[math.inf, -math.inf]]), np.array([-math.inf]), 1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_column_reference(self, case):
+        x, y, zeta, tau = case
+        ref_x, ref_y, ref = _reference_clip(x, y, zeta, tau)
+        runs = [datagen._clip(x.copy(), y.copy(), ModelBounds(zeta, tau, 1.0))]
+        if np.isfinite(x).all() and np.isfinite(y).all():  # a Dataset holds finite entries
+            runs.append(clip_to_bounds(Dataset(x, y, ModelBounds(9.0, 9.0, 1.0)), zeta, tau))
+        for out, report in runs:
+            assert report == ref
+            assert all(type(c) is int for c in (*report.covariate_clips, report.response_clips))
+            assert out.x.tobytes() == ref_x.tobytes() and out.y.tobytes() == ref_y.tobytes()
+            assert out.validated
+
+    def test_nan_still_fails_the_row_rule(self):
+        x = np.array([[0.5, math.nan]])
+        with pytest.raises(ValueError, match="covariates contains non-finite entries"):
+            datagen._clip(x, np.zeros(1), ModelBounds(1.0, 1.0, 1.0))
+
+    def test_arrays_inside_are_kept_untouched(self):
+        x, y = _INSIDE.copy(), np.array([1.0, -0.0])
+        before = x.tobytes(), y.tobytes()
+        # Read-only arrays: any write to them raises.
+        x.setflags(write=False)
+        y.setflags(write=False)
+        out, report = datagen._clip(x, y, ModelBounds(1.0, 1.0, 1.0))
+        assert out.x is x and out.y is y
+        assert (x.tobytes(), y.tobytes()) == before
+        assert report == ClipReport((0, 0), 0)
+
+    # The transient peak of the parent's per-column count was 0.133 of a
+    # covariate matrix: a boolean mask (0.125) and its reduction's buffers.
+    @pytest.mark.parametrize("covariate, zeta", [("uniform", 1.0), ("normal", 4.0)],
+                             ids=["inside", "outside"])
+    def test_transient_peak(self, covariate, zeta):
+        m, d = 100_000, 10
+        gen = np.random.default_rng(12)
+        datagen._clip(gen.normal(size=(5, d)) * 9, gen.normal(size=5), ModelBounds(1, 1, 1))
+        x = gen.uniform(-1, 1, (m, d)) if covariate == "uniform" else gen.normal(size=(m, d))
+        y = gen.uniform(-1, 1, m)
+        tracemalloc.start()
+        try:
+            _, report = datagen._clip(x, y, ModelBounds(zeta, 1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.total > 0) == (covariate == "normal")
+        assert peak <= 0.135 * x.nbytes
 
 
 class TestClipToBounds:
