@@ -77,7 +77,7 @@ def claim(runs, workload, name):
     """(whether the trace-0 ``runs`` of ``workload`` show a gain on the
     end-to-end metric ``name``, a line saying why)."""
     sel = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
-    lower, n = _lower_pairs(sel, name) if sel else (0, 0)
+    lower, n = _lower_pairs(sel, name)
     if n < 10:
         return False, f"{workload}/{name}: {n} pairs, fewer than 10: no claim"
     parent, change = (

@@ -95,13 +95,16 @@ class TestClipKernel:
         assert (x.tobytes(), y.tobytes()) == before
         assert report == ClipReport((0, 0), 0)
 
-    # The transient peak of the parent's per-column count was 0.133 of a
-    # covariate matrix: a boolean mask (0.125) and its reduction's buffers.
+    # Peak traced bytes of the call, in covariate matrices: one boolean mask
+    # (0.125) alive at a time, from a count or the row rule's finiteness
+    # check, plus the indices of a few dozen cells outside.  Two masks alive
+    # at once, or a clamp through a temporary, exceed the bound.
     @pytest.mark.parametrize("covariate, zeta", [("uniform", 1.0), ("normal", 4.0)],
                              ids=["inside", "outside"])
     def test_transient_peak(self, covariate, zeta):
         m, d = 100_000, 10
         gen = np.random.default_rng(12)
+        # Both paths once first: first-call work is not the call's memory.
         datagen._clip(gen.normal(size=(5, d)) * 9, gen.normal(size=5), ModelBounds(1, 1, 1))
         x = gen.uniform(-1, 1, (m, d)) if covariate == "uniform" else gen.normal(size=(m, d))
         y = gen.uniform(-1, 1, m)
