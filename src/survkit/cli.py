@@ -85,8 +85,6 @@ def _sigma_w(text: str) -> str:
 def _jsonable(v):
     if isinstance(v, enum.Enum):
         return v.value
-    if isinstance(v, tuple):
-        return list(v)
     if isinstance(v, np.ndarray):
         return [float(x) for x in v]
     return v
@@ -94,9 +92,7 @@ def _jsonable(v):
 
 def _manifest(args: argparse.Namespace) -> dict:
     config = {
-        k: _jsonable(v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "command")
+        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config", "command")
     }
     return {
         "version": __version__,
@@ -453,7 +449,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"survkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"survkit: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -5,12 +5,12 @@ declared envelope bounds: per-coordinate covariate bound ``zeta``, response
 bound ``tau``, and an l1 bound ``radius`` on admissible coefficient vectors.
 Everything downstream (noise calibration, the constrained solver, the
 credibility test thresholds) is expressed in terms of these three numbers,
-so they are validated hard at construction time and non-finite values are
+so they are checked hard at construction time and non-finite values are
 rejected everywhere.
 
-All types here are immutable after construction (arrays are marked
-read-only) and safe to share across workers; the one exception is the
-``validated`` flag on :class:`Dataset`, which `validate_dataset` may set.
+All types here keep no mutable state (arrays are marked read-only) and
+are safe to share across workers.  A check of the bounds is never recorded
+on a dataset: each consumer that relies on them checks them when called.
 
 Rows and ownership: every holder of (x, y) rows - :class:`Dataset`,
 ``mechanisms.PrivateDataset`` and ``tester.PooledSource`` - takes its
@@ -121,11 +121,11 @@ class Dataset:
     """Survey data: an m x d covariate matrix and a length-m response vector.
 
     Rows are stored row-major with responses in a parallel array.  The
-    ``validated`` flag is False at construction and is set by
-    :func:`validate_dataset` when every entry satisfies the declared bounds.
+    declared bounds are not checked at construction; :func:`validate_dataset`
+    reports the entries outside them.
     """
 
-    __slots__ = ("x", "y", "bounds", "_validated")
+    __slots__ = ("x", "y", "bounds")
 
     def __init__(self, x, y, bounds: ModelBounds):
         self._hold(*_rows(x, y), bounds)
@@ -144,7 +144,6 @@ class Dataset:
         self.x = x
         self.y = y
         self.bounds = bounds
-        self._validated = False
 
     @property
     def size(self) -> int:
@@ -154,15 +153,8 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def validated(self) -> bool:
-        return self._validated
-
     def __repr__(self) -> str:
-        return (
-            f"Dataset(m={self.size}, d={self.dim}, bounds={self.bounds}, "
-            f"validated={self._validated})"
-        )
+        return f"Dataset(m={self.size}, d={self.dim}, bounds={self.bounds})"
 
 
 @dataclass(frozen=True)
@@ -190,14 +182,12 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     """Check every entry of ``ds`` against its declared bounds.
 
     Lists every (row, column) with |x_ij| > zeta, and every (row, d) with
-    |y_i| > tau.  Sets the dataset's ``validated`` flag iff there are no
-    violations; otherwise leaves it untouched.  Idempotent.  A dataset
+    |y_i| > tau.  A pure function: ``ds`` is left as it is.  A dataset
     within its bounds is recognised by min/max reductions alone; the
     entry-by-entry scan runs only when some entry is out of bounds.
     """
     b = ds.bounds
     if _within(ds.x, b.zeta) and _within(ds.y, b.tau):
-        ds._validated = True
         return ValidationReport(())
     rows, cols = np.nonzero(np.abs(ds.x) > b.zeta)
     bad = [(int(r), int(c)) for r, c in zip(rows, cols)]

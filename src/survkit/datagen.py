@@ -30,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _within, validate_dataset
+from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _within
+# Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
+from .core import validate_dataset  # noqa: F401
 from .mechanisms import NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset
 from .tester import ValidationSource
 
@@ -68,9 +70,10 @@ class LinearModelSource(ValidationSource):
     """
 
     def __init__(self, theta, noise_var: float, covariate: str = "normal", scale: float = 1.0):
-        self.theta = np.asarray(theta, dtype=np.float64)
+        self.theta = np.array(theta, dtype=np.float64)  # a copy: the caller may write theirs
         if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
             raise ValueError("theta must be a finite vector")
+        self.theta.setflags(write=False)
         if not (0 <= noise_var < math.inf and 0 < scale < math.inf):
             raise ValueError("noise_var must be finite and >= 0, scale finite and > 0")
         if covariate not in ("normal", "uniform"):
@@ -117,7 +120,7 @@ def source_from_spec(spec: dict, path="the generator spec") -> LinearModelSource
 def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipReport]:
     """Clamp covariates to [-zeta, zeta] and responses to [-tau, tau].
 
-    Returns the clipped dataset (validated, with radius carried over) and
+    Returns the clipped dataset (within zeta and tau, radius carried over) and
     per-column clamp counts, taken only from the cells outside the envelope;
     data inside it is left untouched.  Idempotent.
     """
@@ -142,9 +145,7 @@ def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, C
     if not _within(y, tau):
         resp = int(np.count_nonzero(y > tau) + np.count_nonzero(y < -tau))
         np.clip(y, -tau, tau, out=y)
-    out = Dataset._adopt(x, y, bounds)
-    validate_dataset(out)
-    return out, ClipReport(cov, resp)
+    return Dataset._adopt(x, y, bounds), ClipReport(cov, resp)
 
 
 def _check_generator_args(d: int, m: int, mu: float = 0.0) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, RngSpec, _rows
+from .core import _RNG_TAGS, Dataset, RngSpec, _rows, _within
 
 
 class Accounting(enum.Enum):
@@ -178,16 +178,17 @@ def privatize(
 ) -> PrivateDataset:
     """Add one independent noise draw to every covariate coordinate.
 
-    Requires a validated dataset (all |x_ij| <= zeta), since the calibration
-    in ``spec`` is only meaningful for bounded covariates.  Responses pass
-    through unchanged: the result shares the read-only ``ds.y``, and its
-    ``z`` is a fresh array.  The noise matrix is filled in a canonical
-    row-major order from the (seed, stream) sub-stream tagged "noise", so
-    the output is a pure function of (ds, spec, params, rng).
+    Requires every |x_ij| <= ds.bounds.zeta, since the calibration in
+    ``spec`` is only meaningful for bounded covariates; two reductions check
+    it on every call.  Responses pass through unchanged: the result shares
+    the read-only ``ds.y``, and its ``z`` is a fresh array.  The noise
+    matrix is filled in a canonical row-major order from the (seed, stream)
+    sub-stream tagged "noise", so the output is a pure function of
+    (ds, spec, params, rng).
     """
-    if not ds.validated:
+    if not _within(ds.x, ds.bounds.zeta):
         raise ValueError(
-            "dataset must be validated against its declared bounds before privatization"
+            f"covariates exceed zeta = {ds.bounds.zeta:g}; clip explicitly or raise zeta"
         )
     gen = rng.derive(_RNG_TAGS["noise"])
     shape = (ds.size, ds.dim)

@@ -38,7 +38,7 @@ _C_EPS = 1.0
 
 
 class InsufficientValidationError(RuntimeError):
-    """The validation source ran out before the required draw count."""
+    """The validation source cannot supply the required draw count."""
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,17 @@ class ValidationSource:
 
 
 class PooledSource(ValidationSource):
-    """Validation draws served front-to-back from a fixed pool of rows."""
+    """Validation draws from a fixed pool of rows: every draw of n is the
+    pool's first n rows, so repeated runs on one source see equal batches."""
 
     def __init__(self, x, y):
         self.x, self.y = _rows(x, y)
-        self._next = 0
 
     def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        left = self.x.shape[0] - self._next
-        if n > left:
-            raise InsufficientValidationError(f"validation pool has {left} rows left, need {n}")
-        sl = slice(self._next, self._next + n)
-        self._next += n
-        return self.x[sl], self.y[sl]
+        rows = self.x.shape[0]
+        if n > rows:
+            raise InsufficientValidationError(f"validation pool has {rows} rows, need {n}")
+        return self.x[:n], self.y[:n]
 
 
 class Decision(enum.Enum):

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survkit import Dataset, ModelBounds, SolveResult, SweepSpec, Verdict, run_sweep, save_csv
+from survkit import (
+    Dataset, ModelBounds, SolveResult, SweepSpec, Verdict, run_sweep, save_csv,
+    validation_sample_size,
+)
 from survkit import bounds as bnd
 from survkit.cli import _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 
@@ -360,6 +363,20 @@ class TestVerify:
         assert code == EXIT_RUNTIME
         assert "survkit: note:" not in err
         assert err == "survkit: error: --beta must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_unallocatable_validation_draw_is_runtime_error(self, survey_files, tmp_path, capsys):
+        # At tol 1e-7 the validation draw asks for petabytes, so numpy's
+        # allocation fails at once, before any memory is touched.
+        flags = self._flags(survey_files, 0.0)
+        flags[flags.index("--tol") + 1] = "1e-7"
+        b = _truth(survey_files)["bounds"]
+        assert validation_sample_size(b["tau"], 0.1, 1e-7) * 6 * 8 > 2**50
+        out = tmp_path / "verdict.json"
+        code = run("verify", *flags, "--output", str(out), "--quiet")
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err.startswith("survkit: error: Unable to allocate")
         assert not out.exists()
 
     def test_notes_on_stderr_and_in_json(self, survey_files, tmp_path, capsys):

@@ -34,13 +34,12 @@ class TestValidateDataset:
     def test_within_bounds(self):
         ds = Dataset([[0.5]], [0.2], UNIT)
         rep = validate_dataset(ds)
-        assert rep.ok and ds.validated
+        assert rep.ok
 
     def test_covariate_violation_located(self):
         ds = Dataset([[1.5]], [0.2], UNIT)
         rep = validate_dataset(ds)
         assert rep.violations == ((0, 0),)
-        assert not ds.validated
 
     def test_response_violation_located(self):
         ds = Dataset([[0.0, 0.0]], [3.0], UNIT)
@@ -49,9 +48,12 @@ class TestValidateDataset:
 
     def test_idempotent(self):
         ds = Dataset([[0.5]], [0.2], UNIT)
+        before = (ds.x, ds.y, ds.bounds)
         r1 = validate_dataset(ds)
         r2 = validate_dataset(ds)
-        assert r1 == r2 and ds.validated
+        assert r1 == r2
+        # A pure function: the dataset's slots still hold the same objects.
+        assert all(a is b for a, b in zip((ds.x, ds.y, ds.bounds), before))
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -69,7 +71,6 @@ class TestValidateDataset:
             + [(i, d) for i in range(m) if abs(y[i]) > tau]
         )
         assert validate_dataset(ds) == ValidationReport(tuple(expected))
-        assert ds.validated == (not expected)
 
 
 class TestDatasetConstruction:

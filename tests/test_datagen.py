@@ -28,6 +28,7 @@ from survkit import (
     save_csv,
     save_private,
     sparse_coefficients,
+    validate_dataset,
 )
 from survkit import datagen
 from survkit.core import _RNG_TAGS
@@ -77,7 +78,7 @@ class TestClipKernel:
             assert report == ref
             assert all(type(c) is int for c in (*report.covariate_clips, report.response_clips))
             assert out.x.tobytes() == ref_x.tobytes() and out.y.tobytes() == ref_y.tobytes()
-            assert out.validated
+            assert validate_dataset(out).ok
 
     def test_nan_still_fails_the_row_rule(self):
         x = np.array([[0.5, math.nan]])
@@ -124,7 +125,7 @@ class TestClipToBounds:
         out, rep = clip_to_bounds(ds, 1.0, 1.0)
         assert rep.total == 0
         assert np.array_equal(out.x, ds.x) and np.array_equal(out.y, ds.y)
-        assert out.validated
+        assert validate_dataset(out).ok
 
     def test_single_clamp_counted(self):
         ds = Dataset([[5.0]], [0.0], ModelBounds(10, 1, 1))
@@ -202,6 +203,14 @@ class TestSynthetic1:
         resid = y - x @ theta_star
         assert float(np.var(resid)) == pytest.approx(0.1, rel=0.05)
         assert abs(float(np.mean(x))) < 0.02
+
+    def test_sampler_keeps_its_own_read_only_theta(self):
+        _, _, theta_star, sampler = gen_synthetic1(4, 1, 1.0, RngSpec(5))
+        before = theta_star.copy()
+        theta_star *= 0  # the caller's copy stays writable
+        assert np.array_equal(sampler.theta, before)
+        with pytest.raises(ValueError, match="read-only"):
+            sampler.theta[0] = 0.0
 
 
 class TestSynthetic2:

@@ -143,10 +143,21 @@ class TestPrivatize:
         c = privatize(ds, spec, None, RngSpec(99, 4))
         assert a.z.tobytes() != c.z.tobytes()
 
-    def test_requires_validated_dataset(self):
-        ds = Dataset([[0.1]], [0.0], ModelBounds(1, 1, 1))
-        with pytest.raises(ValueError):
-            privatize(ds, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, RngSpec(0))
+    def test_checks_zeta_on_every_call(self):
+        spec = NoiseSpec(NoiseKind.LAPLACE, 1.0)
+        # Within zeta, never passed to validate_dataset, y beyond tau: accepted.
+        ds = Dataset([[0.1], [-1.0]], [0.0, 5.0], ModelBounds(1, 1, 1))
+        assert privatize(ds, spec, None, RngSpec(0)).size == 2
+        with pytest.raises(ValueError, match="covariates exceed zeta = 1;"):
+            privatize(Dataset([[0.1], [-1.5]], [0.0, 0.0], ModelBounds(1, 1, 1)),
+                      spec, None, RngSpec(0))
+        # Attributes can be rebound after validate_dataset ran, so privatize
+        # relies on no earlier check.
+        ds = Dataset([[0.5]], [0.0], ModelBounds(1, 1, 1))
+        assert validate_dataset(ds).ok
+        ds.x = np.array([[50.0]])
+        with pytest.raises(ValueError, match="covariates exceed zeta = 1;"):
+            privatize(ds, spec, None, RngSpec(0))
 
 
 class TestNoiseStatistics:

@@ -25,6 +25,10 @@ Every use of the private ``_adopt`` path of ``Dataset`` and
 ``PrivateDataset``, which keeps the arrays it is given instead of copying
 them, sits in a function of ``_ADOPT_CALLERS`` with the reason no copy is
 needed there, so a new caller fails here until its arrays are checked.
+
+Every attribute assignment in ``src/survkit`` sits in an ``__init__``,
+``_adopt`` or ``_hold``: an object is filled in once, where it is built, and
+never changed afterwards, so no flag or cursor can go stale between calls.
 """
 
 import argparse
@@ -48,6 +52,8 @@ _ADOPT_CALLERS = {
     "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",
     "tester._verify": "the survey's read-only arrays, under the configured bounds",
 }
+# The functions that may assign an attribute: those that build an object.
+_ATTRIBUTE_SETTERS = ("__init__", "_adopt", "_hold")
 
 
 def _uses(node: ast.AST) -> set[str]:
@@ -147,3 +153,28 @@ def test_every_import_is_used_by_its_module():
         allowed = set(bindings.get(f"survkit.{path.stem}", ()))
         unused += [f"{path.stem}.{name}" for name in sorted(imported - names - allowed)]
     assert not unused, f"imports that their module never uses: {unused}"
+
+
+def _assigned_attributes(target: ast.AST):
+    """The attribute targets of an assignment, through tuple unpacking."""
+    if isinstance(target, ast.Attribute):
+        yield target
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_attributes(elt)
+
+
+def test_attributes_are_assigned_only_where_objects_are_built():
+    misplaced = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node, owner in _nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if owner not in _ATTRIBUTE_SETTERS:
+                misplaced += [f"{path.stem}.{owner}: {ast.unparse(attr)}"
+                              for t in targets for attr in _assigned_attributes(t)]
+    assert not misplaced, f"attributes assigned outside {_ATTRIBUTE_SETTERS}: {misplaced}"

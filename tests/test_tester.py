@@ -186,18 +186,17 @@ class TestVerifySurvey:
         survey, _, cfg, _ = _survey_and_cfg(0.0)
         t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
 
-        def far_pool():
-            return PooledSource(np.zeros((t, survey.dim)), np.full(t, 2 * cfg.bounds.tau))
+        far_pool = PooledSource(np.zeros((t, survey.dim)), np.full(t, 2 * cfg.bounds.tau))
 
         with pytest.warns(RuntimeWarning) as rec:
             verdicts = [
-                verify_survey(survey, far_pool(), cfg, RngSpec(1)),
+                verify_survey(survey, far_pool, cfg, RngSpec(1)),
                 verify_private_survey(
-                    survey, far_pool(), cfg, PrivacyParams(alpha=2.0), RngSpec(1),
+                    survey, far_pool, cfg, PrivacyParams(alpha=2.0), RngSpec(1),
                     lambda_min=1.0,
                 ),
                 verify_private_survey(
-                    survey, far_pool(), cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
+                    survey, far_pool, cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
                 ),
             ]
             make_noise_spec(PrivacyParams(alpha=2.0, beta=0.1), zeta=1.0, d=2)
@@ -272,8 +271,23 @@ class TestVerifySurvey:
     def test_exhausted_pool_raises(self):
         survey, _, cfg, _ = _survey_and_cfg(0.0)
         pool = PooledSource(survey.x[:3], survey.y[:3])
-        with pytest.raises(InsufficientValidationError, match="pool has 3 rows left, need"):
+        t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+        with pytest.raises(InsufficientValidationError,
+                           match=f"^validation pool has 3 rows, need {t}$"):
             verify_survey(survey, pool, cfg, RngSpec(2))
+
+    def test_shared_pool_gives_equal_verdicts(self):
+        # Every draw is the pool's first t rows, so runs that share one
+        # source see the same validation batch.
+        survey, sampler, cfg, _ = _survey_and_cfg(0.5)
+        t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+        x, y = sampler.draw(t + 1, np.random.default_rng(4))
+        pool = PooledSource(x, y)
+        a = verify_survey(survey, pool, cfg, RngSpec(3))
+        b = verify_survey(survey, pool, cfg, RngSpec(3))
+        assert (a.gamma_d, a.margin, a.decision) == (b.gamma_d, b.margin, b.decision)
+        first_t = verify_survey(survey, PooledSource(x[:t], y[:t]), cfg, RngSpec(3))
+        assert a.gamma_d == first_t.gamma_d
 
     def test_out_of_bounds_survey_rejected(self):
         survey, sampler, cfg, _ = _survey_and_cfg(0.0)
