@@ -8,8 +8,8 @@ Two synthetic families drive the benchmark harness:
 * family 2 - sparse coefficients (drawn from Unif(1, 10) with probability
   1/sqrt(d), else 0) with covariate noise of matched variance injected from
   either a Gaussian or a Laplace distribution, for light-vs-heavy-tail
-  comparisons.  Both kinds transform one shared uniform block, so runs with
-  equal RngSpec are paired across kinds.
+  comparisons.  Both kinds transform the uniforms of one sub-stream, so runs
+  with equal RngSpec are paired across kinds.
 
 Distribution parameters follow the convention that the second argument of a
 normal law is its VARIANCE.  Generated data is clipped to a 4-sigma
@@ -205,20 +205,20 @@ def gen_synthetic2(
     Standard-normal covariates, unit-variance regression noise, sparse
     coefficients.  Covariate noise is per-coordinate N(0, 1) (Gaussian
     kind) or Laplace(0, 1/sqrt(2)) (Laplace kind) - equal variance 1 - and
-    both kinds are inverse-CDF transforms of one shared uniform block, so
+    both kinds are inverse-CDF transforms of one uniform sub-stream, so
     the two noisy versions of the same RngSpec are coupled.
     """
     _check_generator_args(d, m)
     if not isinstance(noise_kind, NoiseKind):
         raise ValueError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
-    clean, theta_star, u = _synthetic2_base(d, m, rng)
-    return clean, _with_covariate_noise(clean, u, noise_kind, rng), theta_star
+    clean, theta_star = _synthetic2_base(d, m, rng)
+    return clean, _with_covariate_noise(clean, noise_kind, rng), theta_star
 
 
-def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray, np.ndarray]:
+def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray]:
     """The part of :func:`gen_synthetic2` that both noise kinds share:
-    (clean, theta_star, u), u being the clipped uniform block that
-    :func:`_with_covariate_noise` transforms into either kind's noise."""
+    (clean, theta_star), to which :func:`_with_covariate_noise` adds either
+    kind's noise."""
     gen = rng.derive(_RNG_TAGS["data"])
     theta_star = sparse_coefficients(d, gen)
     x = gen.normal(size=(m, d))
@@ -228,40 +228,40 @@ def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray,
     clean, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
     if clips.total:
         log.info("family-2 generator clipped %d cells to the 4-sigma envelope", clips.total)
-    u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=(m, d))
+    return clean, theta_star
+
+
+def _with_covariate_noise(clean: Dataset, kind: NoiseKind, rng: RngSpec) -> PrivateDataset:
+    """``clean`` with the covariate noise of ``kind``: the inverse-CDF transform,
+    built in place, of a uniform block drawn afresh from the covariate-noise
+    sub-stream of ``rng``, so the kinds are paired in any build order."""
+    u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=clean.x.shape)
     if u.min() < _U_EPS:  # random() <= 1 - 2**-53: only an exact 0 needs the clamp
         np.clip(u, _U_EPS, 1.0 - _U_EPS, out=u)
-    return clean, theta_star, u
-
-
-def _with_covariate_noise(
-    clean: Dataset, u: np.ndarray, kind: NoiseKind, rng: RngSpec
-) -> PrivateDataset:
-    """``clean`` with the covariate noise of ``kind``, the inverse-CDF
-    transform of the uniform block ``u``.  The Laplace transform overwrites
-    ``u``, so a caller that needs both kinds builds the Gaussian one first."""
     if kind is NoiseKind.GAUSSIAN:
-        # Imported here: scipy.special is the slowest import in the package
-        # and this is its only use.
+        # Imported here: scipy.special is the slowest import in the package,
+        # adds about 25 MB RSS, and this is its only use.
         from scipy.special import ndtri
 
-        w = ndtri(u)
+        ndtri(u, out=u)
         spec = NoiseSpec(NoiseKind.GAUSSIAN, 1.0)
     else:
-        # -scale * sign(u - 0.5) * log1p(-2 |u - 0.5|), one operation at a
-        # time in that order, in place.
+        # -scale * sign(u - 0.5) * log1p(-2 |u - 0.5|), in place; the sign,
+        # exactly +-1, is applied last, which changes no bit of the product.
         scale = 1.0 / math.sqrt(2.0)
         u -= 0.5
-        w = np.sign(u)
-        w *= -scale
+        sign = np.signbit(u).view(np.int8)  # u - 0.5 is never -0.0
+        sign *= -2
+        sign += 1
         np.abs(u, out=u)
         u *= -2.0
         np.log1p(u, out=u)
-        w *= u
+        u *= -scale
+        u *= sign
         spec = NoiseSpec(NoiseKind.LAPLACE, scale)
-    w += clean.x
+    u += clean.x
     return PrivateDataset._adopt(
-        z=w,
+        z=u,
         y=clean.y,
         noise_variance=1.0,
         noise=spec,

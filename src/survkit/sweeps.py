@@ -149,13 +149,12 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
 
 
 def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
-    # gen_synthetic2 once per kind, with the shared data built once: the
-    # Gaussian kind goes first because the Laplace transform overwrites u.
-    clean, theta_star, u = _synthetic2_base(spec.d, m, rng)
+    # gen_synthetic2 once per kind, with the shared data built once.
+    clean, theta_star = _synthetic2_base(spec.d, m, rng)
     config = SolverConfig(mode="constrained", radius=clean.bounds.radius)
     row: dict = {"m": m}
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.LAPLACE):
-        result = solve(corrected_moments(_with_covariate_noise(clean, u, kind, rng)), config)
+        result = solve(corrected_moments(_with_covariate_noise(clean, kind, rng)), config)
         row[f"error_{kind.value}"] = _normalized_error(result.theta_hat, theta_star)
     return row
 

@@ -241,12 +241,15 @@ class TestSynthetic2:
         assert clean_g.x.tobytes() == clean_l.x.tobytes()
         assert np.array_equal(th_g, th_l)
 
-    def test_noise_is_the_inverse_cdf_of_one_uniform_block(self):
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**32),
+           d=st.integers(1, 6), m=st.integers(1, 400))
+    def test_noise_is_the_inverse_cdf_of_one_uniform_block(self, seed, stream, d, m):
         # The transforms written out in full on a fresh draw of the uniform
         # block; the generator evaluates them in place and must match bitwise.
         from scipy.special import ndtri
 
-        m, d, rng = 300, 4, RngSpec(5, 2)
+        rng = RngSpec(seed, stream)
         u = rng.derive(_RNG_TAGS["covariate_noise"]).random(size=(m, d))
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         scale = 1.0 / math.sqrt(2.0)
@@ -257,6 +260,16 @@ class TestSynthetic2:
         for kind, w in noise.items():
             clean, noisy, _ = gen_synthetic2(d, m, kind, rng)
             assert noisy.z.tobytes() == (clean.x + w).tobytes()
+
+    def test_kinds_build_in_either_order(self):
+        # Each kind draws its own uniforms, so the Laplace kind built first
+        # leaves the Gaussian kind as gen_synthetic2 builds it alone.
+        d, m, rng = 5, 300, RngSpec(8, 4)
+        clean, _ = datagen._synthetic2_base(d, m, rng)
+        order = (NoiseKind.LAPLACE, NoiseKind.GAUSSIAN)
+        built = {kind: datagen._with_covariate_noise(clean, kind, rng) for kind in order}
+        for kind, noisy in built.items():
+            assert noisy.z.tobytes() == gen_synthetic2(d, m, kind, rng)[1].z.tobytes()
 
     def test_deterministic(self):
         a = gen_synthetic2(4, 50, NoiseKind.LAPLACE, RngSpec(2, 9))

@@ -46,7 +46,8 @@ _UNSET_FIELDS_ALLOWED: dict[str, str] = {}
 _ADOPT_CALLERS = {
     "datagen._clip": "clamps in place the fresh arrays its callers give up "
                      "(clip_to_bounds gives it copies)",
-    "datagen._with_covariate_noise": "the noise buffer is its own; clean.y is read-only",
+    "datagen._with_covariate_noise": "the noise buffer is its own fresh uniform draw; "
+                                     "clean.y is read-only",
     "mechanisms.privatize": "the noise buffer is its own; ds.y is read-only",
     "datagen.load_private": "the read-only arrays of the load_csv Dataset it discards",
     "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",

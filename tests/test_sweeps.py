@@ -246,25 +246,29 @@ class TestWorkerCountInvariance:
 
 class TestTrialMemory:
     # Peak traced bytes, in m x d covariate matrices.  The datasets keep the
-    # buffers their producers hand over, so a trial peaks at about 3.23
-    # (noise-comparison: clean x, u, and one kind's noisy covariates) and
-    # 2.23 (error-vs-samples: x and the noisy covariates); one more m x d copy
-    # anywhere exceeds the bound.
-    @pytest.mark.parametrize("experiment, trial, point, matrices", [
-        ("noise-comparison", sweeps_mod._noise_comparison_trial, (), 3.5),
-        ("error-vs-samples", sweeps_mod._error_vs_samples_trial, (2.0,), 2.5),
+    # buffers their producers hand over, so a trial peaks at about 2.35
+    # (noise-comparison: clean x and one kind's noisy covariates), 2.23
+    # (error-vs-samples: x and the noisy covariates) and 1.30 (model-distance:
+    # the survey's x); one more m x d copy anywhere exceeds the bound.
+    @pytest.mark.parametrize("experiment, matrices", [
+        ("noise-comparison", 2.5),
+        ("error-vs-samples", 2.5),
+        ("model-distance", 1.5),
     ])
-    def test_peak_within_bound(self, experiment, trial, point, matrices):
+    def test_peak_within_bound(self, experiment, matrices):
         m, d = 20_000, 10
-        spec = SweepSpec(experiment=experiment, trials=1, seed=3, output_dir=".", d=d)
-        rng = sweeps_mod._trial_rng(spec, 0, 0)
-        trial(spec, *point, 50, rng)  # first-call imports are not the trial's memory
-        tracemalloc.start()
-        try:
-            trial(spec, *point, m, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid, trial, _ = sweeps_mod.EXPERIMENTS[experiment]
+        # First-call imports are not the trial's memory: a tiny trial runs first.
+        for size in (50, m):
+            spec = SweepSpec(experiment=experiment, trials=1, seed=3, output_dir=".", d=d,
+                             m=size, m_grid=(size,))
+            rng = sweeps_mod._trial_rng(spec, 0, 0)
+            tracemalloc.start()
+            try:
+                trial(spec, *grid(spec)[0], rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak <= matrices * m * d * 8
 
     def test_noise_comparison_pairs_gen_synthetic2_draws(self):
