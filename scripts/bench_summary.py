@@ -13,18 +13,27 @@ operations per side.
     python3 scripts/bench_summary.py BENCH_17.json --check    # exit 1 if stale
     python3 scripts/bench_summary.py BENCH_17.json --runs results.jsonl
     python3 scripts/bench_summary.py BENCH_19.json --claim sweeps/pass_s
+    python3 scripts/bench_summary.py BENCH_23.json --regressions
 
 ``--runs`` first replaces ``runs`` with the lines of a JSONL file in the
 same form.  ``--claim WORKLOAD/METRIC`` rewrites nothing: it exits 1 unless
 the trace-0 runs show a gain on that end-to-end metric, which means at
 least 10 pairs, the change lower in at least 9 of every 10, and the medians
-apart by more than the parent's q3 - q1.
+apart by more than the parent's q3 - q1.  ``--regressions`` rewrites
+nothing either: for every workload and end-to-end metric of the trace-0
+runs it prints one row, "worse", "unresolved" or "ok", by the no-regression
+rule with that metric's ``bound`` in the repository's ``BENCHMARK.json``, and
+exits 1 on any "worse".
 """
 
 import argparse
 import json
+import math
 import statistics
 import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 SIDES = ("parent", "change")
 END_TO_END = ("pass_s", "setup_s", "peak_rss_mb")
@@ -93,6 +102,40 @@ def claim(runs, workload, name):
     )
 
 
+def regressions(runs, bounds):
+    """[(verdict, line)], one per workload and end-to-end metric of the
+    trace-0 ``runs``.  Each metric is lower-is-better and its bound, from
+    ``bounds``, is a fraction of the parent's median.  "worse": the change's
+    median exceeds the parent's by more than the bound.  "unresolved": the
+    parent's q3 - q1 exceeds the bound, or the parent has fewer than 4 runs,
+    unless every change run is lower than every parent run.  "ok" otherwise."""
+    rows = []
+    for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
+        sel = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+        for name in END_TO_END:
+            parent, change = (
+                [r["result"]["metrics"][name]["value"] for r in sel if r["side"] == side]
+                for side in SIDES
+            )
+            p = _spread(parent)
+            base, bound = p["median"], bounds[name]
+            rise = statistics.median(change) / base - 1
+            spread = (p["q3"] - p["q1"]) / base if "q1" in p else math.inf
+            if rise > bound:
+                verdict = "worse"
+            elif spread > bound and not max(change) < min(parent):
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            rows.append((verdict, (
+                f"{workload}/{name}: median {base:.6g} -> {statistics.median(change):.6g} "
+                f"({rise:+.1%}), bound {bound:.0%}, parent q3 - q1 "
+                f"{'unknown' if spread == math.inf else f'{spread:.1%} of its median'}, "
+                f"{len(parent)} and {len(change)} runs: {verdict}"
+            )))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench_file")
@@ -100,6 +143,8 @@ def main(argv=None):
     parser.add_argument("--runs", help="JSONL file of runs to put in the file first")
     parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
                         help=f"check a gain on one of {', '.join(END_TO_END)}")
+    parser.add_argument("--regressions", action="store_true",
+                        help="check every end-to-end metric against its bound")
     args = parser.parse_args(argv)
     if args.claim:
         workload, _, name = args.claim.rpartition("/")
@@ -114,6 +159,12 @@ def main(argv=None):
         holds, line = claim(bench["runs"], workload, name)
         print(line)
         return 0 if holds else 1
+    if args.regressions:
+        bounds = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+        rows = regressions(bench["runs"], bounds)
+        for _, line in rows:
+            print(line)
+        return 1 if any(verdict == "worse" for verdict, _ in rows) else 0
     summary = summarize(bench["runs"])
     if args.check:
         if summary != bench["summary"]:

@@ -341,7 +341,11 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None, help="required")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--zeta", type=float, default=None, help="required")
-    p.add_argument("--accounting", choices=("per-coord", "whole-record"), default="per-coord")
+    p.add_argument("--accounting", choices=("per-coord", "whole-record"), default="per-coord",
+                   help="per-coord: each coordinate is alpha-LDP, so a record of d coordinates "
+                        "is d*alpha-LDP (Laplace) or (d*alpha, d*beta)-LDP (Gaussian) by basic "
+                        "composition; whole-record: each record is alpha-LDP (or (alpha, "
+                        "beta)-LDP), with d times the Laplace scale or sqrt(d) times the sigma")
     p.set_defaults(func=_cmd_publish)
 
     p = sub.add_parser("fit", parents=[common], help="fit the corrected l1 model")

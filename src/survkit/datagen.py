@@ -20,6 +20,7 @@ from the cells outside it, are logged.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _within
+from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within
 # Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
 from .mechanisms import NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset
@@ -291,10 +292,21 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _write_rows(path, x: np.ndarray, y: np.ndarray) -> None:
-    b = _WRITE_BLOCK_ROWS
-    blocks = (np.column_stack((x[i:i + b], y[i:i + b])).tolist() for i in range(0, len(y), b))
-    # A float's repr reads back exactly.
-    _write_csv(path, _header(x.shape[1]), (map(repr, row) for block in blocks for row in block))
+    """Write the dataset CSV of ``x`` and ``y``, then its twin (see :func:`_read_twin`)."""
+    def rows():
+        b = _WRITE_BLOCK_ROWS
+        for i in range(0, len(y), b):
+            block = np.column_stack((x[i:i + b], y[i:i + b])).tolist()
+            yield from (map(repr, row) for row in block)  # a float's repr reads back exactly
+            del block  # freed before the next block is formatted
+
+    _write_csv(path, _header(x.shape[1]), rows())
+    if Path(path).is_file():  # not, say, /dev/null
+        # The twin only saves a parse: one that cannot be written is left
+        # out, and a partial one fails its read.
+        with contextlib.suppress(OSError), _twin_path(path).open("wb") as fh:
+            for a in (np.frombuffer(_file_digest(path), np.uint8), x, y):
+                np.lib.format.write_array(fh, a, allow_pickle=False)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -305,31 +317,68 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
-    :func:`_read_rows` defines what a dataset file is.  One ``np.loadtxt``
-    call reads the plain files quickly and gives up on anything unusual,
-    which ``_read_rows`` then reads or rejects, raising
-    :class:`CsvFormatError` at the first bad line and column.
+    :func:`_read_rows` defines what a dataset file is.  A file that
+    survkit wrote is read back from its binary twin when the twin's digest
+    matches (:func:`_read_twin`).  Otherwise one ``np.loadtxt`` call reads
+    the plain files quickly and gives up on anything unusual, which
+    ``_read_rows`` then reads or rejects, raising :class:`CsvFormatError`
+    at the first bad line and column.
 
     When no bounds are supplied, the envelope of the data itself is
     declared (with radius 1.0 as a placeholder), so validation passes
     trivially; pass explicit bounds for anything privacy-related.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader([fh.readline()]))
-            arr = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
-        w = arr.shape[1]
-        if not (w > 1 and header == _header(w - 1) and np.isfinite(arr).all()):
-            raise ValueError("not a plain dataset")
-    except ValueError:
-        arr = _read_rows(path)
-    x, y = arr[:, :-1], arr[:, -1]
+    twin = _read_twin(path)
+    if twin is not None:
+        x, y = twin
+    else:
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                header = next(csv.reader([fh.readline()]))
+                arr = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+            w = arr.shape[1]
+            if not (w > 1 and header == _header(w - 1) and np.isfinite(arr).all()):
+                raise ValueError("not a plain dataset")
+        except ValueError:
+            arr = _read_rows(path)
+        x, y = arr[:, :-1], arr[:, -1]
     if bounds is None:
         zeta = max(float(np.max(np.abs(x))), 1e-12)
         tau = max(float(np.max(np.abs(y))), 1e-12)
         bounds = ModelBounds(zeta, tau, 1.0)
-    return Dataset(x, y, bounds)
+    # The twin's arrays were read fresh from its file and passed the row rule.
+    return Dataset(x, y, bounds) if twin is None else Dataset._adopt(x, y, bounds)
+
+
+def _read_twin(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (x, y) of the CSV ``path`` from its twin, or None if it must be parsed.
+
+    The twin (:func:`_write_rows`) holds three ``.npy`` records: the SHA-256
+    of the CSV's bytes, then the x and y that were formatted.  A float's
+    repr parses back to the same bits, so if that digest is the CSV's now,
+    the parse would give these arrays; they must also pass the row rule as
+    float64 C-contiguous arrays.  Without a twin nothing is hashed.
+    """
+    try:
+        with _twin_path(path).open("rb") as fh:
+            read = partial(np.lib.format.read_array, fh, allow_pickle=False)
+            if read().tobytes() != _file_digest(path):
+                return None
+            return _rows(read(), read(), adopt=True)
+    except (OSError, ValueError):
+        return None
+
+
+def _file_digest(path) -> bytes:
+    """The SHA-256 of the file's bytes, read in fixed-size chunks."""
+    import hashlib  # here: only a twin's read or write loads OpenSSL
+
+    h = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            h.update(chunk)
+    return h.digest()
 
 
 def _plain_lines(fh):
@@ -434,6 +483,11 @@ def sidecar_path(csv_path) -> Path:
     return p.with_suffix(".meta.json") if p.suffix == ".csv" else Path(str(p) + ".meta.json")
 
 
+def _twin_path(csv_path) -> Path:
+    """Where :func:`_write_rows` puts the binary twin of a dataset CSV."""
+    return Path(str(csv_path) + ".twin")
+
+
 def save_private(pds: PrivateDataset, path, **extra) -> tuple[Path, Path]:
     """Write a private bundle: the noisy CSV plus a JSON sidecar recording
     the noise specification, the noise covariance diagonal, and provenance,
@@ -485,6 +539,13 @@ def load_private(path) -> PrivateDataset:
     kind = field("noise_kind", NoiseKind)
     noise = field("noise_scale", lambda v: NoiseSpec(kind, _number(v)))
     # ds is discarded; its checked read-only arrays need no copy.
-    return field("sigma_w_diagonal", lambda v: PrivateDataset._adopt(
+    pds = field("sigma_w_diagonal", lambda v: PrivateDataset._adopt(
         z=ds.x, y=ds.y, noise_variance=_number(v), noise=noise, privacy=privacy, rng=rng,
     ))
+    # 1e-12 relative: 2 (1/sqrt 2)^2, the Laplace variance of gen_synthetic2, is 1 - 2.2e-16.
+    if not math.isclose(pds.noise_variance, noise.per_coordinate_variance, rel_tol=1e-12):
+        raise CsvFormatError(
+            f"{side}: key 'sigma_w_diagonal': {pds.noise_variance!r} is not the variance "
+            f"{noise.per_coordinate_variance!r} of {kind.value} noise at scale {noise.scale!r}"
+        )
+    return pds

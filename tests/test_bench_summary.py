@@ -85,3 +85,30 @@ def test_claim_needs_nine_tenths_of_ten_pairs_and_the_parents_spread(
 def test_claim_names_an_end_to_end_metric(tmp_path):
     with pytest.raises(SystemExit):
         bench_summary.main([str(tmp_path / "BENCH_0.json"), "--claim", "w/solver.iterations"])
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # pass_s's bound in BENCHMARK.json is 0.25 of the parent's median.
+    ([1.0 + 0.01 * i for i in range(10)], [1.1 + 0.01 * i for i in range(10)], "ok"),
+    ([1.0 + 0.01 * i for i in range(10)], [1.3 + 0.01 * i for i in range(10)], "worse"),
+    # The parent's q3 - q1 is 0.45, 0.31 of its median: wider than the bound.
+    ([1.0 + 0.1 * i for i in range(10)], [1.0 + 0.1 * i for i in range(10)], "unresolved"),
+    # As wide, but every change run is lower than every parent run.
+    ([1.0 + 0.1 * i for i in range(10)], [0.5 + 0.01 * i for i in range(10)], "ok"),
+    # Three runs a side give no quartiles.
+    ([1.0, 1.0, 1.0], [0.99, 1.0, 1.01], "unresolved"),
+])
+def test_regressions_apply_each_metrics_bound(tmp_path, capsys, parent, change, verdict):
+    path = tmp_path / "BENCH_0.json"
+    runs = _claim_runs(parent, change)
+    path.write_text(json.dumps({"runs": runs, "summary": bench_summary.summarize(runs)}))
+    before = path.read_text()
+    code = bench_summary.main([str(path), "--regressions"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == (1 if verdict == "worse" else 0)
+    assert [line.split(":")[0] for line in lines] == [
+        f"w/{name}" for name in bench_summary.END_TO_END]
+    # The other metrics read 1.0 on both sides.
+    assert [line.rsplit(": ", 1)[1] for line in lines] == [
+        verdict, *(("unresolved",) if len(parent) < 4 else ("ok",)) * 2]
+    assert path.read_text() == before

@@ -148,6 +148,9 @@ class TestPublishAndFit:
         # JSON numbers out of range meet their object's check, named by the key.
         ({"sigma_w_diagonal": math.nan},
          "key 'sigma_w_diagonal': noise variance must be non-negative"),
+        # An edited variance is not the noise the sidecar declares.
+        ({"sigma_w_diagonal": 2.5},
+         "key 'sigma_w_diagonal': 2.5 is not the variance 8.0 of laplace noise at scale 2.0"),
         ({"noise_scale": math.inf},
          "key 'noise_scale': noise scale must be non-negative, got inf"),
         ({"alpha": math.nan}, "key 'alpha': alpha must be positive, got nan"),

@@ -1,9 +1,13 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -33,6 +37,9 @@ from survkit import (
 from survkit import datagen
 from survkit.core import _RNG_TAGS
 from survkit.datagen import CsvFormatError, source_from_spec
+from survkit.mechanisms import NoiseSpec, PrivateDataset
+
+_SRC = Path(datagen.__file__).resolve().parents[1]
 
 
 def _reference_clip(x, y, zeta, tau):
@@ -511,15 +518,162 @@ class TestCsvWriterProperties:
         # Small blocks, so the block boundaries fall inside the file.
         with mock.patch.object(datagen, "_WRITE_BLOCK_ROWS", data.draw(st.integers(1, 4))):
             save_csv(ds, path)
-        back = load_csv(path)
-        assert back.x.tobytes() == ds.x.tobytes()
-        assert back.y.tobytes() == ds.y.tobytes()
+        # Read back twice: through the twin, with no parse at all, then from
+        # the text alone.
+        with mock.patch.object(datagen, "_read_rows", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError):
+            via_twin = load_csv(path)
+        datagen._twin_path(path).unlink()
+        parsed = load_csv(path)
+        envelope = ModelBounds(max(float(np.abs(x).max()), 1e-12),
+                               max(float(np.abs(y).max()), 1e-12), 1.0)
+        for back in (via_twin, parsed):
+            assert back.x.tobytes() == ds.x.tobytes()
+            assert back.y.tobytes() == ds.y.tobytes()
+            assert back.bounds == envelope
         ref = io.StringIO(newline="")
         writer = csv.writer(ref)
         writer.writerow([f"x{i + 1}" for i in range(d)] + ["y"])
         for row, yi in zip(x, y):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(yi))])
         assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+    def test_one_block_of_python_floats_at_a_time(self, tmp_path):
+        # A block's tolist() is released before the next block is formatted,
+        # so writing three blocks peaks about where writing one does.
+        peaks = []
+        with mock.patch.object(datagen, "_WRITE_BLOCK_ROWS", 1024):
+            for blocks in (1, 3):
+                x = np.random.default_rng(blocks).normal(size=(1024 * blocks, 40))
+                tracemalloc.start()
+                try:
+                    datagen._write_rows(tmp_path / f"b{blocks}.csv", x, x[:, 0].copy())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def _write_twin(path, *records, allow_pickle=False):
+    """A hand-made twin for the CSV ``path``: the SHA-256 of its bytes as it
+    is now, then ``records``."""
+    digest = np.frombuffer(hashlib.sha256(Path(path).read_bytes()).digest(), np.uint8)
+    with datagen._twin_path(path).open("wb") as fh:
+        for a in (digest, *records):
+            np.lib.format.write_array(fh, a, allow_pickle=allow_pickle)
+
+
+def _parsed(path):
+    """load_csv's outcome for ``path`` with its twin set aside: the text path's."""
+    twin = datagen._twin_path(path)
+    held = twin.with_name("held-twin")
+    twin.rename(held)
+    try:
+        return _outcome(_load_arrays, path)
+    finally:
+        held.rename(twin)
+
+
+class TestBinaryTwin:
+    """A twin replaces the parse only when it is the twin of the CSV as it is now."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        gen = np.random.default_rng(3)
+        ds = Dataset(gen.normal(size=(40, 3)), gen.normal(size=40), ModelBounds(10, 10, 1))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        return ds, path
+
+    def test_written_beside_the_csv_and_read_without_a_parse(self, saved):
+        ds, path = saved
+        assert datagen._twin_path(path) == path.with_name("data.csv.twin")
+        assert datagen._twin_path(path).is_file()
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError):
+            back = load_csv(path)
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert not back.x.flags.writeable and not back.y.flags.writeable
+
+    @pytest.mark.parametrize("edit", ["digit", "header"])
+    def test_csv_edited_after_writing_is_parsed(self, saved, edit):
+        ds, path = saved
+        lines = path.read_bytes().split(b"\r\n")
+        if edit == "digit":
+            cell = lines[1]
+            i = next(k for k, c in enumerate(cell) if chr(c).isdigit())
+            lines[1] = cell[:i] + str((int(chr(cell[i])) + 1) % 10).encode() + cell[i + 1:]
+        else:
+            lines[0] = b"x1,x2,z"
+        path.write_bytes(b"\r\n".join(lines))
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            outcome = _outcome(_load_arrays, path)
+        loadtxt.assert_called_once()
+        assert outcome == _parsed(path)
+        if edit == "digit":
+            assert outcome[0] == "data" and outcome[2] != ds.x.tobytes()
+        else:
+            assert outcome[0] == "error" and "header must be" in outcome[1]
+
+    @pytest.mark.parametrize("twin", [
+        "truncated", "empty", "garbage", "another csv", "short y", "flat x", "float32",
+        "fortran order", "pickled",
+    ])
+    def test_broken_twin_falls_back_to_the_parse(self, saved, tmp_path, twin):
+        ds, path = saved
+        x, y = ds.x, ds.y
+        twin_file = datagen._twin_path(path)
+        if twin == "truncated":
+            twin_file.write_bytes(twin_file.read_bytes()[:-8])
+        elif twin == "empty":
+            twin_file.write_bytes(b"")
+        elif twin == "garbage":
+            twin_file.write_bytes(b"\x93NUMPY\x01\x00garbage" * 50)
+        elif twin == "another csv":
+            other = tmp_path / "other.csv"
+            save_csv(Dataset(x + 1.0, y, ds.bounds), other)
+            twin_file.write_bytes(datagen._twin_path(other).read_bytes())
+        elif twin == "short y":
+            _write_twin(path, x, y[:-1])
+        elif twin == "flat x":
+            _write_twin(path, x.ravel(), y)
+        elif twin == "float32":
+            _write_twin(path, x.astype(np.float32), y)
+        elif twin == "fortran order":
+            _write_twin(path, np.asfortranarray(x), y)
+        else:
+            _write_twin(path, x.astype(object), y, allow_pickle=True)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            outcome = _outcome(_load_arrays, path)
+        loadtxt.assert_called_once()
+        assert outcome == _parsed(path) == ("data", x.shape, x.tobytes(), y.tobytes())
+
+    def test_twin_without_its_csv(self, saved):
+        _, path = saved
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match="No such file") as exc:
+            load_csv(path)
+        assert str(path) in str(exc.value)
+
+    def test_nothing_is_hashed_without_a_twin(self, saved):
+        _, path = saved
+        with mock.patch("hashlib.sha256", wraps=hashlib.sha256) as sha256:
+            load_csv(path)
+            assert sha256.call_count == 1  # the twin's check
+            datagen._twin_path(path).unlink()
+            load_csv(path)
+            assert sha256.call_count == 1
+
+    def test_importing_the_cli_loads_no_hashlib(self):
+        # hashlib loads OpenSSL (about 3.5 MB RSS); only a twin's read or write needs it.
+        code = "import sys, survkit.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+        assert out.stdout == "[]\n"
+
+    def test_no_twin_beside_what_is_not_a_regular_file(self, tmp_path):
+        # /dev/null has no directory entry of its own to sit beside.
+        with mock.patch.object(datagen, "_twin_path", side_effect=AssertionError):
+            save_csv(Dataset([[0.5]], [0.5], ModelBounds(1, 1, 1)), "/dev/null")
 
 
 class TestPrivateBundle:
@@ -543,6 +697,22 @@ class TestPrivateBundle:
         csv_path.write_bytes(b"".join(lines[:-1]))
         with pytest.raises(CsvFormatError, match=r"20 x 3, the CSV holds 19 x 3"):
             load_private(csv_path)
+
+    def test_variance_is_checked_against_the_noise_spec(self, tmp_path):
+        _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.LAPLACE, RngSpec(4))
+        csv_path, side = save_private(noisy, tmp_path / "bundle.csv")
+        meta = json.loads(side.read_text())
+        meta["sigma_w_diagonal"] = 1.5
+        side.write_text(json.dumps(meta))
+        with pytest.raises(CsvFormatError, match=re.escape(
+                f"{side}: key 'sigma_w_diagonal': 1.5 is not the variance "
+                "0.9999999999999998 of laplace noise at scale 0.7071067811865475")):
+            load_private(csv_path)
+
+    def test_zero_variance_matches_zero(self, tmp_path):
+        pds = PrivateDataset([[0.5]], [0.5], 0.0, NoiseSpec(NoiseKind.GAUSSIAN, 0.0), None, None)
+        csv_path, _ = save_private(pds, tmp_path / "clear.csv")
+        assert load_private(csv_path).noise_variance == 0.0
 
     def test_missing_sidecar_rejected(self, tmp_path):
         ds = Dataset([[0.1]], [0.2], ModelBounds(1, 1, 1))

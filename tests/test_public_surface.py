@@ -50,6 +50,8 @@ _ADOPT_CALLERS = {
                                      "clean.y is read-only",
     "mechanisms.privatize": "the noise buffer is its own; ds.y is read-only",
     "datagen.load_private": "the read-only arrays of the load_csv Dataset it discards",
+    "datagen.load_csv": "the twin's arrays, read fresh from its file by _read_twin, "
+                        "which no one else holds",
     "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",
     "tester._verify": "the survey's read-only arrays, under the configured bounds",
 }
