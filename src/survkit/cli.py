@@ -30,7 +30,9 @@ from .datagen import (
     _read_json_object, _write_json, load_csv, load_private, save_csv, save_private,
     source_from_spec,
 )
-from .mechanisms import Accounting, NoiseKind, PrivacyParams, make_noise_spec, privatize
+from .mechanisms import (
+    Accounting, NoiseKind, PrivacyParams, PrivateDataset, make_noise_spec, privatize,
+)
 from .solver import SolverConfig, corrected_moments, moments_from_arrays, solve
 from .tester import PooledSource, TestConfig, verify_private_survey, verify_survey
 from .sweeps import EXPERIMENTS, SweepSpec, run_sweep
@@ -171,23 +173,20 @@ def _cmd_publish(args) -> int:
             f"{len(report.violations)} covariate entries exceed zeta={args.zeta:g} "
             f"(first at row,col {first}); clip explicitly or raise zeta"
         )
-    params = PrivacyParams(
-        alpha=args.alpha, beta=args.beta, accounting=Accounting(args.accounting)
-    )
-    spec = make_noise_spec(params, args.zeta, ds.dim)
-    pds = privatize(ds, spec, params, RngSpec(args.seed))
+    pds = _privatize(ds, args, Accounting(args.accounting))
     csv_path, side = save_private(pds, args.output, zeta=args.zeta, manifest=_manifest(args))
-    _emit(
-        args,
-        {
-            "output": str(csv_path),
-            "sidecar": str(side),
-            "noise_kind": spec.kind.value,
-            "noise_scale": spec.scale,
-            "sigma_w_diagonal": spec.per_coordinate_variance,
-        },
-    )
+    _emit(args, {"output": str(csv_path), "sidecar": str(side),
+                 "noise_kind": pds.noise.kind.value, "noise_scale": pds.noise.scale,
+                 "sigma_w_diagonal": pds.noise_variance})
     return EXIT_OK
+
+
+def _privatize(ds: Dataset, args, accounting=Accounting.PER_COORDINATE) -> PrivateDataset:
+    """The publication step of ``publish`` and ``verify --alpha``: ``ds`` privatized
+    at --alpha and --beta under ``accounting``, calibrated to its zeta, noise from --seed."""
+    params = PrivacyParams(args.alpha, args.beta, accounting)
+    spec = make_noise_spec(params, ds.bounds.zeta, ds.dim)
+    return privatize(ds, spec, params, RngSpec(args.seed))
 
 
 def _cmd_fit(args) -> int:
@@ -218,6 +217,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_verify(args) -> int:
     _require(args, "survey", "validation", "tol", "tau", "radius", "zeta")
+    if args.alpha is None and (args.beta or args.lambda_min is not None):
+        raise _UsageError("verify: --beta and --lambda-min apply only with --alpha")
     bounds = ModelBounds(args.zeta, args.tau, args.radius)
     survey = load_csv(args.survey, bounds)
     if str(args.validation).endswith(".json"):
@@ -235,13 +236,11 @@ def _cmd_verify(args) -> int:
         )
     cfg = TestConfig(kappa=args.kappa, tol=args.tol, delta=args.delta, bounds=bounds)
     rng = RngSpec(args.seed)
-    if args.alpha is not None:
-        privacy = PrivacyParams(alpha=args.alpha, beta=args.beta)
-        verdict = verify_private_survey(
-            survey, source, cfg, privacy, rng, lambda_min=args.lambda_min
-        )
-    else:
+    if args.alpha is None:
         verdict = verify_survey(survey, source, cfg, rng)
+    else:
+        pds = _privatize(survey, args)
+        verdict = verify_private_survey(pds, source, cfg, rng, lambda_min=args.lambda_min)
     for note in verdict.notes:
         print(f"survkit: note: {note}", file=sys.stderr)
     if args.output:

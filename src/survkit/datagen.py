@@ -497,7 +497,6 @@ def save_private(pds: PrivateDataset, path, **extra) -> tuple[Path, Path]:
     meta = {
         "noise_kind": pds.noise.kind.value,
         "noise_scale": pds.noise.scale,
-        "per_coordinate_variance": pds.noise.per_coordinate_variance,
         "sigma_w_diagonal": pds.noise_variance,
         "m": pds.size,
         "d": pds.dim,

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, mean_squared_loss, validate_dataset,
-)
-from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
+from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within, mean_squared_loss
+# validate_dataset and privatize are not called here; bench/spans.py wraps them at this
+# binding site (see test_bench_bindings).
+from .core import validate_dataset  # noqa: F401
+from .mechanisms import NoiseKind, PrivateDataset, privatize  # noqa: F401
 from .solver import SolverConfig, moments_from_arrays, corrected_moments, solve
 
 _LAMBDA_MIN_FLOOR = 1e-6
@@ -191,57 +192,52 @@ def privacy_penalty_laplace(
 
 
 def _verify(
-    survey: Dataset,
+    survey: Dataset | PrivateDataset,
     source: ValidationSource,
     cfg: TestConfig,
     rng: RngSpec,
-    privacy: PrivacyParams | None,
     lambda_min: float | None,
 ) -> Verdict:
-    """The credibility test; ``privacy`` None runs it on the clear survey."""
-    # The survey under the configured bounds, from which the noise, if any,
-    # is calibrated: checked once here, then privatized as it is.
+    """The credibility test of a clear survey or of a published ``PrivateDataset``."""
     b = cfg.bounds
-    ds = Dataset._adopt(survey.x, survey.y, b)
-    if not validate_dataset(ds).ok:
+    private = isinstance(survey, PrivateDataset)
+    if private and survey.privacy is None:  # noise injected directly, as by gen_synthetic2
+        raise ValueError("private survey has no privacy parameters to compute its penalty from")
+    # Published covariates carry noise; zeta bounded them before publication.
+    x = survey.z if private else survey.x
+    if not (_within(survey.y, b.tau) and (private or _within(x, b.zeta))):
         raise ValueError("survey violates the configured bounds; validate or clip first")
+    m, d = survey.size, survey.dim
     notes = []
-    cap = b.tau / (b.zeta * math.sqrt(survey.dim + 1))
+    cap = b.tau / (b.zeta * math.sqrt(d + 1))
     if b.radius > cap:
         notes.append(
             f"radius {b.radius:g} exceeds tau/(zeta*sqrt(d+1)) = {cap:g}; "
             "predictions may leave [-tau, tau] and the validation-accuracy "
             "guarantee degrades"
         )
-    x = survey.x
     j_hat = 0.0
-    if privacy is None:
-        moments = moments_from_arrays(survey.x, survey.y)
+    if not private:
+        moments = moments_from_arrays(x, survey.y)
     else:
-        spec = make_noise_spec(privacy, b.zeta, survey.dim)
-        pds = privatize(ds, spec, privacy, rng)
-        moments = corrected_moments(pds)
-        x = pds.z
+        moments = corrected_moments(survey)
         if lambda_min is None:
             lambda_min = max(float(np.linalg.eigvalsh(moments.gamma_mat)[0]), _LAMBDA_MIN_FLOOR)
             notes.append(
                 f"lambda_min estimated from corrected moments as {lambda_min:g} "
                 f"(floored at {_LAMBDA_MIN_FLOOR:g}); heuristic, not an observed quantity"
             )
-        if spec.kind is NoiseKind.GAUSSIAN:
-            j_hat = privacy_penalty_gaussian(
-                b, privacy.alpha, privacy.beta, lambda_min, survey.size, survey.dim
-            )
+        p = survey.privacy
+        if survey.noise.kind is NoiseKind.GAUSSIAN:
+            j_hat = privacy_penalty_gaussian(b, p.alpha, p.beta, lambda_min, m, d)
         else:
-            j_hat = privacy_penalty_laplace(
-                b, privacy.alpha, _C_EPS, lambda_min, survey.size, survey.dim
-            )
-        if survey.dim == 1:
+            j_hat = privacy_penalty_laplace(b, p.alpha, _C_EPS, lambda_min, m, d)
+        if d == 1:
             notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
     config = SolverConfig(mode="constrained", radius=b.radius)
     theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
-    gamma_s = survey_loss_bound(l_hat, survey.size, survey.dim, b, cfg.delta) + j_hat
+    gamma_s = survey_loss_bound(l_hat, m, d, b, cfg.delta) + j_hat
     t = validation_sample_size(b.tau, cfg.delta, cfg.tol)
     xv, yv = source.draw(t, rng.derive(_RNG_TAGS["validation"]))
     over = int(np.count_nonzero(np.abs(yv) > b.tau))
@@ -272,29 +268,30 @@ def verify_survey(
     population loss, draws the validation batch, and applies the decision
     rule.  The verdict carries every intermediate quantity.
     """
-    return _verify(survey, source, cfg, rng, None, None)
+    return _verify(survey, source, cfg, rng, None)
 
 
 def verify_private_survey(
-    survey: Dataset,
+    survey: PrivateDataset,
     source: ValidationSource,
     cfg: TestConfig,
-    privacy: PrivacyParams,
     rng: RngSpec,
     lambda_min: float | None = None,
 ) -> Verdict:
     """Run the credibility test on a survey published under local DP.
 
-    The survey is privatized, the model fitted on bias-corrected moments,
-    and the empirical loss is computed on the privatized covariates (the
-    only ones available after publication).  The survey-loss bound gains
-    the privacy penalty of the noise kind that ``make_noise_spec`` chose
-    (Gaussian for beta > 0, Laplace for beta = 0), with the constants c2 = c_eps = 1 that the
-    verdict reports.  Validation draws are used in the clear.
+    The model is fitted on the bundle's bias-corrected moments and the
+    empirical loss computed on its privatized covariates, the only ones
+    available after publication.  The loss bound gains the privacy penalty
+    of the bundle's noise kind at its ``privacy`` (alpha, beta), which must
+    be set, with the constants c2 = c_eps = 1 that the verdict reports.
+    Only y is checked, against tau: x met zeta when it was published.
 
     lambda_min is the smallest eigenvalue of the clean covariate covariance;
     when not declared it is estimated from the corrected Gram matrix,
     floored at 1e-6, and the verdict notes the heuristic, as it notes the
     penalty vanishing at d = 1.
     """
-    return _verify(survey, source, cfg, rng, privacy, lambda_min)
+    if not isinstance(survey, PrivateDataset):  # a clear survey would run the public test
+        raise TypeError(f"expected a published PrivateDataset, got {type(survey).__name__}")
+    return _verify(survey, source, cfg, rng, lambda_min)

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from survkit import (
-    Dataset, ModelBounds, SolveResult, SweepSpec, Verdict, run_sweep, save_csv,
-    validation_sample_size,
+    Dataset, ModelBounds, RngSpec, SolveResult, SweepSpec, TestConfig, Verdict, load_private,
+    run_sweep, save_csv, validation_sample_size, verify_private_survey,
 )
 from survkit import bounds as bnd
-from survkit.cli import _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
+from survkit.cli import (
+    _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, _jsonable, build_parser, main,
+)
+from survkit.datagen import source_from_spec
 
 
 def run(*argv):
@@ -368,6 +371,22 @@ class TestVerify:
         assert err == "survkit: error: --beta must be finite, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("stray", [
+        ("--beta", "0.3"), ("--lambda-min", "0.001"), ("--beta", "0.3", "--lambda-min", "0.001"),
+    ])
+    def test_private_flags_without_alpha_are_usage_errors(
+        self, survey_files, tmp_path, capsys, stray
+    ):
+        # Without --alpha they would be ignored, and the public test run.
+        out = tmp_path / "verdict.json"
+        code = run("verify", *self._flags(survey_files, 0.0), *stray, "--output", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "survkit: error: verify: --beta and --lambda-min apply only with --alpha\n"
+        )
+        assert not out.exists()
+        assert run("verify", *self._flags(survey_files, 0.0), "--beta", "0", "--quiet") == EXIT_OK
+
     def test_unallocatable_validation_draw_is_runtime_error(self, survey_files, tmp_path, capsys):
         # At tol 1e-7 the validation draw asks for petabytes, so numpy's
         # allocation fails at once, before any memory is touched.
@@ -391,6 +410,38 @@ class TestVerify:
         assert any(n.startswith("radius") for n in notes)
         assert any(n.startswith("lambda_min estimated") for n in notes)
         assert capsys.readouterr().err == "".join(f"survkit: note: {n}\n" for n in notes)
+
+
+@pytest.mark.parametrize("privacy", [("--alpha", "2.0"), ("--alpha", "0.8", "--beta", "0.1")],
+                         ids=["laplace", "gaussian"])
+@pytest.mark.parametrize("seed", [7, 41], ids=["readme-demo", "acceptance-11"])
+def test_verify_alpha_verifies_what_publish_publishes(tmp_path, seed, privacy):
+    # verify --alpha on the clear survey gives the verdict of the library
+    # test on the bundle that publish writes with the same flags and seed.
+    d, m = {7: (10, 10_000), 41: (4, 400)}[seed]
+    prefix = tmp_path / "g"
+    assert run("gen", "--kind", "synthetic1", "--d", str(d), "--m", str(m), "--mu", "0.0",
+               "--seed", str(seed), "--out", str(prefix), "--quiet") == EXIT_OK
+    b = {k: str(v) for k, v in _truth(prefix)["bounds"].items()}
+    if seed == 7:
+        b = {"zeta": "4.0", "tau": "1.8", "radius": "1.2"}
+    bundle, out = tmp_path / "private.csv", tmp_path / "verdict.json"
+    assert run("publish", "--input", f"{prefix}_survey.csv", "--output", str(bundle), *privacy,
+               "--zeta", b["zeta"], "--seed", str(seed), "--quiet") == EXIT_OK
+    code = run("verify", "--survey", f"{prefix}_survey.csv",
+               "--validation", f"{prefix}_validation.json", "--kappa", "0.0", "--tol", "0.2",
+               "--delta", "0.1", "--tau", b["tau"], "--radius", b["radius"], "--zeta", b["zeta"],
+               "--seed", str(seed), *privacy, "--output", str(out), "--quiet")
+    assert code in (EXIT_OK, EXIT_REJECT)
+    from_cli = json.loads(out.read_text())
+    del from_cli["manifest"]
+    spec = json.loads(Path(f"{prefix}_validation.json").read_text())["generator"]
+    bounds = ModelBounds(float(b["zeta"]), float(b["tau"]), float(b["radius"]))
+    verdict = verify_private_survey(
+        load_private(bundle), source_from_spec(spec),
+        TestConfig(kappa=0.0, tol=0.2, delta=0.1, bounds=bounds), RngSpec(seed),
+    )
+    assert json.loads(json.dumps({k: _jsonable(v) for k, v in vars(verdict).items()})) == from_cli
 
 
 def _float_flags_read() -> list[tuple[str, str]]:

@@ -689,6 +689,17 @@ class TestPrivateBundle:
         assert back.noise.kind is NoiseKind.LAPLACE
         meta = json.loads(side.read_text())
         assert meta["sigma_w_diagonal"] == 1.0
+        assert "per_coordinate_variance" not in meta  # one variance per bundle
+
+    def test_sidecar_with_the_old_variance_key_loads(self, tmp_path):
+        # Bundles written before the duplicate key was dropped still load.
+        _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.GAUSSIAN, RngSpec(4))
+        csv_path, side = save_private(noisy, tmp_path / "bundle.csv")
+        meta = json.loads(side.read_text())
+        side.write_text(json.dumps({**meta, "per_coordinate_variance": 1.0}))
+        back = load_private(csv_path)
+        assert back.noise_variance == 1.0
+        assert back.z.tobytes() == noisy.z.tobytes()
 
     def test_truncated_csv_rejected(self, tmp_path):
         _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.LAPLACE, RngSpec(4))

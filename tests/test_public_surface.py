@@ -53,7 +53,6 @@ _ADOPT_CALLERS = {
     "datagen.load_csv": "the twin's arrays, read fresh from its file by _read_twin, "
                         "which no one else holds",
     "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",
-    "tester._verify": "the survey's read-only arrays, under the configured bounds",
 }
 # The functions that may assign an attribute: those that build an object.
 _ATTRIBUTE_SETTERS = ("__init__", "_adopt", "_hold")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from survkit import (
+    Accounting,
     Dataset,
     Decision,
     InsufficientValidationError,
     ModelBounds,
+    NoiseKind,
     PooledSource,
     PrivacyParams,
     RngSpec,
@@ -17,6 +19,7 @@ from survkit import (
     Verdict,
     corrected_moments,
     gen_synthetic1,
+    gen_synthetic2,
     make_noise_spec,
     privacy_penalty_gaussian,
     privacy_penalty_laplace,
@@ -151,7 +154,8 @@ class TestPrivacyPenalties:
         assert privacy_penalty_gaussian(b, 1.0, 0.5, 1.0, 10, 1) == 0.0
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=500, d=1)
         for privacy in (PrivacyParams(alpha=2.0), PrivacyParams(alpha=0.5, beta=0.1)):
-            v = verify_private_survey(survey, sampler, cfg, privacy, RngSpec(3), lambda_min=1.0)
+            pds = _publish(survey, privacy, RngSpec(3))
+            v = verify_private_survey(pds, sampler, cfg, RngSpec(3), lambda_min=1.0)
             assert v.j_hat == 0.0
             assert "privacy penalty is 0 at d = 1 because the ln d factor vanishes" in v.notes
 
@@ -160,6 +164,13 @@ def _survey_and_cfg(mu, m=4000, d=8, seed=0, tol=0.2, kappa=0.0, delta=0.1):
     survey, theta_s, theta_star, sampler = gen_synthetic1(d, m, mu, RngSpec(seed))
     cfg = TestConfig(kappa=kappa, tol=tol, delta=delta, bounds=survey.bounds)
     return survey, sampler, cfg, theta_star
+
+
+def _publish(survey, privacy, rng):
+    """``survey`` published as ``survkit publish`` does it: noise calibrated
+    to the survey's zeta, drawn from ``rng``."""
+    spec = make_noise_spec(privacy, survey.bounds.zeta, survey.dim)
+    return privatize(survey, spec, privacy, rng)
 
 
 class TestVerifySurvey:
@@ -182,24 +193,23 @@ class TestVerifySurvey:
 
     def test_warnings_point_at_the_caller(self):
         # Every tester diagnostic is a verdict note; the only RuntimeWarning
-        # is the Gaussian calibration's, attributed to make_noise_spec's caller.
+        # is the Gaussian calibration's, attributed to make_noise_spec's caller:
+        # the publication step (_publish here), never the credibility test.
         survey, _, cfg, _ = _survey_and_cfg(0.0)
         t = validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
 
         far_pool = PooledSource(np.zeros((t, survey.dim)), np.full(t, 2 * cfg.bounds.tau))
 
         with pytest.warns(RuntimeWarning) as rec:
-            verdicts = [
-                verify_survey(survey, far_pool, cfg, RngSpec(1)),
-                verify_private_survey(
-                    survey, far_pool, cfg, PrivacyParams(alpha=2.0), RngSpec(1),
-                    lambda_min=1.0,
-                ),
-                verify_private_survey(
-                    survey, far_pool, cfg, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1),
-                ),
-            ]
+            laplace = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(1))
+            gaussian = _publish(survey, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(1))
             make_noise_spec(PrivacyParams(alpha=2.0, beta=0.1), zeta=1.0, d=2)
+        # Outside the block any warning is an error (pyproject's filterwarnings).
+        verdicts = [
+            verify_survey(survey, far_pool, cfg, RngSpec(1)),
+            verify_private_survey(laplace, far_pool, cfg, RngSpec(1), lambda_min=1.0),
+            verify_private_survey(gaussian, far_pool, cfg, RngSpec(1)),
+        ]
         for v in verdicts:
             assert any(n.startswith("radius") for n in v.notes)
             assert f"{t} of {t} validation responses exceed tau = {cfg.bounds.tau:g}" in v.notes
@@ -207,7 +217,7 @@ class TestVerifySurvey:
         assert any(n.startswith("lambda_min estimated") for n in verdicts[2].notes)
         assert len(rec) == 2
         assert all(str(w.message).startswith("Gaussian mechanism calibration") for w in rec)
-        assert rec[-1].filename == __file__
+        assert all(w.filename == __file__ for w in rec)
 
     def test_decision_is_pure_function_of_margin(self):
         survey, sampler, cfg, _ = _survey_and_cfg(1.0, tol=0.1)
@@ -298,12 +308,17 @@ class TestVerifySurvey:
         message = "survey violates the configured bounds; validate or clip first"
         with pytest.raises(ValueError, match=message):
             verify_survey(survey, sampler, tight, RngSpec(2))
-        with pytest.raises(ValueError, match=message):
-            verify_private_survey(survey, sampler, tight, PrivacyParams(alpha=1.0), RngSpec(2))
+        # A private survey's covariates meet zeta when it is published.
+        with pytest.raises(ValueError, match="covariates exceed zeta = 1e-06"):
+            _publish(Dataset(survey.x, survey.y, tight.bounds), PrivacyParams(alpha=1.0),
+                     RngSpec(2))
         low_tau = TestConfig(kappa=0.0, tol=0.2, delta=0.1, bounds=ModelBounds(
             cfg.bounds.zeta, float(np.abs(survey.y).max()) / 2, cfg.bounds.radius))
         with pytest.raises(ValueError, match=message):
             verify_survey(survey, sampler, low_tau, RngSpec(2))
+        pds = _publish(survey, PrivacyParams(alpha=1.0), RngSpec(2))
+        with pytest.raises(ValueError, match=message):
+            verify_private_survey(pds, sampler, low_tau, RngSpec(2))
 
     def test_close_models_accept_majority(self):
         hits = 0
@@ -337,9 +352,8 @@ class TestVerifyPrivateSurvey:
         # At d = 1 the penalty is exactly 0 (the ln d factor vanishes).
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=2000, d=1)
         pub = verify_survey(survey, sampler, cfg, RngSpec(4))
-        priv = verify_private_survey(
-            survey, sampler, cfg, PrivacyParams(alpha=1e9), RngSpec(4), lambda_min=1.0
-        )
+        pds = _publish(survey, PrivacyParams(alpha=1e9), RngSpec(4))
+        priv = verify_private_survey(pds, sampler, cfg, RngSpec(4), lambda_min=1.0)
         assert priv.j_hat == 0.0
         assert priv.decision == pub.decision
         assert priv.gamma_s == pytest.approx(pub.gamma_s, rel=1e-4)
@@ -347,15 +361,12 @@ class TestVerifyPrivateSurvey:
 
     @pytest.mark.parametrize("lambda_min", [None, 1.0])
     def test_fit_is_the_solver_fit_on_the_privatized_survey(self, lambda_min):
-        # The same privatization from the same RngSpec, then the plain
-        # constrained fit with the solver's own step: bit for bit.
+        # The plain constrained fit on the bundle's corrected moments, with
+        # the solver's own step: bit for bit.
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=3000)
-        privacy, rng = PrivacyParams(alpha=2.0), RngSpec(4)
-        v = verify_private_survey(survey, sampler, cfg, privacy, rng, lambda_min=lambda_min)
-        spec = make_noise_spec(privacy, cfg.bounds.zeta, survey.dim)
-        to_publish = Dataset(survey.x, survey.y, cfg.bounds)
-        validate_dataset(to_publish)
-        pds = privatize(to_publish, spec, privacy, rng)
+        assert validate_dataset(survey).ok
+        pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(4))
+        v = verify_private_survey(pds, sampler, cfg, RngSpec(4), lambda_min=lambda_min)
         config = SolverConfig(mode="constrained", radius=cfg.bounds.radius)
         assert np.array_equal(v.theta_hat, solve(corrected_moments(pds), config).theta_hat)
 
@@ -363,10 +374,8 @@ class TestVerifyPrivateSurvey:
         hits = 0
         for seed in range(10):
             survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=20_000, seed=seed)
-            v = verify_private_survey(
-                survey, sampler, cfg, PrivacyParams(alpha=2.0), RngSpec(seed, 1),
-                lambda_min=1.0,
-            )
+            pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(seed, 1))
+            v = verify_private_survey(pds, sampler, cfg, RngSpec(seed, 1), lambda_min=1.0)
             hits += v.decision is Decision.ACCEPT
         assert hits >= 9
 
@@ -374,36 +383,73 @@ class TestVerifyPrivateSurvey:
         hits = 0
         for seed in range(10):
             survey, sampler, cfg, _ = _survey_and_cfg(2.0, m=20_000, seed=seed)
-            v = verify_private_survey(
-                survey, sampler, cfg, PrivacyParams(alpha=2.0), RngSpec(seed, 1),
-                lambda_min=1.0,
-            )
+            pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(seed, 1))
+            v = verify_private_survey(pds, sampler, cfg, RngSpec(seed, 1), lambda_min=1.0)
             hits += v.decision is Decision.REJECT
         assert hits >= 9
 
     def test_gaussian_branch_used_when_beta_positive(self):
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=2000)
-        with pytest.warns(RuntimeWarning):
-            v = verify_private_survey(
-                survey, sampler, cfg, PrivacyParams(alpha=2.0, beta=0.1),
-                RngSpec(4), lambda_min=1.0,
-            )
+        with pytest.warns(RuntimeWarning):  # from the calibration at alpha > 1
+            pds = _publish(survey, PrivacyParams(alpha=2.0, beta=0.1), RngSpec(4))
+        v = verify_private_survey(pds, sampler, cfg, RngSpec(4), lambda_min=1.0)
         b = cfg.bounds
         expect = privacy_penalty_gaussian(b, 2.0, 0.1, 1.0, survey.size, survey.dim)
         assert v.j_hat == pytest.approx(expect, rel=1e-12)
 
     def test_lambda_min_estimated_when_not_declared(self):
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=5000)
-        v = verify_private_survey(
-            survey, sampler, cfg, PrivacyParams(alpha=4.0), RngSpec(4)
-        )
+        pds = _publish(survey, PrivacyParams(alpha=4.0), RngSpec(4))
+        v = verify_private_survey(pds, sampler, cfg, RngSpec(4))
         assert any("lambda_min estimated" in n for n in v.notes)
         assert v.j_hat > 0
 
     def test_loss_bound_dominates_empirical_loss_plus_penalty(self):
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=5000)
-        v = verify_private_survey(
-            survey, sampler, cfg, PrivacyParams(alpha=2.0), RngSpec(4), lambda_min=1.0
-        )
+        pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(4))
+        v = verify_private_survey(pds, sampler, cfg, RngSpec(4), lambda_min=1.0)
         assert v.gamma_s >= v.l_hat + v.j_hat
         assert v.t_used == validation_sample_size(cfg.bounds.tau, cfg.delta, cfg.tol)
+
+    def test_survey_without_privacy_parameters_rejected(self):
+        # gen_synthetic2 injects its covariate noise directly: no budget, no penalty.
+        _, noisy, _ = gen_synthetic2(4, 300, NoiseKind.LAPLACE, RngSpec(5))
+        assert noisy.privacy is None
+        cfg = TestConfig(kappa=0.0, tol=0.2, delta=0.1, bounds=ModelBounds(10.0, 100.0, 1.0))
+        pool = PooledSource(np.zeros((200, 4)), np.zeros(200))
+        with pytest.raises(ValueError, match="^private survey has no privacy parameters"):
+            verify_private_survey(noisy, pool, cfg, RngSpec(5), lambda_min=1.0)
+
+    def test_clear_survey_rejected(self):
+        # Publication happens before the test, never inside it.
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=500)
+        with pytest.raises(TypeError, match="^expected a published PrivateDataset, got Dataset$"):
+            verify_private_survey(survey, sampler, cfg, RngSpec(4), lambda_min=1.0)
+
+    def test_whole_record_bundle_verifies(self):
+        # d times the per-coordinate Laplace scale; the penalty reads the
+        # bundle's alpha, so j_hat is the per-coordinate bundle's.  Margin and
+        # j_hat as the test gave them when it privatized the survey itself.
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=3000)
+        whole = PrivacyParams(alpha=2.0, accounting=Accounting.WHOLE_RECORD)
+        pds = _publish(survey, whole, RngSpec(4))
+        assert pds.noise.scale == 2.0 * cfg.bounds.zeta * survey.dim / 2.0
+        v = verify_private_survey(pds, sampler, cfg, RngSpec(4), lambda_min=1.0)
+        per_coord = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(4))
+        assert v.j_hat == verify_private_survey(
+            per_coord, sampler, cfg, RngSpec(4), lambda_min=1.0).j_hat
+        assert v.j_hat == pytest.approx(4.765820686155563, rel=1e-12)
+        assert v.margin == pytest.approx(-42.510581136415574, rel=1e-9)
+        assert v.decision is Decision.ACCEPT
+
+    def test_bundle_response_above_tau_rejected(self):
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=1000)
+        pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(4))
+        tau = float(np.abs(pds.y).max())
+        at_tau = TestConfig(kappa=0.0, tol=0.2, delta=0.1,
+                            bounds=ModelBounds(cfg.bounds.zeta, tau, cfg.bounds.radius))
+        verify_private_survey(pds, sampler, at_tau, RngSpec(4), lambda_min=1.0)
+        below = TestConfig(kappa=0.0, tol=0.2, delta=0.1,
+                           bounds=ModelBounds(cfg.bounds.zeta, tau * 0.999, cfg.bounds.radius))
+        with pytest.raises(ValueError, match="survey violates the configured bounds"):
+            verify_private_survey(pds, sampler, below, RngSpec(4), lambda_min=1.0)
