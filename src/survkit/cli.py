@@ -249,11 +249,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
-# Bound name -> survkit.bounds function name.  A bound reads the flags named
-# as its parameters, so it validates only its own flags, and reports the
-# parameters with a default as its constants.  The function is looked up by
-# name at call time, where the traced benchmark (bench/spans.py) wraps it;
-# inspect.signature sees through that wrapper.
+# Bound name -> survkit.bounds function name.  The bounds flags are these
+# functions' parameters, each typed by its annotation.  A bound reads the
+# flags named as its parameters, so it validates only its own flags, and
+# reports the parameters with a default as its constants.  The function is
+# looked up by name at call time, where the traced benchmark
+# (bench/spans.py) wraps it; inspect.signature sees through that wrapper.
 _BOUNDS = {
     "min-samples-gaussian": "min_samples_gaussian",
     "min-samples-laplace": "min_samples_laplace",
@@ -267,10 +268,16 @@ _BOUNDS = {
     "matrix-deviation-level": "matrix_deviation_level",
 }
 
+# The default of each bounds flag whose parameter has no default of its own.
+_BOUND_DEFAULTS = {
+    "zeta": 1.0, "alpha": 1.0, "beta": 0.1, "d": 2, "d1": 1, "d2": 1, "m": 1000.0,
+    "n": 1000, "t": 0.1, "radius": 1.0, "lambda_min": 1.0, "c_x": 1.0, "c_eps": 1.0,
+    "c_max": 1.0, "sigma_eps": 0.0, "sigma_minus_sq": 1.0, "alpha_shape": 2.0,
+    "c_alpha": 1.0, "second_moment": 1.0,
+}
+
 
 def _bound_dispatch(args) -> dict:
-    if args.name not in _BOUNDS:
-        raise ValueError(f"unknown bound name {args.name!r}")
     fn = getattr(bnd, _BOUNDS[args.name])
     params = inspect.signature(fn).parameters
     out = fn(*(getattr(args, p) for p in params))
@@ -374,31 +381,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate a named bound")
-    p.add_argument("--name", default=None,
-                   help="bound to evaluate (required): " + ", ".join(_BOUNDS))
-    p.add_argument("--zeta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--d1", type=int, default=1)
-    p.add_argument("--d2", type=int, default=1)
-    p.add_argument("--m", type=float, default=1000.0)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--t", type=float, default=0.1)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--lambda-min", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--c-x", type=float, default=1.0)
-    p.add_argument("--c-eps", type=float, default=1.0)
-    p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--sigma-eps", type=float, default=0.0)
-    p.add_argument("--sigma-minus-sq", type=float, default=1.0)
-    p.add_argument("--alpha-shape", type=float, default=2.0)
-    p.add_argument("--c-alpha", type=float, default=1.0)
-    p.add_argument("--beta-split", type=float, default=0.5)
-    p.add_argument("--second-moment", type=float, default=1.0)
+    p.add_argument("--name", default=None, choices=tuple(_BOUNDS), help="required")
+    params = {q.name: q for fn in _BOUNDS.values()
+              for q in inspect.signature(getattr(bnd, fn)).parameters.values()}
+    for name, q in params.items():
+        default = _BOUND_DEFAULTS[name] if q.default is q.empty else q.default
+        # bounds.py postpones annotations, so each one is the string "int" or "float".
+        kind = {"int": int, "float": float}[q.annotation]
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", parents=[common], help="run a seeded experiment grid")

@@ -34,7 +34,9 @@ import numpy as np
 from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within
 # Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
-from .mechanisms import NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset
+from .mechanisms import (
+    NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset, _calibrate,
+)
 from .tester import ValidationSource
 
 log = logging.getLogger(__name__)
@@ -547,4 +549,16 @@ def load_private(path) -> PrivateDataset:
             f"{side}: key 'sigma_w_diagonal': {pds.noise_variance!r} is not the variance "
             f"{noise.per_coordinate_variance!r} of {kind.value} noise at scale {noise.scale!r}"
         )
+    # A sidecar with its budget and zeta, as publish writes, must hold the
+    # noise that budget calibrates to.
+    if privacy is not None and meta.get("zeta") is not None:
+        want = field("zeta", lambda v: _calibrate(privacy, _number(v), ds.dim))
+        if want.kind is not kind or not math.isclose(noise.scale, want.scale, rel_tol=1e-12):
+            key = "noise_kind" if want.kind is not kind else "noise_scale"
+            raise CsvFormatError(
+                f"{side}: key {key!r}: {kind.value} noise at scale {noise.scale!r} is not the "
+                f"{want.kind.value} noise at scale {want.scale!r} that alpha={privacy.alpha!r}, "
+                f"beta={privacy.beta!r}, {privacy.accounting.value} accounting and "
+                f"zeta={meta['zeta']!r} calibrate"
+            )
     return pds

@@ -97,6 +97,17 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     outside that region a RuntimeWarning (not an error) is raised at the
     caller, the package's only Python warning.
     """
+    spec = _calibrate(params, zeta, d)
+    if spec.kind is NoiseKind.GAUSSIAN and params.alpha > 1:
+        warnings.warn(
+            f"Gaussian mechanism calibration at alpha={params.alpha} > 1 is outside "
+            "the classical validity region", RuntimeWarning, stacklevel=2,
+        )
+    return spec
+
+
+def _calibrate(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
+    """:func:`make_noise_spec` without its warning."""
     if not (zeta > 0):
         raise ValueError("zeta must be positive")
     if d < 1:
@@ -105,11 +116,6 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     k = d if params.accounting is Accounting.WHOLE_RECORD else 1
     if params.beta == 0.0:
         return NoiseSpec(NoiseKind.LAPLACE, 2.0 * zeta * k / params.alpha)
-    if params.alpha > 1:
-        warnings.warn(
-            f"Gaussian mechanism calibration at alpha={params.alpha} > 1 is outside "
-            "the classical validity region", RuntimeWarning, stacklevel=2,
-        )
     delta2 = 2.0 * zeta * math.sqrt(k)
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / params.beta)) / params.alpha
     return NoiseSpec(NoiseKind.GAUSSIAN, sigma)

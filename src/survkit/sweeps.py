@@ -76,6 +76,16 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} repeats a value: {grid}")
+        # The summaries key a float grid's values by their :g form, so two
+        # values that print alike would share one summary entry.
+        for name in ("mu_grid", "tol_grid", "alpha_grid"):
+            keys = {}
+            for v in getattr(self, name):
+                other = keys.setdefault(f"{v:g}", v)
+                if other is not v:
+                    raise ValueError(
+                        f"{name} values {other!r} and {v!r} share the summary key {v:g}"
+                    )
         # The trials' own checks reject a bad value before any trial runs;
         # TestConfig does not check its bounds, so any bounds do.
         RngSpec(self.seed)

@@ -444,16 +444,29 @@ def test_verify_alpha_verifies_what_publish_publishes(tmp_path, seed, privacy):
     assert json.loads(json.dumps({k: _jsonable(v) for k, v in vars(verdict).items()})) == from_cli
 
 
-def _float_flags_read() -> list[tuple[str, str]]:
-    """(bound name, flag) for every float-typed flag each bound reads."""
+def _bounds_actions() -> dict[str, argparse.Action]:
+    """The ``bounds`` subparser's actions by dest."""
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    floats = {a.dest for a in commands["bounds"]._actions if a.type is float}
+    return {a.dest: a for a in commands["bounds"]._actions}
+
+
+def _float_flags_read() -> list[tuple[str, str]]:
+    """(bound name, flag) for every float-typed flag each bound reads."""
+    floats = {dest for dest, a in _bounds_actions().items() if a.type is float}
     return [(name, "--" + dest.replace("_", "-")) for name, fn_name in _BOUNDS.items()
             for dest in inspect.signature(getattr(bnd, fn_name)).parameters if dest in floats]
 
 
 _FLOAT_FLAGS_READ = _float_flags_read()
+
+# Every bounds flag's default, as the hand-written parser had them.
+_BOUND_FLAG_DEFAULTS = {
+    "zeta": 1.0, "alpha": 1.0, "beta": 0.1, "d": 2, "d1": 1, "d2": 1, "m": 1000.0,
+    "n": 1000, "t": 0.1, "radius": 1.0, "lambda_min": 1.0, "c": 1.0, "c1": 1.0, "c2": 1.0,
+    "c_x": 1.0, "c_eps": 1.0, "c_max": 1.0, "sigma_eps": 0.0, "sigma_minus_sq": 1.0,
+    "alpha_shape": 2.0, "c_alpha": 1.0, "beta_split": 0.5, "second_moment": 1.0,
+}
 
 
 class TestBoundsCommand:
@@ -472,12 +485,34 @@ class TestBoundsCommand:
         assert payload["side_conditions"]["t_within_range"] is True
         assert payload["vacuous"] is False
 
-    def test_unknown_name_is_runtime_error(self):
-        assert run("bounds", "--name", "no-such-bound", "--quiet") == EXIT_RUNTIME
+    def test_unknown_name_is_usage_error(self, tmp_path, capsys):
+        assert run("bounds", "--name", "no-such-bound", "--quiet") == EXIT_USAGE
+        assert "argument --name: invalid choice: 'no-such-bound'" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"name": "no-such-bound"}))
+        assert run("bounds", "--config", str(config), "--quiet") == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_name_reported_before_flag_checks(self, capsys):
-        assert run("bounds", "--name", "no-such-bound", "--c-x", "0", "--quiet") == EXIT_RUNTIME
-        assert "unknown bound name" in capsys.readouterr().err
+        assert run("bounds", "--name", "no-such-bound", "--c-x", "0", "--quiet") == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_flags_are_the_bound_parameters(self):
+        actions = _bounds_actions()
+        assert actions["name"].choices == tuple(_BOUNDS)
+        params = [q for fn_name in _BOUNDS.values() for q in inspect.signature(
+            getattr(bnd, fn_name), eval_str=True).parameters.values()]
+        flags = set(actions) - {"help", "seed", "output", "quiet", "config", "name"}
+        assert flags == {q.name for q in params} == set(_BOUND_FLAG_DEFAULTS)
+        assert len(flags) == 23
+        for q in params:
+            action = actions[q.name]
+            assert action.option_strings == ["--" + q.name.replace("_", "-")]
+            assert action.type is q.annotation
+            if q.default is not q.empty:
+                assert action.default == q.default
+        for dest, default in _BOUND_FLAG_DEFAULTS.items():
+            assert (actions[dest].default, type(actions[dest].default)) == (default, type(default))
 
     @pytest.mark.parametrize("name, flag, value", [
         ("lower-re", "--c-x", "0"),

@@ -17,18 +17,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from survkit import (
+    Accounting,
     ClipReport,
     Dataset,
     LinearModelSource,
     ModelBounds,
     NoiseKind,
+    PrivacyParams,
     RngSpec,
     clip_to_bounds,
     gen_synthetic1,
     gen_synthetic2,
     load_csv,
     load_private,
+    make_noise_spec,
     model_distance,
+    privatize,
     save_csv,
     save_private,
     sparse_coefficients,
@@ -731,6 +735,61 @@ class TestPrivateBundle:
         save_csv(ds, p)
         with pytest.raises(CsvFormatError, match="sidecar"):
             load_private(p)
+
+
+def _publish(path, privacy: PrivacyParams, zeta=2.0):
+    """A 30 x 3 survey published at ``privacy`` and ``zeta``, as ``publish`` does;
+    returns the bundle's CSV and sidecar paths."""
+    x = np.random.default_rng(5).uniform(-zeta, zeta, size=(30, 3))
+    ds = Dataset(x, x.sum(axis=1), ModelBounds(zeta, 10.0, 1.0))
+    pds = privatize(ds, make_noise_spec(privacy, zeta, 3), privacy, RngSpec(5))
+    return save_private(pds, path, zeta=zeta)
+
+
+class TestSidecarBudget:
+    """A sidecar with its privacy budget and zeta must hold the noise that
+    budget calibrates to."""
+
+    @pytest.mark.parametrize("privacy", [
+        PrivacyParams(2.0), PrivacyParams(0.5, 0.0, Accounting.WHOLE_RECORD),
+        PrivacyParams(0.8, 1e-5), PrivacyParams(1.0, 0.1, Accounting.WHOLE_RECORD),
+    ])
+    def test_published_bundle_loads(self, tmp_path, privacy):
+        csv_path, _ = _publish(tmp_path / "pub.csv", privacy)
+        assert load_private(csv_path).privacy == privacy
+
+    def test_gaussian_above_alpha_one_loads_without_a_warning(self, tmp_path):
+        privacy = PrivacyParams(3.0, 0.1)
+        with pytest.warns(RuntimeWarning, match="alpha=3.0 > 1"):
+            csv_path, _ = _publish(tmp_path / "pub.csv", privacy)
+        assert load_private(csv_path).privacy == privacy  # warnings are errors here
+
+    @pytest.mark.parametrize("key, value, bad_key, message", [
+        ("alpha", 0.01, "noise_scale",
+         "laplace noise at scale 2.0 is not the laplace noise at scale 400.0 that "
+         "alpha=0.01, beta=0.0, per-coord accounting and zeta=2.0 calibrate"),
+        ("beta", 0.1, "noise_kind", "laplace noise at scale 2.0 is not the gaussian noise"),
+        ("accounting", "whole-record", "noise_scale",
+         "is not the laplace noise at scale 6.0 that"),
+        ("zeta", 1.0, "noise_scale", "is not the laplace noise at scale 1.0 that"),
+        ("zeta", -1.0, "zeta", "zeta must be positive"),
+        ("zeta", "2.0", "zeta", "expected a JSON number, got '2.0'"),
+    ])
+    def test_a_budget_other_than_the_noise_is_rejected(self, tmp_path, key, value, bad_key,
+                                                       message):
+        csv_path, side = _publish(tmp_path / "pub.csv", PrivacyParams(2.0))
+        side.write_text(json.dumps({**json.loads(side.read_text()), key: value}))
+        with pytest.raises(CsvFormatError, match=re.escape(f"{side}: key {bad_key!r}: ")
+                           + ".*" + re.escape(message)):
+            load_private(csv_path)
+
+    def test_sidecar_without_zeta_is_not_checked(self, tmp_path):
+        csv_path, side = _publish(tmp_path / "pub.csv", PrivacyParams(2.0))
+        meta = json.loads(side.read_text())
+        del meta["zeta"]
+        side.write_text(json.dumps({**meta, "alpha": 0.01}))
+        back = load_private(csv_path)
+        assert (back.privacy.alpha, back.noise.scale) == (0.01, 2.0)
 
 
 class TestLinearModelSource:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -187,6 +188,19 @@ class TestSweepMechanics:
         name = next(iter(grid))
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             SweepSpec(experiment="model-distance", trials=1, seed=0, output_dir=tmp_path, **grid)
+
+    @pytest.mark.parametrize("name, grid, pair", [
+        ("mu_grid", (1.0000001, 1.0000002), "1.0000001 and 1.0000002 share the summary key 1"),
+        ("tol_grid", (0.1, 0.2, 0.20000001), "0.2 and 0.20000001 share the summary key 0.2"),
+        ("alpha_grid", (2.0, 1e-7, 1.0000001e-7),
+         "1e-07 and 1.0000001e-07 share the summary key 1e-07"),
+    ])
+    def test_grid_values_printing_alike_rejected(self, tmp_path, name, grid, pair):
+        # A float grid point is keyed in the summary by its :g form, so two
+        # values that print alike would merge into one summary entry.
+        with pytest.raises(ValueError, match=f"^{name} values {re.escape(pair)}$"):
+            SweepSpec(experiment="model-distance", trials=1, seed=0, output_dir=tmp_path,
+                      **{name: grid})
 
 
 def _rows(csv_path):
