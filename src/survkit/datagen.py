@@ -12,8 +12,9 @@ Two synthetic families drive the benchmark harness:
   with equal RngSpec are paired across kinds.
 
 Distribution parameters follow the convention that the second argument of a
-normal law is its VARIANCE.  Generated data is clipped to a 4-sigma
-envelope, so the declared bounds hold honestly before any privatization.
+normal law is its VARIANCE.  Both families draw their survey rows from a
+:class:`LinearModelSource` and clip them to its 4-sigma envelope, so the
+declared bounds hold honestly before any privatization.
 Data inside the envelope is left untouched; the clip counts, taken only
 from the cells outside it, are logged.
 """
@@ -94,6 +95,14 @@ class LinearModelSource(ValidationSource):
         y = x @ self.theta + gen.normal(scale=math.sqrt(self.noise_var), size=n)
         return x, y
 
+    def envelope(self) -> tuple[float, float]:
+        """(zeta, tau): a bound on every covariate, 4 sigma of a normal one
+        and the bound of a uniform one, and 4 sigma of the response."""
+        normal = self.covariate == "normal"
+        spread = float(self.theta @ self.theta) * self.scale * self.scale / (1.0 if normal else 3.0)
+        zeta = _ENVELOPE_SIGMAS * self.scale if normal else self.scale
+        return zeta, _ENVELOPE_SIGMAS * math.sqrt(spread + self.noise_var)
+
     def spec_dict(self) -> dict:
         return {
             "type": "linear-model",
@@ -169,11 +178,6 @@ def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:
             return np.where(mask, vals, 0.0)
 
 
-def _envelope_bounds(theta: np.ndarray, reg_noise_var: float) -> tuple[float, float]:
-    """(zeta, tau): 4 sigma of a covariate and of the response."""
-    return _ENVELOPE_SIGMAS, _ENVELOPE_SIGMAS * math.sqrt(float(theta @ theta) + reg_noise_var)
-
-
 def gen_synthetic1(
     d: int, m_survey: int, mu: float, rng: RngSpec
 ) -> tuple[Dataset, np.ndarray, np.ndarray, LinearModelSource]:
@@ -189,15 +193,12 @@ def gen_synthetic1(
     gen = rng.derive(_RNG_TAGS["data"])
     theta_s = gen.normal(0.0, math.sqrt(_COEFF_VAR_1), size=d)
     theta_star = gen.normal(mu, math.sqrt(_COEFF_VAR_1), size=d)
-    x = gen.normal(size=(m_survey, d))
-    y = x @ theta_s + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_1), size=m_survey)
-    zeta, tau = _envelope_bounds(theta_s, _REG_NOISE_VAR_1)
+    source = LinearModelSource(theta_s, _REG_NOISE_VAR_1)
     radius = max(1.0, 1.5 * float(np.sum(np.abs(theta_s))))
-    survey, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
+    survey, clips = _clip(*source.draw(m_survey, gen), ModelBounds(*source.envelope(), radius))
     if clips.total:
         log.info("family-1 generator clipped %d cells to the 4-sigma envelope", clips.total)
-    sampler = LinearModelSource(theta_star, _REG_NOISE_VAR_1)
-    return survey, theta_s, theta_star, sampler
+    return survey, theta_s, theta_star, LinearModelSource(theta_star, _REG_NOISE_VAR_1)
 
 
 def gen_synthetic2(
@@ -214,24 +215,26 @@ def gen_synthetic2(
     _check_generator_args(d, m)
     if not isinstance(noise_kind, NoiseKind):
         raise ValueError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
-    clean, theta_star = _synthetic2_base(d, m, rng)
+    clean, theta_star = _sparse_survey(d, m, rng)
     return clean, _with_covariate_noise(clean, noise_kind, rng), theta_star
 
 
-def _synthetic2_base(d: int, m: int, rng: RngSpec) -> tuple[Dataset, np.ndarray]:
-    """The part of :func:`gen_synthetic2` that both noise kinds share:
-    (clean, theta_star), to which :func:`_with_covariate_noise` adds either
-    kind's noise."""
+def _sparse_survey(
+    d: int, m: int, rng: RngSpec, covariate: str = "normal"
+) -> tuple[Dataset, np.ndarray]:
+    """(survey, theta_star): ``m`` rows of a sparse linear model with
+    ``covariate`` covariates and unit-variance regression noise, clipped to
+    its envelope.  :func:`gen_synthetic2` adds either kind of covariate
+    noise to a normal one with :func:`_with_covariate_noise`; the
+    error-vs-samples sweep privatizes a uniform one."""
     gen = rng.derive(_RNG_TAGS["data"])
     theta_star = sparse_coefficients(d, gen)
-    x = gen.normal(size=(m, d))
-    y = x @ theta_star + gen.normal(0.0, math.sqrt(_REG_NOISE_VAR_2), size=m)
-    zeta, tau = _envelope_bounds(theta_star, _REG_NOISE_VAR_2)
+    source = LinearModelSource(theta_star, _REG_NOISE_VAR_2, covariate)
     radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
-    clean, clips = _clip(x, y, ModelBounds(zeta, tau, radius))
+    survey, clips = _clip(*source.draw(m, gen), ModelBounds(*source.envelope(), radius))
     if clips.total:
-        log.info("family-2 generator clipped %d cells to the 4-sigma envelope", clips.total)
-    return clean, theta_star
+        log.info("sparse-model generator clipped %d cells to the envelope", clips.total)
+    return survey, theta_star
 
 
 def _with_covariate_noise(clean: Dataset, kind: NoiseKind, rng: RngSpec) -> PrivateDataset:
@@ -263,14 +266,7 @@ def _with_covariate_noise(clean: Dataset, kind: NoiseKind, rng: RngSpec) -> Priv
         u *= sign
         spec = NoiseSpec(NoiseKind.LAPLACE, scale)
     u += clean.x
-    return PrivateDataset._adopt(
-        z=u,
-        y=clean.y,
-        noise_variance=1.0,
-        noise=spec,
-        privacy=None,
-        rng=rng,
-    )
+    return PrivateDataset._adopt(z=u, y=clean.y, noise=spec, privacy=None, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +535,12 @@ def load_private(path) -> PrivateDataset:
     rng = None if meta.get("seed") is None else RngSpec(*seeds)
     kind = field("noise_kind", NoiseKind)
     noise = field("noise_scale", lambda v: NoiseSpec(kind, _number(v)))
-    # ds is discarded; its checked read-only arrays need no copy.
-    pds = field("sigma_w_diagonal", lambda v: PrivateDataset._adopt(
-        z=ds.x, y=ds.y, noise_variance=_number(v), noise=noise, privacy=privacy, rng=rng,
-    ))
-    # 1e-12 relative: 2 (1/sqrt 2)^2, the Laplace variance of gen_synthetic2, is 1 - 2.2e-16.
-    if not math.isclose(pds.noise_variance, noise.per_coordinate_variance, rel_tol=1e-12):
+    # 1e-12 relative: older gen_synthetic2 sidecars record 1.0 for the Laplace
+    # variance 2 (1/sqrt 2)^2 = 1 - 2.2e-16.
+    recorded = field("sigma_w_diagonal", _number)
+    if not math.isclose(recorded, noise.per_coordinate_variance, rel_tol=1e-12):
         raise CsvFormatError(
-            f"{side}: key 'sigma_w_diagonal': {pds.noise_variance!r} is not the variance "
+            f"{side}: key 'sigma_w_diagonal': {recorded!r} is not the variance "
             f"{noise.per_coordinate_variance!r} of {kind.value} noise at scale {noise.scale!r}"
         )
     # A sidecar with its budget and zeta, as publish writes, must hold the
@@ -561,4 +555,5 @@ def load_private(path) -> PrivateDataset:
                 f"beta={privacy.beta!r}, {privacy.accounting.value} accounting and "
                 f"zeta={meta['zeta']!r} calibrate"
             )
-    return pds
+    # ds is discarded; its checked read-only arrays need no copy.
+    return PrivateDataset._adopt(z=ds.x, y=ds.y, noise=noise, privacy=privacy, rng=rng)

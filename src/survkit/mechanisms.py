@@ -123,26 +123,19 @@ def _calibrate(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
 
 class PrivateDataset:
     """A privatized survey: noisy covariates Z, clear responses, and the
-    exact covariance of the noise that was added.
+    noise that was added.
 
-    ``noise_variance`` is the per-coordinate variance; the full covariance
-    is noise_variance * I_d.  ``privacy`` is None when
-    the noise was injected directly (synthetic benchmarks) rather than
+    ``noise`` fixes the noise covariance, noise_variance * I_d, where
+    ``noise_variance`` is its per-coordinate variance.  ``privacy`` is None
+    when the noise was injected directly (synthetic benchmarks) rather than
     calibrated from a privacy budget.
     """
 
-    __slots__ = ("z", "y", "noise_variance", "noise", "privacy", "rng")
+    __slots__ = ("z", "y", "noise", "privacy", "rng")
 
-    def __init__(
-        self,
-        z,
-        y,
-        noise_variance: float,
-        noise: NoiseSpec,
-        privacy: PrivacyParams | None,
-        rng: RngSpec | None,
-    ):
-        self._hold(*_rows(z, y), noise_variance, noise, privacy, rng)
+    def __init__(self, z, y, noise: NoiseSpec, privacy: PrivacyParams | None,
+                 rng: RngSpec | None):
+        self._hold(*_rows(z, y), noise, privacy, rng)
 
     @classmethod
     def _adopt(cls, z: np.ndarray, y: np.ndarray, **meta) -> PrivateDataset:
@@ -154,15 +147,16 @@ class PrivateDataset:
         pds._hold(*_rows(z, y, adopt=True), **meta)
         return pds
 
-    def _hold(self, z, y, noise_variance, noise, privacy, rng) -> None:
-        if not (np.isfinite(noise_variance) and noise_variance >= 0):
-            raise ValueError("noise variance must be non-negative")
+    def _hold(self, z, y, noise, privacy, rng) -> None:
         self.z = z
         self.y = y
-        self.noise_variance = float(noise_variance)
         self.noise = noise
         self.privacy = privacy
         self.rng = rng
+
+    @property
+    def noise_variance(self) -> float:
+        return self.noise.per_coordinate_variance
 
     @property
     def size(self) -> int:
@@ -186,16 +180,19 @@ def privatize(
 
     Requires every |x_ij| <= ds.bounds.zeta, since the calibration in
     ``spec`` is only meaningful for bounded covariates; two reductions check
-    it on every call.  Responses pass through unchanged: the result shares
-    the read-only ``ds.y``, and its ``z`` is a fresh array.  The noise
-    matrix is filled in a canonical row-major order from the (seed, stream)
-    sub-stream tagged "noise", so the output is a pure function of
-    (ds, spec, params, rng).
+    it on every call, and only a failed check looks for the cells outside,
+    to count them and name the first five.  Responses pass through
+    unchanged: the result shares the read-only ``ds.y``, and its ``z`` is a
+    fresh array.  The noise matrix is filled in a canonical row-major order
+    from the (seed, stream) sub-stream tagged "noise", so the output is a
+    pure function of (ds, spec, params, rng).
     """
-    if not _within(ds.x, ds.bounds.zeta):
-        raise ValueError(
-            f"covariates exceed zeta = {ds.bounds.zeta:g}; clip explicitly or raise zeta"
-        )
+    zeta = ds.bounds.zeta
+    if not _within(ds.x, zeta):
+        out = np.flatnonzero(np.abs(ds.x) > zeta)  # only on failure: 8 bytes a cell outside
+        first = list(zip(*(a.tolist() for a in divmod(out[:5], ds.dim))))
+        raise ValueError(f"covariates exceed zeta = {zeta:g}; {out.size} entries lie outside, "
+                         f"the first at (row, col) {first}; clip explicitly or raise zeta")
     gen = rng.derive(_RNG_TAGS["noise"])
     shape = (ds.size, ds.dim)
     if spec.scale == 0.0:
@@ -205,11 +202,4 @@ def privatize(
     else:
         w = gen.normal(loc=0.0, scale=spec.scale, size=shape)
     w += ds.x  # in place: the same sums as ds.x + w, one m x d buffer fewer
-    return PrivateDataset._adopt(
-        z=w,
-        y=ds.y,
-        noise_variance=spec.per_coordinate_variance,
-        noise=spec,
-        privacy=params,
-        rng=rng,
-    )
+    return PrivateDataset._adopt(z=w, y=ds.y, noise=spec, privacy=params, rng=rng)

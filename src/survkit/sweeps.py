@@ -23,7 +23,6 @@ trial per grid point) and one summary JSON per run.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -32,8 +31,8 @@ import numpy as np
 
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
-    _check_generator_args, _clip, _synthetic2_base, _with_covariate_noise, _write_csv,
-    _write_json, gen_synthetic1, sparse_coefficients,
+    _check_generator_args, _sparse_survey, _with_covariate_noise, _write_csv, _write_json,
+    gen_synthetic1,
 )
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
@@ -137,17 +136,12 @@ def _model_distance_trial(spec: SweepSpec, mu: float, tol: float, rng: RngSpec) 
 
 
 def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec) -> dict:
-    gen = rng.derive(_RNG_TAGS["data"])
-    theta_star = sparse_coefficients(spec.d, gen)
-    x = gen.uniform(-1.0, 1.0, size=(m, spec.d))
-    y = x @ theta_star + gen.normal(size=m)
-    tau = 4.0 * math.sqrt(float(theta_star @ theta_star) / 3.0 + 1.0)
-    radius = 1.1 * max(1.0, float(np.sum(np.abs(theta_star))))
-    ds, _ = _clip(x, y, ModelBounds(1.0, tau, radius))
+    ds, theta_star = _sparse_survey(spec.d, m, rng, covariate="uniform")
     privacy = PrivacyParams(alpha=alpha, beta=spec.beta)
     noise = make_noise_spec(privacy, ds.bounds.zeta, spec.d)
     pds = privatize(ds, noise, privacy, rng)
-    result = solve(corrected_moments(pds), SolverConfig(mode="constrained", radius=radius))
+    config = SolverConfig(mode="constrained", radius=ds.bounds.radius)
+    result = solve(corrected_moments(pds), config)
     return {
         "alpha": alpha,
         "beta": spec.beta,
@@ -160,7 +154,7 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
 
 def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
     # gen_synthetic2 once per kind, with the shared data built once.
-    clean, theta_star = _synthetic2_base(spec.d, m, rng)
+    clean, theta_star = _sparse_survey(spec.d, m, rng)
     config = SolverConfig(mode="constrained", radius=clean.bounds.radius)
     row: dict = {"m": m}
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.LAPLACE):

@@ -129,6 +129,20 @@ class TestPublishAndFit:
         )
         assert code == EXIT_RUNTIME
 
+    def test_publish_names_the_first_cells_outside_zeta(self, tmp_path, capsys):
+        src = tmp_path / "wide.csv"
+        x = np.full((3, 3), 2.0)
+        x[0, 1], x[2, 2] = 0.5, -3.0
+        save_csv(Dataset(x, np.zeros(3), ModelBounds(10, 1, 1)), src)
+        code = run("publish", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                   "--alpha", "1.0", "--zeta", "1.0", "--quiet")
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "survkit: error: covariates exceed zeta = 1; 8 entries lie outside, the first at "
+            "(row, col) [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]; clip explicitly or raise zeta\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
     def test_fit_from_sidecar_without_one(self, tmp_path, capsys):
         src = tmp_path / "data.csv"
         save_csv(Dataset(np.zeros((5, 2)), np.zeros(5), ModelBounds(1, 1, 1)), src)
@@ -148,12 +162,12 @@ class TestPublishAndFit:
         ({"seed": 2.7}, "key 'seed': expected a JSON integer, got 2.7"),
         ({"seed": 7, "stream": "0"}, "key 'stream': expected a JSON integer, got '0'"),
         ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
-        # JSON numbers out of range meet their object's check, named by the key.
+        # An edited variance, finite or not, is not the noise the sidecar declares.
         ({"sigma_w_diagonal": math.nan},
-         "key 'sigma_w_diagonal': noise variance must be non-negative"),
-        # An edited variance is not the noise the sidecar declares.
+         "key 'sigma_w_diagonal': nan is not the variance 8.0 of laplace noise at scale 2.0"),
         ({"sigma_w_diagonal": 2.5},
          "key 'sigma_w_diagonal': 2.5 is not the variance 8.0 of laplace noise at scale 2.0"),
+        # JSON numbers out of range meet their object's check, named by the key.
         ({"noise_scale": math.inf},
          "key 'noise_scale': noise scale must be non-negative, got inf"),
         ({"alpha": math.nan}, "key 'alpha': alpha must be positive, got nan"),

@@ -104,10 +104,9 @@ _HOLDERS = {
     "Dataset": lambda x, y: Dataset(x, y, UNIT),
     "Dataset._adopt": lambda x, y: Dataset._adopt(x, y, UNIT),
     "PrivateDataset": lambda x, y: PrivateDataset(
-        x, y, 1.0, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, None),
+        x, y, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, None),
     "PrivateDataset._adopt": lambda x, y: PrivateDataset._adopt(
-        x, y, noise_variance=1.0, noise=NoiseSpec(NoiseKind.LAPLACE, 1.0), privacy=None,
-        rng=None),
+        x, y, noise=NoiseSpec(NoiseKind.LAPLACE, 1.0), privacy=None, rng=None),
     "PooledSource": PooledSource,
 }
 

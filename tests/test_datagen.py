@@ -240,11 +240,11 @@ class TestSynthetic2:
             gen_synthetic2(2, 10, "laplace", RngSpec(0))
 
     def test_laplace_scale_matches_unit_variance(self):
-        # Laplace(0, 1/sqrt 2) has variance 2 * (1/sqrt 2)^2 = 1
+        # Laplace(0, 1/sqrt 2) has variance 2 * (1/sqrt 2)^2 = 1, and the
+        # bundle's variance is its noise's: 1 - 2.2e-16 in floating point.
         _, noisy, _ = gen_synthetic2(2, 10, NoiseKind.LAPLACE, RngSpec(0))
-        assert noisy.noise.scale == pytest.approx(1 / math.sqrt(2))
-        assert noisy.noise.per_coordinate_variance == pytest.approx(1.0)
-        assert noisy.noise_variance == 1.0
+        assert noisy.noise.scale == 1 / math.sqrt(2)
+        assert noisy.noise_variance == noisy.noise.per_coordinate_variance == 0.9999999999999998
 
     def test_clean_data_shared_across_kinds(self):
         clean_g, _, th_g = gen_synthetic2(6, 500, NoiseKind.GAUSSIAN, RngSpec(17))
@@ -276,7 +276,7 @@ class TestSynthetic2:
         # Each kind draws its own uniforms, so the Laplace kind built first
         # leaves the Gaussian kind as gen_synthetic2 builds it alone.
         d, m, rng = 5, 300, RngSpec(8, 4)
-        clean, _ = datagen._synthetic2_base(d, m, rng)
+        clean, _ = datagen._sparse_survey(d, m, rng)
         order = (NoiseKind.LAPLACE, NoiseKind.GAUSSIAN)
         built = {kind: datagen._with_covariate_noise(clean, kind, rng) for kind in order}
         for kind, noisy in built.items():
@@ -692,8 +692,16 @@ class TestPrivateBundle:
         assert back.noise_variance == noisy.noise_variance
         assert back.noise.kind is NoiseKind.LAPLACE
         meta = json.loads(side.read_text())
-        assert meta["sigma_w_diagonal"] == 1.0
+        assert meta["sigma_w_diagonal"] == noisy.noise.per_coordinate_variance
         assert "per_coordinate_variance" not in meta  # one variance per bundle
+
+    def test_sidecar_with_the_old_laplace_variance_loads(self, tmp_path):
+        # gen --kind synthetic2 sidecars once recorded 1.0 for the Laplace
+        # variance 1 - 2.2e-16; the loaded bundle's variance is its noise's.
+        _, noisy, _ = gen_synthetic2(3, 20, NoiseKind.LAPLACE, RngSpec(4))
+        csv_path, side = save_private(noisy, tmp_path / "bundle.csv")
+        side.write_text(json.dumps({**json.loads(side.read_text()), "sigma_w_diagonal": 1.0}))
+        assert load_private(csv_path).noise_variance == 0.9999999999999998
 
     def test_sidecar_with_the_old_variance_key_loads(self, tmp_path):
         # Bundles written before the duplicate key was dropped still load.
@@ -725,7 +733,7 @@ class TestPrivateBundle:
             load_private(csv_path)
 
     def test_zero_variance_matches_zero(self, tmp_path):
-        pds = PrivateDataset([[0.5]], [0.5], 0.0, NoiseSpec(NoiseKind.GAUSSIAN, 0.0), None, None)
+        pds = PrivateDataset([[0.5]], [0.5], NoiseSpec(NoiseKind.GAUSSIAN, 0.0), None, None)
         csv_path, _ = save_private(pds, tmp_path / "clear.csv")
         assert load_private(csv_path).noise_variance == 0.0
 
@@ -812,6 +820,21 @@ class TestLinearModelSource:
     def test_rejects_bad_arguments(self, args, message):
         with pytest.raises(ValueError, match=message):
             LinearModelSource(*args)
+
+    def test_envelope_pins_the_generators_formulas(self):
+        # At scale 1, bit for bit the envelopes the generators computed before
+        # they drew through LinearModelSource: 4 sigma of the response, and
+        # zeta = 4 for normal covariates or the uniform's bound 1.
+        theta = np.random.default_rng(3).uniform(1.0, 10.0, size=7)
+        tt = float(theta @ theta)
+        assert LinearModelSource(theta, 0.1).envelope() == (4.0, 4.0 * math.sqrt(tt + 0.1))
+        assert LinearModelSource(theta, 1.0, "uniform").envelope() == (
+            1.0, 4.0 * math.sqrt(tt / 3.0 + 1.0))
+        # At another scale a covariate's variance is scale^2, or scale^2 / 3.
+        assert LinearModelSource(theta, 0.1, "normal", 2.5).envelope() == (
+            10.0, 4.0 * math.sqrt(tt * 2.5 * 2.5 + 0.1))
+        assert LinearModelSource(theta, 1.0, "uniform", 2.5).envelope() == (
+            2.5, 4.0 * math.sqrt(tt * 2.5 * 2.5 / 3.0 + 1.0))
 
     def test_unknown_spec_type_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,11 +111,13 @@ class TestNoiseCalibration:
         with pytest.raises(ValueError, match="noise scale must be non-negative"):
             NoiseSpec(NoiseKind.LAPLACE, scale)
 
-    @pytest.mark.parametrize("variance", [-1.0, math.nan])
-    def test_bundle_variance_must_be_finite_and_non_negative(self, variance):
-        spec = NoiseSpec(NoiseKind.LAPLACE, 1.0)
-        with pytest.raises(ValueError, match="noise variance must be non-negative"):
-            PrivateDataset([[0.1]], [0.0], variance, spec, None, None)
+    @pytest.mark.parametrize("spec", [NoiseSpec(NoiseKind.LAPLACE, 1.5),
+                                      NoiseSpec(NoiseKind.GAUSSIAN, 1.5)])
+    def test_bundle_variance_is_its_noise_specs(self, spec):
+        pds = PrivateDataset([[0.1]], [0.0], spec, None, None)
+        assert pds.noise_variance == spec.per_coordinate_variance
+        with pytest.raises(AttributeError):
+            pds.noise_variance = 0.0
 
 
 class TestPrivatize:
@@ -158,6 +162,21 @@ class TestPrivatize:
         ds.x = np.array([[50.0]])
         with pytest.raises(ValueError, match="covariates exceed zeta = 1;"):
             privatize(ds, spec, None, RngSpec(0))
+
+    def test_rejection_holds_no_object_per_cell_outside(self):
+        # The message needs a count and five cells: the failed check holds
+        # |x|, a mask and the flat indices outside, 17 bytes a cell at most.
+        ds = Dataset(np.full((20_000, 10), 2.0), np.zeros(20_000), ModelBounds(1, 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "200000 entries lie outside, the first at (row, col) "
+                    "[(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)];")):
+                privatize(ds, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, RngSpec(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * ds.size * ds.dim
 
 
 class TestNoiseStatistics:

@@ -52,7 +52,7 @@ def test_public_constructors_copy(data, shape, fortran):
     x = np.array(data.draw(_matrix(m, d)), order="F" if fortran else "C")
     y = np.array(data.draw(st.lists(_FINITE, min_size=m, max_size=m)))
     ds = Dataset(x, y, ModelBounds(1.0, 1.0, 1.0))
-    pds = PrivateDataset(x, y, 1.0, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, None)
+    pds = PrivateDataset(x, y, NoiseSpec(NoiseKind.LAPLACE, 1.0), None, None)
     before = [a.copy() for a in _held(ds) + _held(pds)]
     x += 1.0
     y -= 1.0
@@ -125,6 +125,5 @@ def test_adopt_keeps_its_arrays_and_refuses_other_layouts():
         with pytest.raises(ValueError, match="float64 C-contiguous"):
             Dataset._adopt(bad, np.ones(3), ModelBounds(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="float64 C-contiguous"):
-            PrivateDataset._adopt(bad, np.ones(3), noise_variance=1.0,
-                                  noise=NoiseSpec(NoiseKind.LAPLACE, 1.0), privacy=None,
-                                  rng=None)
+            PrivateDataset._adopt(bad, np.ones(3), noise=NoiseSpec(NoiseKind.LAPLACE, 1.0),
+                                  privacy=None, rng=None)

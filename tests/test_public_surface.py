@@ -7,7 +7,9 @@ string constant anywhere in ``src/survkit`` outside the symbol's own
 definition; string constants count because cli's ``_BOUNDS`` table looks
 the bound functions up by name.  The re-exports in ``__init__.py`` do not
 count.  ``clip_to_bounds`` passes only through the ``sweeps`` import that
-the traced benchmark's binding needs (see test_bench_bindings.py).
+the traced benchmark's binding needs (see test_bench_bindings.py), and
+``validate_dataset`` only through such imports in ``cli``, ``datagen`` and
+``tester``: ``publish`` leaves its zeta check to ``privatize``.
 
 Every field of the config types ``SolverConfig``, ``TestConfig``,
 ``PrivacyParams`` and ``SweepSpec`` is one a caller sets: some call of the

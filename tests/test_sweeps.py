@@ -285,6 +285,20 @@ class TestTrialMemory:
                 tracemalloc.stop()
         assert peak <= matrices * m * d * 8
 
+    # Seeded trial results as the sweeps computed them before every survey was
+    # drawn through LinearModelSource, so a drift in the shared data path
+    # fails here.
+    def test_error_vs_samples_row_is_pinned(self):
+        spec = SweepSpec(experiment="error-vs-samples", trials=1, seed=5, output_dir=".", d=6)
+        rng = sweeps_mod._trial_rng(spec, 1, 2)
+        row = sweeps_mod._error_vs_samples_trial(spec, 2.0, 800, rng)
+        assert (repr(row["error"]), row["iterations"]) == ("0.5606313164937236", 5)
+
+    def test_noise_comparison_gaussian_error_is_pinned(self):
+        spec = SweepSpec(experiment="noise-comparison", trials=1, seed=5, output_dir=".", d=6)
+        row = sweeps_mod._noise_comparison_trial(spec, 800, sweeps_mod._trial_rng(spec, 0, 1))
+        assert repr(row["error_gaussian"]) == "0.08390022422302136"
+
     def test_noise_comparison_pairs_gen_synthetic2_draws(self):
         m, d = 2_000, 5
         spec = SweepSpec(experiment="noise-comparison", trials=1, seed=4, output_dir=".", d=d)
