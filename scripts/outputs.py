@@ -18,8 +18,9 @@ OUTDIR gets four folders:
 * ``sweeps_w1/`` and ``sweeps_w2/`` - the three sweeps on small grids at
   one and at two workers.
 
-The binary twins beside the dataset CSVs are deleted at the end: they hold
-the same arrays as their CSVs.  Nothing written holds a wall time, so two
+The binary twins beside the dataset CSVs are kept, so the diff also checks
+each twin's digest record, which the writer takes from the bytes as it
+writes them, and its arrays.  Nothing written holds a wall time, so two
 runs of one checkout give no diff.
 """
 
@@ -125,8 +126,6 @@ def write_outputs(out: Path) -> None:
         _synthetic2(Path("synthetic2"))
         for workers in (1, 2):
             _sweeps(Path(f"sweeps_w{workers}"), workers)
-        for twin in Path().rglob("*.twin"):
-            twin.unlink()
     finally:
         os.chdir(here)
 

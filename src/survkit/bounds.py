@@ -13,6 +13,14 @@ that theory leaves unspecified defaults to 1.0 and is a keyword argument;
 each probability-bound result records the constants used, whether the
 stated side conditions hold, and whether the value was clamped at 1 (a
 probability bound above 1 is vacuous).  All logarithms are natural.
+
+``min_samples_*`` at its default constants is not a sample size at which
+survkit's noise-corrected Gram matrix is positive definite.  With d = 10
+covariates uniform on [-1, 1] (lambda_min = 1/3, zeta = 1) and Laplace
+noise at alpha 0.5 per coordinate (variance 32), ``min_samples_laplace``
+gives 139, yet the corrected Gram matrix had a negative eigenvalue in 10 of
+10 draws at each of m = 1e3, 1e4 and 1e5 (median smallest eigenvalue
+-5.33, -1.55 and -0.23; its true value is 1/3).
 """
 
 from __future__ import annotations

@@ -167,9 +167,10 @@ def _cmd_publish(args) -> int:
     _require(args, "input", "alpha", "zeta")
     raw = load_csv(args.input)
     # tau and the placeholder radius are the envelope load_csv declares.
-    ds = Dataset._adopt(raw.x, raw.y, ModelBounds(args.zeta, raw.bounds.tau, raw.bounds.radius))
+    bounds = ModelBounds(args.zeta, raw.bounds.tau, raw.bounds.radius)
     # privatize rejects covariates outside zeta, naming the first few.
-    pds = _privatize(ds, args, Accounting(args.accounting))
+    pds = _privatize(Dataset._adopt(raw.x, raw.y, bounds), args, Accounting(args.accounting))
+    del raw  # the clear covariates are freed before the bundle is written
     csv_path, side = save_private(pds, args.output, zeta=args.zeta, manifest=_manifest(args))
     _emit(args, {"output": str(csv_path), "sidecar": str(side),
                  "noise_kind": pds.noise.kind.value, "noise_scale": pds.noise.scale,
@@ -236,6 +237,7 @@ def _cmd_verify(args) -> int:
         verdict = verify_survey(survey, source, cfg, rng)
     else:
         pds = _privatize(survey, args)
+        del survey  # the clear covariates are freed before the test runs
         verdict = verify_private_survey(pds, source, cfg, rng, lambda_min=args.lambda_min)
     for note in verdict.notes:
         print(f"survkit: note: {note}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
@@ -273,37 +274,47 @@ def _with_covariate_noise(clean: Dataset, kind: NoiseKind, rng: RngSpec) -> Priv
 # File formats
 
 # Rows formatted per block: enough to amortise the per-block calls, few
-# enough that the block's Python floats stay small next to the arrays.
-_WRITE_BLOCK_ROWS = 4096
+# enough that a block's text, held twice while it is encoded, stays small
+# next to the arrays.
+_WRITE_BLOCK_ROWS = 1024
 
 
 def _header(d: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)] + ["y"]
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` of text cells that need no quoting, such as a
-    float's repr, as csv.writer would: comma-separated, CRLF-ended, UTF-8."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
+def _write_csv(path, header: list[str], blocks) -> bytes:
+    """Write ``header`` and the rows of ``blocks`` as csv.writer would:
+    comma-separated, CRLF-ended, UTF-8.  A block is an iterable of rows, a
+    row one of text cells that need no quoting, such as a float's repr.
+    The header and each block go to the file as one encoded chunk, hashed
+    on the way, so the file is never read back: returns the SHA-256 of the
+    bytes written."""
+    import hashlib  # here: importing survkit.cli loads no OpenSSL
+
+    digest = hashlib.sha256()
+    with Path(path).open("wb") as fh:
+        for block in itertools.chain([[header]], blocks):
+            data = "".join([",".join(row) + "\r\n" for row in block]).encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+            del data  # freed before the next block is formatted
+    return digest.digest()
 
 
 def _write_rows(path, x: np.ndarray, y: np.ndarray) -> None:
     """Write the dataset CSV of ``x`` and ``y``, then its twin (see :func:`_read_twin`)."""
-    def rows():
-        b = _WRITE_BLOCK_ROWS
-        for i in range(0, len(y), b):
-            block = np.column_stack((x[i:i + b], y[i:i + b])).tolist()
-            yield from (map(repr, row) for row in block)  # a float's repr reads back exactly
-            del block  # freed before the next block is formatted
-
-    _write_csv(path, _header(x.shape[1]), rows())
+    b = _WRITE_BLOCK_ROWS
+    # A row becomes Python floats only while it is formatted; a float's
+    # repr reads back exactly.
+    blocks = ((map(repr, row.tolist()) for row in np.column_stack((x[i:i + b], y[i:i + b])))
+              for i in range(0, len(y), b))
+    digest = _write_csv(path, _header(x.shape[1]), blocks)
     if Path(path).is_file():  # not, say, /dev/null
         # The twin only saves a parse: one that cannot be written is left
         # out, and a partial one fails its read.
         with contextlib.suppress(OSError), _twin_path(path).open("wb") as fh:
-            for a in (np.frombuffer(_file_digest(path), np.uint8), x, y):
+            for a in (np.frombuffer(digest, np.uint8), x, y):
                 np.lib.format.write_array(fh, a, allow_pickle=False)
 
 
@@ -342,8 +353,9 @@ def load_csv(path, bounds: ModelBounds | None = None) -> Dataset:
             arr = _read_rows(path)
         x, y = arr[:, :-1], arr[:, -1]
     if bounds is None:
-        zeta = max(float(np.max(np.abs(x))), 1e-12)
-        tau = max(float(np.max(np.abs(y))), 1e-12)
+        # max(a.max(), -a.min()) is max |a| without an |a| temporary.
+        zeta = max(float(x.max()), -float(x.min()), 1e-12)
+        tau = max(float(y.max()), -float(y.min()), 1e-12)
         bounds = ModelBounds(zeta, tau, 1.0)
     # The twin's arrays were read fresh from its file and passed the row rule.
     return Dataset(x, y, bounds) if twin is None else Dataset._adopt(x, y, bounds)
@@ -369,14 +381,15 @@ def _read_twin(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _file_digest(path) -> bytes:
-    """The SHA-256 of the file's bytes, read in fixed-size chunks."""
-    import hashlib  # here: only a twin's read or write loads OpenSSL
+    """The SHA-256 of the file's bytes, read through one reused 64 KiB buffer."""
+    import hashlib  # here: importing survkit.cli loads no OpenSSL
 
-    h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 20), b""):
-            h.update(chunk)
-    return h.digest()
+    digest, buf = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buf)
+    with Path(path).open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.digest()
 
 
 def _plain_lines(fh):

@@ -8,6 +8,15 @@ whole record (see :func:`make_noise_spec`).  Responses are never perturbed.
 The published bundle records the exact noise covariance that was added,
 which the downstream solver subtracts out of the Gram matrix.
 
+"Pure alpha-LDP" and "(alpha, beta)-LDP" are guarantees of the real-valued
+mechanism x + w.  The release is the floating-point sum fl(x + w), whose
+low bits depend on x (Mironov 2012, "On significance of the least
+significant bits for differential privacy").  At Laplace scale 2 and
+zeta 1, the statistic (|z + 1| - |z - 1|) / 2, which is at most 1 in
+real arithmetic, exceeds 1 on about 2 % of the outputs of x = +1 and on
+none of 2e6 outputs of x = -1.  No e^alpha bounds that ratio, so the
+release as computed is not pure alpha-LDP.
+
 Covariates outside [-zeta, zeta] are a hard error, never silently clipped:
 silent clipping would invalidate the sensitivity computation without a
 trace.  Explicit clipping lives in :mod:`survkit.datagen`.
@@ -186,6 +195,10 @@ def privatize(
     fresh array.  The noise matrix is filled in a canonical row-major order
     from the (seed, stream) sub-stream tagged "noise", so the output is a
     pure function of (ds, spec, params, rng).
+
+    The privacy of ``spec`` is that of the real-valued sum; the returned
+    floating-point sum leaks through its low bits (see the module
+    docstring).
     """
     zeta = ds.bounds.zeta
     if not _within(ds.x, zeta):

@@ -278,8 +278,9 @@ def run_sweep(spec: SweepSpec, **extra) -> SweepResult:
 
     trials_csv = out / f"{spec.experiment}_trials.csv"
     fieldnames = sorted({k for row in rows for k in row})
-    # str, as csv.writer formats a cell: a Python float's str is its repr.
-    _write_csv(trials_csv, fieldnames, ([str(row[k]) for k in fieldnames] for row in rows))
+    # One block of str cells, as csv.writer formats them: a Python float's
+    # str is its repr.  The returned digest only serves a dataset's twin.
+    _write_csv(trials_csv, fieldnames, [([str(row[k]) for k in fieldnames] for row in rows)])
 
     summary = {
         "grid": summarize(spec, rows),

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,25 @@ class TestPublishAndFit:
         assert isinstance(result["polished"], bool)
         got = np.array(result["theta_hat"])
         assert np.linalg.norm(got - theta) < 0.25
+
+    def test_publish_holds_at_most_the_clear_and_the_noisy_covariates(self, tmp_path):
+        # m = 3e4, d = 10, as in the benchmark: the clear x is freed once
+        # privatized, before the bundle is written.
+        m, d = 30_000, 10
+        gen = np.random.default_rng(27)
+        src = tmp_path / "data.csv"
+        save_csv(Dataset(gen.uniform(-1, 1, size=(m, d)), gen.normal(size=m),
+                         ModelBounds(1, 10, 1)), src)
+        argv = ("publish", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                "--alpha", "2.0", "--zeta", "1.0", "--seed", "3", "--quiet")
+        assert run(*argv) == EXIT_OK  # imports and first calls, untraced
+        tracemalloc.start()
+        try:
+            assert run(*argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * d * 8 + 1_500_000, peak
 
     def test_publish_rejects_out_of_bounds(self, tmp_path):
         src = tmp_path / "wide.csv"

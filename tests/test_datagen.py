@@ -307,6 +307,17 @@ class TestCsvRoundTrip:
         assert back.x.tobytes() == ds.x.tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
 
+    @pytest.mark.parametrize("twin", [True, False])
+    def test_envelope_of_negative_extremes(self, tmp_path, twin):
+        # The largest |x| and |y| are negative cells, as read through the
+        # twin and from the text.
+        ds = Dataset([[-3.25, 1.0], [2.0, -0.5]], [-5.5, 4.0], ModelBounds(4, 6, 1))
+        p = tmp_path / "neg.csv"
+        save_csv(ds, p)
+        if not twin:
+            datagen._twin_path(p).unlink()
+        assert load_csv(p).bounds == ModelBounds(3.25, 5.5, 1.0)
+
     def test_empty_data_section_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("x1,y\n")
@@ -556,6 +567,65 @@ class TestCsvWriterProperties:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the second of two calls of ``fn``:
+    the first fills the caches that imports and first calls make."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A dataset file's write, digest and read hold the arrays plus one small
+    block, at the benchmark's m = 3e4, d = 10 (one m x d matrix is 2.4 MB)."""
+
+    M, D = 30_000, 10
+
+    @pytest.fixture
+    def arrays(self):
+        gen = np.random.default_rng(27)
+        return gen.normal(size=(self.M, self.D)), gen.normal(size=self.M)
+
+    def test_write_rows_holds_one_block_of_text(self, tmp_path, arrays):
+        peak = _traced_peak(lambda: datagen._write_rows(tmp_path / "w.csv", *arrays))
+        assert peak < 1_000_000, peak
+
+    def test_file_digest_reads_through_one_small_buffer(self, tmp_path, arrays):
+        path = tmp_path / "d.csv"
+        datagen._write_rows(path, *arrays)
+        assert _traced_peak(lambda: datagen._file_digest(path)) < 100_000
+        assert datagen._file_digest(path) == hashlib.sha256(path.read_bytes()).digest()
+
+    def test_load_through_the_twin_holds_the_arrays_and_little_more(self, tmp_path, arrays):
+        x, y = arrays
+        path = tmp_path / "l.csv"
+        datagen._write_rows(path, x, y)
+        peak = _traced_peak(lambda: load_csv(path))
+        assert peak < x.nbytes + y.nbytes + 500_000, peak
+
+    def test_a_save_hashes_what_it_writes(self, tmp_path, arrays):
+        path = tmp_path / "s.csv"
+        modes = []
+        real_open = io.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        with mock.patch("io.open", spy), mock.patch("builtins.open", spy), \
+                mock.patch.object(datagen, "_file_digest", side_effect=AssertionError):
+            save_csv(Dataset(*arrays, ModelBounds(10, 10, 1)), path)
+        assert modes == ["wb"]
+        with datagen._twin_path(path).open("rb") as fh:
+            record = np.lib.format.read_array(fh, allow_pickle=False)
+        assert record.tobytes() == hashlib.sha256(path.read_bytes()).digest()
 
 
 def _write_twin(path, *records, allow_pickle=False):

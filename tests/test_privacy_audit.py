@@ -110,3 +110,21 @@ def test_calibrated_noise_passes(privacy, d, differ):
 ])
 def test_miscalibrated_noise_is_flagged(spec, alpha, beta, d, differ, n_prime):
     assert _audit(spec, alpha, d, differ, 500_000, n_prime, seed=11) > beta
+
+
+def test_floating_point_release_leaks_through_its_low_bits():
+    # The audit above scores the real-valued mechanism.  privatize returns
+    # fl(x + w), whose low bits depend on x (Mironov 2012).  For an output
+    # z >= zeta the textbook statistic (|z + zeta| - |z - zeta|) / 2 is zeta
+    # in real arithmetic; in floating point it exceeds zeta on some outputs
+    # of x = +zeta and on none of x = -zeta, an event no e^alpha bounds.
+    # This pins the leak as it is today; an exact release must flip it.
+    spec = make_noise_spec(PrivacyParams(1.0), ZETA, 1)  # Laplace scale 2
+    n = 100_000
+    above = {}
+    for x in (ZETA, -ZETA):
+        ds = Dataset(np.full((n, 1), x), np.zeros(n), ModelBounds(ZETA, 1.0, 1.0))
+        z = privatize(ds, spec, None, RngSpec(27)).z[:, 0]
+        z = z[z >= ZETA]
+        above[x] = int(np.count_nonzero((np.abs(z + ZETA) - np.abs(z - ZETA)) / 2 > ZETA))
+    assert above[ZETA] > 0 and above[-ZETA] == 0, above
