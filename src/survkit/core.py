@@ -35,7 +35,8 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # NaN and +-inf reach a min or a max; no m x d boolean temporary is built.
+    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

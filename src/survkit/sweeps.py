@@ -12,17 +12,21 @@ Three experiments are provided:
   Gaussian and Laplace covariate noise of equal variance (paired draws) and
   record both errors.
 
-All randomness flows from the single sweep seed through the canonical
-stream encoding (experiment-index, grid-index, trial-index).  The trial,
-not the grid point, is what the bounded worker pool schedules, so the
-trials of one large grid point spread over all workers; rows are gathered
-back per grid point, and output ordering is canonical regardless of
-completion order or worker count.  Emits one tidy trials CSV (one row per
-trial per grid point) and one summary JSON per run.
+A grid point takes one value from each spec grid its experiment crosses,
+such as (mu, tol).  All randomness flows from the single sweep seed through
+the canonical stream encoding (experiment-index, grid-index, trial-index).
+The trial, not the grid point, is what the bounded worker pool schedules;
+rows are gathered back per grid point, so output ordering is canonical
+regardless of completion order or worker count.  A trial row holds the
+point's values, set by the run, and the trial's measurements.  Emits one
+tidy trials CSV and one summary JSON per run; both cover only the grid
+points whose every trial completed.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -65,8 +69,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= _TRIAL_CAP:
+            raise ValueError(f"trials must be in [1, {_TRIAL_CAP}]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
@@ -75,6 +79,9 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} repeats a value: {grid}")
+        points = math.prod(map(len, _grids(self)))
+        if points > _GRID_CAP:
+            raise ValueError(f"{self.experiment} has {points} grid points, more than {_GRID_CAP}")
         # The summaries key a float grid's values by their :g form, so two
         # values that print alike would share one summary entry.
         for name in ("mu_grid", "tol_grid", "alpha_grid"):
@@ -113,6 +120,14 @@ def _trial_rng(spec: SweepSpec, grid_index: int, trial: int) -> RngSpec:
     return RngSpec(spec.seed, stream)
 
 
+def _grids(spec: SweepSpec) -> list[tuple]:
+    return [getattr(spec, f"{name}_grid") for name in EXPERIMENTS[spec.experiment][0]]
+
+
+def _points(spec: SweepSpec) -> list[tuple]:
+    return list(itertools.product(*_grids(spec)))
+
+
 def _normalized_error(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:
     return float(np.linalg.norm(theta_hat - theta_star) / np.linalg.norm(theta_star))
 
@@ -122,16 +137,13 @@ def _model_distance_trial(spec: SweepSpec, mu: float, tol: float, rng: RngSpec) 
     cfg = TestConfig(kappa=spec.kappa, tol=tol, delta=spec.delta, bounds=survey.bounds)
     verdict = verify_survey(survey, sampler, cfg, rng)
     probes = rng.derive(_RNG_TAGS["distance"]).normal(size=(_DISTANCE_PROBES, spec.d))
-    dist = model_distance(verdict.theta_hat, theta_star, probes)
     return {
-        "mu": mu,
-        "tol": tol,
         "decision": verdict.decision.value,
         "margin": verdict.margin,
         "gamma_s": verdict.gamma_s,
         "gamma_d": verdict.gamma_d,
         "t_used": verdict.t_used,
-        "model_distance": dist,
+        "model_distance": model_distance(verdict.theta_hat, theta_star, probes),
     }
 
 
@@ -143,9 +155,7 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
     config = SolverConfig(mode="constrained", radius=ds.bounds.radius)
     result = solve(corrected_moments(pds), config)
     return {
-        "alpha": alpha,
         "beta": spec.beta,
-        "m": m,
         "error": _normalized_error(result.theta_hat, theta_star),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -156,88 +166,64 @@ def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
     # gen_synthetic2 once per kind, with the shared data built once.
     clean, theta_star = _sparse_survey(spec.d, m, rng)
     config = SolverConfig(mode="constrained", radius=clean.bounds.radius)
-    row: dict = {"m": m}
+    row = {}
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.LAPLACE):
         result = solve(corrected_moments(_with_covariate_noise(clean, kind, rng)), config)
         row[f"error_{kind.value}"] = _normalized_error(result.theta_hat, theta_star)
     return row
 
 
-def _run_trial(trial_fn, spec: SweepSpec, grid_index: int, point: tuple, trial: int) -> dict:
-    row = trial_fn(spec, *point, _trial_rng(spec, grid_index, trial))
+def _run_trial(names, trial_fn, spec: SweepSpec, grid_index: int, point: tuple, trial: int) -> dict:
+    row = dict(zip(names, point))
+    row.update(trial_fn(spec, *point, _trial_rng(spec, grid_index, trial)))
     row["trial"] = trial
     return row
 
 
-def _fit_slope(ms: list[float], means: list[float]) -> float:
-    coeffs = np.polyfit(np.log(ms), np.log(means), 1)
-    return float(coeffs[0])
+def _summarize_model_distance(spec: SweepSpec, done: dict) -> dict:
+    return {
+        f"mu={mu:g},tol={tol:g}": {
+            "accept_rate": sum(r["decision"] == "ACCEPT" for r in rows) / len(rows),
+            "mean_model_distance": float(np.mean([r["model_distance"] for r in rows])),
+            "trials": len(rows),
+        }
+        for (mu, tol), rows in done.items()
+    }
 
 
-def _summarize_model_distance(spec: SweepSpec, rows: list[dict]) -> dict:
-    rates = {}
-    for mu in spec.mu_grid:
-        for tol in spec.tol_grid:
-            sel = [r for r in rows if r["mu"] == mu and r["tol"] == tol]
-            if sel:
-                rates[f"mu={mu:g},tol={tol:g}"] = {
-                    "accept_rate": sum(r["decision"] == "ACCEPT" for r in sel) / len(sel),
-                    "mean_model_distance": float(np.mean([r["model_distance"] for r in sel])),
-                    "trials": len(sel),
-                }
-    return rates
-
-
-def _summarize_error_vs_samples(spec: SweepSpec, rows: list[dict]) -> dict:
+def _summarize_error_vs_samples(spec: SweepSpec, done: dict) -> dict:
     slopes = {}
     for alpha in spec.alpha_grid:
-        ms, means = [], []
-        for m in spec.m_grid:
-            sel = [r["error"] for r in rows if r["alpha"] == alpha and r["m"] == m]
-            if sel:
-                ms.append(m)
-                means.append(float(np.mean(sel)))
+        ms = [m for m in spec.m_grid if (alpha, m) in done]
+        means = [float(np.mean([r["error"] for r in done[alpha, m]])) for m in ms]
         entry = {"m": ms, "mean_error": means}
         if len(ms) >= 2:
-            entry["loglog_slope"] = _fit_slope(ms, means)
+            entry["loglog_slope"] = float(np.polyfit(np.log(ms), np.log(means), 1)[0])
         slopes[f"alpha={alpha:g}"] = entry
     return slopes
 
 
-def _summarize_noise_comparison(spec: SweepSpec, rows: list[dict]) -> dict:
+def _summarize_noise_comparison(spec: SweepSpec, done: dict) -> dict:
     comp = {}
-    for m in spec.m_grid:
-        sel = [r for r in rows if r["m"] == m]
-        if sel:
-            mg = float(np.mean([r["error_gaussian"] for r in sel]))
-            ml = float(np.mean([r["error_laplace"] for r in sel]))
-            comp[f"m={m}"] = {
-                "mean_error_gaussian": mg,
-                "mean_error_laplace": ml,
-                "gaussian_not_worse": mg <= ml,
-            }
+    for (m,), rows in done.items():
+        mg = float(np.mean([r["error_gaussian"] for r in rows]))
+        ml = float(np.mean([r["error_laplace"] for r in rows]))
+        comp[f"m={m}"] = {
+            "mean_error_gaussian": mg,
+            "mean_error_laplace": ml,
+            "gaussian_not_worse": mg <= ml,
+        }
     return comp
 
 
-# Each experiment's (grid, trial, summarize).  A grid point is the tuple of
-# trial arguments between the spec and the RngSpec.  The order fixes each
-# experiment's stream index (1, 2, 3), which seeds every trial.
+# Each experiment's (grid names, trial, summarize).  A grid point takes a value
+# from spec.<name>_grid per name, in order; the trial gets them as arguments, the
+# run puts them in each row, and summarize gets {point: rows} of completed points.
+# The table's order fixes each experiment's stream index, which seeds every trial.
 EXPERIMENTS = {
-    "model-distance": (
-        lambda spec: [(mu, tol) for mu in spec.mu_grid for tol in spec.tol_grid],
-        _model_distance_trial,
-        _summarize_model_distance,
-    ),
-    "error-vs-samples": (
-        lambda spec: [(alpha, m) for alpha in spec.alpha_grid for m in spec.m_grid],
-        _error_vs_samples_trial,
-        _summarize_error_vs_samples,
-    ),
-    "noise-comparison": (
-        lambda spec: [(m,) for m in spec.m_grid],
-        _noise_comparison_trial,
-        _summarize_noise_comparison,
-    ),
+    "model-distance": (("mu", "tol"), _model_distance_trial, _summarize_model_distance),
+    "error-vs-samples": (("alpha", "m"), _error_vs_samples_trial, _summarize_error_vs_samples),
+    "noise-comparison": (("m",), _noise_comparison_trial, _summarize_noise_comparison),
 }
 _EXPERIMENT_INDEX = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
@@ -258,32 +244,31 @@ def run_sweep(spec: SweepSpec, **extra) -> SweepResult:
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid, trial_fn, summarize = EXPERIMENTS[spec.experiment]
-    points = grid(spec)
-    rows: list[dict] = []
+    names, trial_fn, summarize = EXPERIMENTS[spec.experiment]
+    points = _points(spec)
+    done: dict[tuple, list[dict]] = {}
     errors: dict[str, str] = {}
 
     with ThreadPoolExecutor(max_workers=spec.workers) as pool:
         futures = [
-            [pool.submit(_run_trial, trial_fn, spec, i, point, t) for t in range(spec.trials)]
-            for i, point in enumerate(points)
+            [pool.submit(_run_trial, names, trial_fn, spec, i, p, t) for t in range(spec.trials)]
+            for i, p in enumerate(points)
         ]
         for point, trials in zip(points, futures):
             try:
-                point_rows = [fut.result() for fut in trials]
+                done[point] = [fut.result() for fut in trials]
             except Exception as exc:  # grid point aborted, others continue
                 errors[str(point)] = f"{type(exc).__name__}: {exc}"
-            else:
-                rows.extend(point_rows)
 
     trials_csv = out / f"{spec.experiment}_trials.csv"
+    rows = [row for point_rows in done.values() for row in point_rows]
     fieldnames = sorted({k for row in rows for k in row})
     # One block of str cells, as csv.writer formats them: a Python float's
     # str is its repr.  The returned digest only serves a dataset's twin.
     _write_csv(trials_csv, fieldnames, [([str(row[k]) for k in fieldnames] for row in rows)])
 
     summary = {
-        "grid": summarize(spec, rows),
+        "grid": summarize(spec, done),
         "errors": errors,
         "spec": {k: (str(v) if isinstance(v, Path) else v) for k, v in asdict(spec).items()},
         **extra,

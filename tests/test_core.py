@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from survkit import (
     model_distance,
     validate_dataset,
 )
+from survkit.core import _rows
 
 UNIT = ModelBounds(1.0, 1.0, 1.0)
 
@@ -132,6 +135,47 @@ def test_every_row_holder_applies_the_row_rule(holder, x, y):
     """An (m, d) matrix with m, d >= 1, m responses, every entry finite."""
     with pytest.raises(ValueError):
         _HOLDERS[holder](x, y)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (np.zeros((0, 2)), np.zeros(0), r"need at least one row and one column, got shape \(0, 2\)"),
+    (np.zeros((4, 0)), np.zeros(4), r"need at least one row and one column, got shape \(4, 0\)"),
+    (np.zeros((0, 2)), np.zeros(1), "row count mismatch: 0 covariate rows, 1 responses"),
+    (_with(np.nan, "x"), np.zeros(3), "covariates contains non-finite entries"),
+    (_with(-np.inf, "x"), np.zeros(3), "covariates contains non-finite entries"),
+    (np.zeros((3, 2)), _with(np.inf, "y"), "responses contains non-finite entries"),
+])
+def test_row_rule_messages(x, y, message):
+    # An empty array passes the finiteness check and fails on its shape.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _rows(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=12))
+def test_finiteness_check_agrees_with_isfinite(values):
+    # The min/max reductions reject exactly what an entrywise isfinite does.
+    y = np.array(values)
+    if np.all(np.isfinite(y)):
+        _rows(np.zeros((y.size, 1)), y)
+    else:
+        with pytest.raises(ValueError, match="^responses contains non-finite entries$"):
+            _rows(np.zeros((y.size, 1)), y)
+
+
+def test_row_check_builds_no_m_by_d_temporary():
+    # At m = 3e4, d = 10 an m x d boolean mask is 0.3 MB; adopting the
+    # arrays needs only the reductions' scalars.
+    gen = np.random.default_rng(28)
+    peaks = []
+    for x, y in [(gen.normal(size=(30_000, 10)), gen.normal(size=30_000)) for _ in range(2)]:
+        tracemalloc.start()  # the second call is measured, past first-call caches
+        try:
+            _rows(x, y, adopt=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 64 * 1024, peaks
 
 
 class TestEmpiricalLoss:

@@ -166,6 +166,22 @@ class TestSweepMechanics:
             with pytest.raises(ValueError, match="exceeds the canonical stream capacity"):
                 sweeps_mod._trial_rng(spec, g, t)
 
+    def test_spec_beyond_stream_capacity_rejected_before_any_trial(self, tmp_path):
+        # The spec itself is refused, so no trial reaches _trial_rng's check.
+        cap = sweeps_mod._TRIAL_CAP
+        kw = dict(experiment="model-distance", seed=0, output_dir=tmp_path)
+        with pytest.raises(ValueError, match=rf"^trials must be in \[1, {cap}\]$"):
+            SweepSpec(trials=cap + 1, **kw)
+        mus = tuple(i / 500 for i in range(1001))
+        tols = tuple((i + 1) / 1001 for i in range(1000))
+        with pytest.raises(ValueError, match="^model-distance has 1001000 grid points, "
+                                             f"more than {sweeps_mod._GRID_CAP}$"):
+            SweepSpec(trials=1, mu_grid=mus, tol_grid=tols, **kw)
+        # At capacity, and for an experiment that does not cross mu and tol,
+        # the same values are accepted.
+        SweepSpec(trials=cap, mu_grid=mus[:1000], tol_grid=tols, **kw)
+        SweepSpec(**{**kw, "experiment": "noise-comparison"}, trials=1, mu_grid=mus, tol_grid=tols)
+
     def test_invalid_spec_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             SweepSpec(experiment="nope", trials=1, seed=0, output_dir=tmp_path)
@@ -216,6 +232,75 @@ _TOY = {
     "error-vs-samples": dict(trials=3, d=4, m_grid=(300, 600, 1200), alpha_grid=(1.0, 2.0)),
     "noise-comparison": dict(trials=4, d=4, m_grid=(300, 900)),
 }
+
+
+def _summary_from_csv(spec, csv_path):
+    """Each summary grid entry recomputed from the trials CSV alone, its rows
+    grouped by the experiment's grid columns."""
+    groups = {}
+    for r in _rows(csv_path):
+        key = tuple(r[name] for name in sweeps_mod.EXPERIMENTS[spec.experiment][0])
+        groups.setdefault(key, []).append(r)
+
+    def mean(rows, column):
+        return float(np.mean([float(r[column]) for r in rows]))
+
+    if spec.experiment == "model-distance":
+        return {f"mu={float(mu):g},tol={float(tol):g}": {
+            "accept_rate": sum(r["decision"] == "ACCEPT" for r in rows) / len(rows),
+            "mean_model_distance": mean(rows, "model_distance"),
+            "trials": len(rows),
+        } for (mu, tol), rows in groups.items()}
+    if spec.experiment == "noise-comparison":
+        return {f"m={m}": {
+            "mean_error_gaussian": mean(rows, "error_gaussian"),
+            "mean_error_laplace": mean(rows, "error_laplace"),
+            "gaussian_not_worse": mean(rows, "error_gaussian") <= mean(rows, "error_laplace"),
+        } for (m,), rows in groups.items()}
+    slopes = {f"alpha={alpha:g}": {"m": [], "mean_error": []} for alpha in spec.alpha_grid}
+    for (alpha, m), rows in groups.items():
+        entry = slopes[f"alpha={float(alpha):g}"]
+        entry["m"].append(int(m))
+        entry["mean_error"].append(mean(rows, "error"))
+    for entry in slopes.values():
+        if len(entry["m"]) >= 2:
+            fit = np.polyfit(np.log(entry["m"]), np.log(entry["mean_error"]), 1)
+            entry["loglog_slope"] = float(fit[0])
+    return slopes
+
+
+class TestSummariesMatchTrials:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("experiment", sorted(_TOY))
+    def test_every_summary_is_what_its_trials_csv_says(self, tmp_path, experiment, workers):
+        spec = SweepSpec(experiment=experiment, seed=17, workers=workers, output_dir=tmp_path,
+                         **{**_TOY[experiment], "trials": 3})
+        res = run_sweep(spec)
+        assert res.summary["errors"] == {}
+        expected = _summary_from_csv(spec, res.trials_csv)
+        assert list(res.summary["grid"].items()) == list(expected.items())
+        assert json.loads(res.summary_json.read_text())["grid"] == expected
+
+    def test_aborted_point_is_only_under_errors(self, tmp_path, monkeypatch):
+        names, real, summarize = sweeps_mod.EXPERIMENTS["error-vs-samples"]
+
+        def flaky(spec, alpha, m, rng):
+            if (alpha, m) == (2.0, 600):
+                raise RuntimeError("boom")
+            return real(spec, alpha, m, rng)
+
+        monkeypatch.setitem(
+            sweeps_mod.EXPERIMENTS, "error-vs-samples", (names, flaky, summarize)
+        )
+        spec = SweepSpec(experiment="error-vs-samples", seed=17, workers=2,
+                         output_dir=tmp_path, **{**_TOY["error-vs-samples"], "trials": 3})
+        res = run_sweep(spec)
+        assert res.summary["errors"] == {"(2.0, 600)": "RuntimeError: boom"}
+        points = {(r["alpha"], r["m"]) for r in _rows(res.trials_csv)}
+        assert ("2.0", "600") not in points and len(points) == 5
+        grid = res.summary["grid"]
+        assert grid["alpha=1"]["m"] == [300, 600, 1200] and grid["alpha=2"]["m"] == [300, 1200]
+        assert list(grid.items()) == list(_summary_from_csv(spec, res.trials_csv).items())
 
 
 class TestWorkerCountInvariance:
@@ -271,7 +356,7 @@ class TestTrialMemory:
     ])
     def test_peak_within_bound(self, experiment, matrices):
         m, d = 20_000, 10
-        grid, trial, _ = sweeps_mod.EXPERIMENTS[experiment]
+        _, trial, _ = sweeps_mod.EXPERIMENTS[experiment]
         # First-call imports are not the trial's memory: a tiny trial runs first.
         for size in (50, m):
             spec = SweepSpec(experiment=experiment, trials=1, seed=3, output_dir=".", d=d,
@@ -279,7 +364,7 @@ class TestTrialMemory:
             rng = sweeps_mod._trial_rng(spec, 0, 0)
             tracemalloc.start()
             try:
-                trial(spec, *grid(spec)[0], rng)
+                trial(spec, *sweeps_mod._points(spec)[0], rng)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
