@@ -274,8 +274,8 @@ def _with_covariate_noise(clean: Dataset, kind: NoiseKind, rng: RngSpec) -> Priv
 # File formats
 
 # Rows formatted per block: enough to amortise the per-block calls, few
-# enough that a block's text, held twice while it is encoded, stays small
-# next to the arrays.
+# enough that a block's bytes, held about twice while its rows are split
+# and joined, stay small next to the arrays (about 222,000 bytes at d = 10).
 _WRITE_BLOCK_ROWS = 1024
 
 
@@ -283,33 +283,50 @@ def _header(d: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)] + ["y"]
 
 
-def _write_csv(path, header: list[str], blocks) -> bytes:
-    """Write ``header`` and the rows of ``blocks`` as csv.writer would:
-    comma-separated, CRLF-ended, UTF-8.  A block is an iterable of rows, a
-    row one of text cells that need no quoting, such as a float's repr.
-    The header and each block go to the file as one encoded chunk, hashed
-    on the way, so the file is never read back: returns the SHA-256 of the
-    bytes written."""
+def _write_csv(path, header: list[str], chunks) -> bytes:
+    """Write ``header`` as csv.writer would (comma-separated, CRLF-ended,
+    UTF-8), then ``chunks``: byte strings holding whole rows in that form.
+    Each chunk is hashed on its way to the file, so the file is never read
+    back: returns the SHA-256 of the bytes written."""
     import hashlib  # here: importing survkit.cli loads no OpenSSL
 
     digest = hashlib.sha256()
     with Path(path).open("wb") as fh:
-        for block in itertools.chain([[header]], blocks):
-            data = "".join([",".join(row) + "\r\n" for row in block]).encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-            del data  # freed before the next block is formatted
+        for chunk in itertools.chain([(",".join(header) + "\r\n").encode("utf-8")], chunks):
+            digest.update(chunk)
+            fh.write(chunk)
+            del chunk  # freed before the next chunk is formatted
     return digest.digest()
+
+
+def _block_text(block: np.ndarray) -> bytes:
+    """The CSV rows of the C-ordered float64 ``block``, each CRLF-ended:
+    every cell is its float's repr, the shortest text that reads back
+    exactly.
+
+    One orjson call formats the block, with repr's digits wherever repr
+    writes no exponent: zero and 1e-4 <= |v| < 1e16.  A row holding any
+    other cell is formatted again by repr, cell by cell."""
+    import orjson  # here: only a dataset write loads it
+
+    a = np.abs(block)
+    by_repr = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (a == 0)).all(axis=1)).tolist()
+    del a
+    # b"[[1.0,2.0],[3.0,4.0]]" -> [b"1.0,2.0", b"3.0,4.0"]
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
+    rows[0] = rows[0][2:]
+    rows[-1] = rows[-1][:-2]
+    for j in by_repr:
+        rows[j] = ",".join(map(repr, block[j].tolist())).encode("utf-8")
+    rows.append(b"")
+    return b"\r\n".join(rows)
 
 
 def _write_rows(path, x: np.ndarray, y: np.ndarray) -> None:
     """Write the dataset CSV of ``x`` and ``y``, then its twin (see :func:`_read_twin`)."""
     b = _WRITE_BLOCK_ROWS
-    # A row becomes Python floats only while it is formatted; a float's
-    # repr reads back exactly.
-    blocks = ((map(repr, row.tolist()) for row in np.column_stack((x[i:i + b], y[i:i + b])))
-              for i in range(0, len(y), b))
-    digest = _write_csv(path, _header(x.shape[1]), blocks)
+    blocks = (np.column_stack((x[i:i + b], y[i:i + b])) for i in range(0, len(y), b))
+    digest = _write_csv(path, _header(x.shape[1]), map(_block_text, blocks))
     if Path(path).is_file():  # not, say, /dev/null
         # The twin only saves a parse: one that cannot be written is left
         # out, and a partial one fails its read.

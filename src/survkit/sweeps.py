@@ -263,9 +263,10 @@ def run_sweep(spec: SweepSpec, **extra) -> SweepResult:
     trials_csv = out / f"{spec.experiment}_trials.csv"
     rows = [row for point_rows in done.values() for row in point_rows]
     fieldnames = sorted({k for row in rows for k in row})
-    # One block of str cells, as csv.writer formats them: a Python float's
+    # One chunk of str cells, as csv.writer formats them: a Python float's
     # str is its repr.  The returned digest only serves a dataset's twin.
-    _write_csv(trials_csv, fieldnames, [([str(row[k]) for k in fieldnames] for row in rows)])
+    text = "".join(",".join(str(row[k]) for k in fieldnames) + "\r\n" for row in rows)
+    _write_csv(trials_csv, fieldnames, [text.encode("utf-8")])
 
     summary = {
         "grid": summarize(spec, done),

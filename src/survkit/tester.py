@@ -222,6 +222,9 @@ def _verify(
     else:
         moments = corrected_moments(survey)
         if lambda_min is None:
+            # A full eigvalsh at every d: no benchmarked workload runs a private
+            # verify above d = 64, so a Lanczos estimate of the smallest
+            # eigenvalue waits for one that does.
             lambda_min = max(float(np.linalg.eigvalsh(moments.gamma_mat)[0]), _LAMBDA_MIN_FLOOR)
             notes.append(
                 f"lambda_min estimated from corrected moments as {lambda_min:g} "

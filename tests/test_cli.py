@@ -3,6 +3,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +21,8 @@ from survkit.cli import (
     _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, _jsonable, build_parser, main,
 )
 from survkit.datagen import source_from_spec
+
+_SRC = Path(bnd.__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -748,6 +753,48 @@ class TestConfigFile:
         conf.write_text(json.dumps({"name": "one-sided-bernstein", "quiet": False}))
         assert run("bounds", "--config", str(conf)) == EXIT_OK
         assert "value" in json.loads(capsys.readouterr().out)
+
+
+def _loaded_by(*argv) -> list[str]:
+    """Which of orjson and scipy a fresh interpreter holds after importing
+    survkit.cli and, given ``argv``, running that command to an exit of 0 or 3."""
+    code = ("import json, sys, survkit.cli\n"
+            "exit_code = survkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "loaded = {'orjson', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
+            "print(json.dumps([exit_code, sorted(loaded)]))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
+    exit_code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert exit_code in (EXIT_OK, EXIT_REJECT), out.stderr
+    return loaded
+
+
+class TestWhatACommandLoads:
+    """orjson formats a dataset CSV and scipy draws Gaussian noise; a command
+    that does neither loads neither, which keeps its start-up and RSS."""
+
+    def test_importing_the_cli_loads_neither(self):
+        assert _loaded_by() == []
+
+    def test_read_only_commands_load_no_orjson(self, survey_files, tmp_path):
+        bundle = tmp_path / "bundle.csv"
+        assert run("publish", "--input", f"{survey_files}_survey.csv", "--output", str(bundle),
+                   "--alpha", "4.0", "--zeta", str(_truth(survey_files)["bounds"]["zeta"]),
+                   "--seed", "5", "--quiet") == EXIT_OK
+        commands = [
+            ("fit", "--input", bundle, "--sigma-w", "from-sidecar", "--radius", "3.0",
+             "--output", tmp_path / "fit.json", "--quiet"),
+            ("verify", *TestVerify()._flags(survey_files, 0.0),
+             "--output", tmp_path / "verdict.json", "--quiet"),
+            ("bounds", "--name", "min-samples-laplace", "--zeta", "1", "--alpha", "1",
+             "--c-eps", "1", "--d", "3", "--lambda-min", "1"),
+        ]
+        for argv in commands:
+            assert "orjson" not in _loaded_by(*argv), argv[0]
+        # The probe sees orjson where a dataset CSV is written.
+        assert "orjson" in _loaded_by("gen", "--kind", "synthetic1", "--d", "2", "--m", "10",
+                                      "--mu", "0.0", "--seed", "1", "--out", tmp_path / "g",
+                                      "--quiet")
 
 
 class TestDeterminism:

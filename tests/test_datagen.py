@@ -569,6 +569,59 @@ class TestCsvWriterProperties:
         assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+def _repr_rows(block) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()).encode("utf-8")
+
+
+class TestBlockFormatterIsRepr:
+    """datagen._block_text writes what repr writes, cell for cell: orjson
+    inside 1e-4 <= |v| < 1e16 (and zero), repr for the rows it leaves."""
+
+    _MAX = np.finfo(np.float64).max
+    _EDGES = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+              0.0, 5e-324, _MAX]
+    _EDGES += [-v for v in _EDGES]
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.lists(_FINITE, min_size=d, max_size=d), min_size=1, max_size=8)))
+    def test_any_finite_rows(self, rows):
+        block = np.array(rows, dtype=np.float64)
+        assert datagen._block_text(block) == _repr_rows(block)
+
+    def test_the_edges_of_the_fast_range(self):
+        # Every ordered pair of edges, each beside a fast-range cell, so
+        # rows repr formats sit between rows orjson formats.
+        rows = [[a, 0.5, b] for a in self._EDGES for b in self._EDGES]
+        block = np.array(rows + [[1.25, -3.0, 7e15]] * 3, dtype=np.float64)
+        assert datagen._block_text(block) == _repr_rows(block)
+
+    def test_orjson_agrees_with_repr_exactly_inside_the_range(self):
+        # The range's bounds are where orjson's text starts to differ.
+        import orjson
+
+        def agrees(v):
+            text = orjson.dumps(np.array([v]), option=orjson.OPT_SERIALIZE_NUMPY)
+            return text == f"[{float(v)!r}]".encode()
+
+        assert [agrees(v) for v in self._EDGES[:5]] == [False, True, True, True, False]
+
+    def test_a_seeded_sample_across_every_decimal_exponent(self):
+        gen = np.random.default_rng(29)
+        rows, d = 80_000, 10
+        # Each row shares one decimal exponent: one row for every exponent
+        # from the subnormals to the largest, the rest in the fast range or
+        # one decade beside it, since repr itself formats rows outside it.
+        exponent = gen.integers(-5, 17, rows)
+        exponent[:631] = np.arange(-323, 308)
+        values = gen.uniform(1, 10, (rows, d)) * 10.0 ** exponent[:, None].astype(np.float64)
+        values *= gen.choice([-1.0, 1.0], (rows, d))
+        b = datagen._WRITE_BLOCK_ROWS
+        for i in range(0, rows, b):
+            block = values[i:i + b]
+            assert datagen._block_text(block) == _repr_rows(block)
+
+
 def _traced_peak(fn) -> int:
     """The tracemalloc peak, in bytes, of the second of two calls of ``fn``:
     the first fills the caches that imports and first calls make."""
