@@ -16,29 +16,40 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import importlib
 import inspect
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, datagen
-from .core import Dataset, ModelBounds, RngSpec
-# Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
-from .core import validate_dataset  # noqa: F401
-from .datagen import (
-    _read_json_object, _write_json, load_csv, load_private, save_csv, save_private,
-    source_from_spec,
-)
-from .mechanisms import (
-    Accounting, NoiseKind, PrivacyParams, PrivateDataset, make_noise_spec, privatize,
-)
-from .solver import SolverConfig, corrected_moments, moments_from_arrays, solve
-from .tester import PooledSource, TestConfig, verify_private_survey, verify_survey
-from .sweeps import EXPERIMENTS, SweepSpec, run_sweep
+from . import __version__, _read_json_object, _write_json
 from . import bounds as bnd
+
+# Each function a handler calls through this module -> its module, imported on
+# first use (module __getattr__), so a command loads only the modules it runs.
+# Handlers look them up here at call time (_bound), where the traced benchmark
+# (bench/spans.py) wraps them; validate_dataset is only wrapped.
+_BINDINGS = {
+    "load_csv": "datagen", "load_private": "datagen", "save_csv": "datagen",
+    "save_private": "datagen", "validate_dataset": "core", "privatize": "mechanisms",
+    "corrected_moments": "solver", "moments_from_arrays": "solver", "solve": "solver",
+    "verify_survey": "tester", "verify_private_survey": "tester", "run_sweep": "sweeps",
+}
+
+
+def __getattr__(name: str):
+    if name not in _BINDINGS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_BINDINGS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _bound(*names: str) -> tuple:
+    """The functions bound to ``names`` here, the tracer's wrappers included."""
+    return tuple(getattr(sys.modules[__name__], name) for name in names)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,7 +100,8 @@ def _sigma_w(text: str) -> str:
 def _jsonable(v):
     if isinstance(v, enum.Enum):
         return v.value
-    if isinstance(v, np.ndarray):
+    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    if np is not None and isinstance(v, np.ndarray):
         return [float(x) for x in v]
     return v
 
@@ -128,7 +140,11 @@ def _emit(args, payload: dict) -> None:
 # Command handlers
 
 def _cmd_gen(args) -> int:
+    from . import datagen
+    from .core import RngSpec
+    from .mechanisms import NoiseKind
     _require(args, "kind", "out")
+    save_csv, save_private = _bound("save_csv", "save_private")
     rng = RngSpec(args.seed)
     prefix = str(args.out)
     files = []
@@ -164,7 +180,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_publish(args) -> int:
+    from .core import Dataset, ModelBounds
+    from .mechanisms import Accounting
     _require(args, "input", "alpha", "zeta")
+    load_csv, save_private = _bound("load_csv", "save_private")
     raw = load_csv(args.input)
     # tau and the placeholder radius are the envelope load_csv declares.
     bounds = ModelBounds(args.zeta, raw.bounds.tau, raw.bounds.radius)
@@ -178,16 +197,22 @@ def _cmd_publish(args) -> int:
     return EXIT_OK
 
 
-def _privatize(ds: Dataset, args, accounting=Accounting.PER_COORDINATE) -> PrivateDataset:
+def _privatize(ds, args, accounting):
     """The publication step of ``publish`` and ``verify --alpha``: ``ds`` privatized
     at --alpha and --beta under ``accounting``, calibrated to its zeta, noise from --seed."""
+    from .core import RngSpec
+    from .mechanisms import PrivacyParams, make_noise_spec
+    (privatize,) = _bound("privatize")
     params = PrivacyParams(args.alpha, args.beta, accounting)
     spec = make_noise_spec(params, ds.bounds.zeta, ds.dim)
     return privatize(ds, spec, params, RngSpec(args.seed))
 
 
 def _cmd_fit(args) -> int:
+    from .solver import SolverConfig
     _require(args, "input")
+    load_csv, load_private, corrected_moments, moments_from_arrays, solve = _bound(
+        "load_csv", "load_private", "corrected_moments", "moments_from_arrays", "solve")
     # Noise-corrected moments can be indefinite; the corrected Lasso then
     # needs its l1 side constraint in Lagrangian mode too.
     if args.mode == "constrained" or args.sigma_w == "from-sidecar" or float(args.sigma_w):
@@ -213,7 +238,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import ModelBounds, RngSpec
+    from .datagen import source_from_spec
+    from .mechanisms import Accounting
+    from .tester import PooledSource, TestConfig
     _require(args, "survey", "validation", "tol", "tau", "radius", "zeta")
+    load_csv, verify_survey, verify_private_survey = _bound(
+        "load_csv", "verify_survey", "verify_private_survey")
     if args.alpha is None and (args.beta or args.lambda_min is not None):
         raise _UsageError("verify: --beta and --lambda-min apply only with --alpha")
     bounds = ModelBounds(args.zeta, args.tau, args.radius)
@@ -236,7 +267,7 @@ def _cmd_verify(args) -> int:
     if args.alpha is None:
         verdict = verify_survey(survey, source, cfg, rng)
     else:
-        pds = _privatize(survey, args)
+        pds = _privatize(survey, args, Accounting.PER_COORDINATE)
         del survey  # the clear covariates are freed before the test runs
         verdict = verify_private_survey(pds, source, cfg, rng, lambda_min=args.lambda_min)
     for note in verdict.notes:
@@ -300,7 +331,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweeps import SweepSpec
     _require(args, "experiment")
+    (run_sweep,) = _bound("run_sweep")
     names = [f.name for f in dataclasses.fields(SweepSpec) if f.name != "output_dir"]
     spec = SweepSpec(output_dir=Path(args.output or "."), **{n: getattr(args, n) for n in names})
     result = run_sweep(spec, manifest=_manifest(args))
@@ -319,18 +352,8 @@ _SWEEP_FLAGS = {
 }
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    common.add_argument("--output", default=None, help="output file or directory")
-    common.add_argument("--quiet", action="store_true", help="suppress stdout echo")
-    common.add_argument("--config", default=None,
-                        help="JSON file of defaults; keys mirror the flags")
-
-    parser = _Parser(prog="survkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", parents=[common], help="generate synthetic benchmark data")
+def _gen_flags(p: _Parser) -> None:
+    from .mechanisms import NoiseKind
     p.add_argument("--kind", choices=("synthetic1", "synthetic2"), default=None,
                    help="required")
     p.add_argument("--d", type=int, default=10)
@@ -339,9 +362,10 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", choices=[k.value for k in NoiseKind],
                    default=NoiseKind.GAUSSIAN.value)
     p.add_argument("--out", default=None, help="output file prefix (required)")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("publish", parents=[common], help="privatize covariates and publish")
+
+def _publish_flags(p: _Parser) -> None:
+    from .mechanisms import Accounting
     p.add_argument("--input", default=None, help="required")
     p.add_argument("--alpha", type=float, default=None, help="required")
     p.add_argument("--beta", type=float, default=0.0)
@@ -352,9 +376,9 @@ def build_parser() -> _Parser:
                         "is d*alpha-LDP (Laplace) or (d*alpha, d*beta)-LDP (Gaussian) by basic "
                         "composition; whole-record: each record is alpha-LDP (or (alpha, "
                         "beta)-LDP), with d times the Laplace scale or sqrt(d) times the sigma")
-    p.set_defaults(func=_cmd_publish)
 
-    p = sub.add_parser("fit", parents=[common], help="fit the corrected l1 model")
+
+def _fit_flags(p: _Parser) -> None:
     p.add_argument("--input", default=None, help="dataset CSV or private bundle CSV (required)")
     p.add_argument("--sigma-w", type=_sigma_w, default="0.0",
                    help="per-coordinate noise variance, or 'from-sidecar'")
@@ -363,9 +387,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lambda", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("verify", parents=[common], help="run the credibility test")
+
+def _verify_flags(p: _Parser) -> None:
     p.add_argument("--survey", default=None, help="required")
     p.add_argument("--validation", default=None,
                    help="CSV pool or generator-spec JSON (required)")
@@ -378,9 +402,9 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None, help="enable private mode")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--lambda-min", type=float, default=None)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", parents=[common], help="evaluate a named bound")
+
+def _bounds_flags(p: _Parser) -> None:
     p.add_argument("--name", default=None, choices=tuple(_BOUNDS), help="required")
     params = {q.name: q for fn in _BOUNDS.values()
               for q in inspect.signature(getattr(bnd, fn)).parameters.values()}
@@ -389,16 +413,46 @@ def build_parser() -> _Parser:
         # bounds.py postpones annotations, so each one is the string "int" or "float".
         kind = {"int": int, "float": float}[q.annotation]
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[common], help="run a seeded experiment grid")
+
+def _sweep_flags(p: _Parser) -> None:
+    from .sweeps import EXPERIMENTS, SweepSpec
     p.add_argument("--experiment", default=None, choices=tuple(EXPERIMENTS), help="required")
     p.add_argument("--trials", type=int, default=20)
     defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
     for name, parse in _SWEEP_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=parse, default=defaults[name])
-    p.set_defaults(func=_cmd_sweep)
 
+
+# Subcommand -> (help, the function adding its own flags, handler).  Each
+# flag function imports the tables its choices and defaults come from.
+_COMMANDS = {
+    "gen": ("generate synthetic benchmark data", _gen_flags, _cmd_gen),
+    "publish": ("privatize covariates and publish", _publish_flags, _cmd_publish),
+    "fit": ("fit the corrected l1 model", _fit_flags, _cmd_fit),
+    "verify": ("run the credibility test", _verify_flags, _cmd_verify),
+    "bounds": ("evaluate a named bound", _bounds_flags, _cmd_bounds),
+    "sweep": ("run a seeded experiment grid", _sweep_flags, _cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The survkit parser with every subcommand or, given ``command``, that
+    one alone, which loads only the modules its flags read."""
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    common.add_argument("--output", default=None, help="output file or directory")
+    common.add_argument("--quiet", action="store_true", help="suppress stdout echo")
+    common.add_argument("--config", default=None,
+                        help="JSON file of defaults; keys mirror the flags")
+
+    parser = _Parser(prog="survkit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_flags, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -426,7 +480,9 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # A subcommand is always the first argument; anything else (--help, a
+    # typo) gets the full parser, which lists every subcommand.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

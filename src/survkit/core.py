@@ -158,6 +158,21 @@ class Dataset:
         return f"Dataset(m={self.size}, d={self.dim}, bounds={self.bounds})"
 
 
+class ValidationSource:
+    """Stateless supplier of i.i.d. draws from the reference distribution.
+
+    ``draw(n, gen)`` returns an (n, d) covariate matrix and a length-n
+    response vector, or raises ``tester.InsufficientValidationError`` if the
+    source cannot supply n draws.  Randomness comes from the caller's
+    generator, so repeated verification runs with equal RngSpec are
+    bit-reproducible.  ``datagen.LinearModelSource`` and
+    ``tester.PooledSource`` implement it.
+    """
+
+    def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Bound violations found by :func:`validate_dataset`.

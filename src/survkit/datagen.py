@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -33,13 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within
+from . import _read_json_object, _write_json
+from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, ValidationSource, _rows, _within
 # Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
 from .mechanisms import (
     NoiseKind, NoiseSpec, PrivacyParams, Accounting, PrivateDataset, _calibrate,
 )
-from .tester import ValidationSource
 
 log = logging.getLogger(__name__)
 
@@ -467,25 +466,6 @@ def _read_rows(path: Path) -> np.ndarray:
     if not values:
         raise CsvFormatError(f"{path}: no data rows")
     return np.array(values).reshape(-1, d + 1)
-
-
-def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` the one way every survkit JSON file is written:
-    strict JSON (a non-finite number raises ValueError before the file is
-    opened), sorted keys, indent 2, a trailing newline."""
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _read_json_object(path, what: str, error=ValueError) -> dict:
-    """The JSON object in the file ``path``; ``error`` naming the ``what`` file otherwise."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise error(f"{what} {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise error(f"{what} {path} must hold a JSON object")
-    return obj
 
 
 def _json_field(obj: dict, key: str, cast, path, error=ValueError):

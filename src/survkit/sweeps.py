@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _write_json
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
-    _check_generator_args, _sparse_survey, _with_covariate_noise, _write_csv, _write_json,
-    gen_synthetic1,
+    _check_generator_args, _sparse_survey, _with_covariate_noise, _write_csv, gen_synthetic1,
 )
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401

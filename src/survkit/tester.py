@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within, mean_squared_loss
+from .core import ValidationSource
 # validate_dataset and privatize are not called here; bench/spans.py wraps them at this
 # binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
@@ -63,20 +64,6 @@ class TestConfig:
             raise ValueError("tol must lie in (0, 1]")
         if not (0 < self.delta <= 1):
             raise ValueError("delta must lie in (0, 1]")
-
-
-class ValidationSource:
-    """Stateless supplier of i.i.d. draws from the reference distribution.
-
-    ``draw(n, gen)`` returns an (n, d) covariate matrix and a length-n
-    response vector, or raises :class:`InsufficientValidationError` if the
-    source cannot supply n draws.  Randomness comes from the caller's
-    generator, so repeated verification runs with equal RngSpec are
-    bit-reproducible.
-    """
-
-    def draw(self, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
 
 class PooledSource(ValidationSource):

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import dataclasses
 import inspect
 import json
@@ -18,9 +19,10 @@ from survkit import (
 )
 from survkit import bounds as bnd
 from survkit.cli import (
-    _BOUNDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, _jsonable, build_parser, main,
+    _BOUNDS, _COMMANDS, EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, _jsonable, build_parser, main,
 )
 from survkit.datagen import source_from_spec
+from test_bench_bindings import _load_bindings
 
 _SRC = Path(bnd.__file__).resolve().parents[1]
 
@@ -704,6 +706,18 @@ class TestSweepCommand:
 
 
 class TestConfigFile:
+    def test_config_supplies_gen_flags(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"kind": "synthetic2", "d": 3, "m": 50, "noise": "laplace",
+                                    "seed": 4, "quiet": True, "out": str(tmp_path / "a")}))
+        assert run("gen", "--config", str(conf), "--out", str(tmp_path / "b")) == EXIT_OK
+        assert run("gen", "--kind", "synthetic2", "--d", "3", "--m", "50", "--noise", "laplace",
+                   "--seed", "4", "--quiet", "--out", str(tmp_path / "c")) == EXIT_OK
+        assert not list(tmp_path.glob("a_*"))  # the explicit --out wins
+        for name in ("clean.csv", "noisy.csv", "noisy.meta.json"):
+            assert (tmp_path / f"b_{name}").read_bytes() == (tmp_path / f"c_{name}").read_bytes()
+        assert _truth(tmp_path / "b")["manifest"]["config"]["noise"] == "laplace"
+
     def test_config_supplies_required_flags(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({
@@ -755,13 +769,18 @@ class TestConfigFile:
         assert "value" in json.loads(capsys.readouterr().out)
 
 
+# numpy holds every dataset, orjson formats a dataset CSV, scipy draws
+# Gaussian noise, and the three survkit modules fit, test and sweep.
+_WATCHED = ("numpy", "orjson", "scipy", "survkit.solver", "survkit.sweeps", "survkit.tester")
+
+
 def _loaded_by(*argv) -> list[str]:
-    """Which of orjson and scipy a fresh interpreter holds after importing
+    """Which of ``_WATCHED`` a fresh interpreter holds after importing
     survkit.cli and, given ``argv``, running that command to an exit of 0 or 3."""
     code = ("import json, sys, survkit.cli\n"
             "exit_code = survkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "loaded = {'orjson', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
-            "print(json.dumps([exit_code, sorted(loaded)]))")
+            f"loaded = [m for m in {_WATCHED!r} if m in sys.modules]\n"
+            "print(json.dumps([exit_code, loaded]))")
     out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(_SRC)})
     exit_code, loaded = json.loads(out.stdout.splitlines()[-1])
@@ -770,31 +789,94 @@ def _loaded_by(*argv) -> list[str]:
 
 
 class TestWhatACommandLoads:
-    """orjson formats a dataset CSV and scipy draws Gaussian noise; a command
-    that does neither loads neither, which keeps its start-up and RSS."""
+    """A command loads only the modules it runs, which keeps its start-up
+    and RSS: ``bounds`` needs no numpy, only a dataset write loads orjson,
+    only Gaussian noise scipy, and only ``sweep`` the sweeps."""
 
-    def test_importing_the_cli_loads_neither(self):
+    def test_importing_the_cli_loads_none(self):
         assert _loaded_by() == []
 
-    def test_read_only_commands_load_no_orjson(self, survey_files, tmp_path):
-        bundle = tmp_path / "bundle.csv"
-        assert run("publish", "--input", f"{survey_files}_survey.csv", "--output", str(bundle),
-                   "--alpha", "4.0", "--zeta", str(_truth(survey_files)["bounds"]["zeta"]),
-                   "--seed", "5", "--quiet") == EXIT_OK
-        commands = [
-            ("fit", "--input", bundle, "--sigma-w", "from-sidecar", "--radius", "3.0",
-             "--output", tmp_path / "fit.json", "--quiet"),
-            ("verify", *TestVerify()._flags(survey_files, 0.0),
-             "--output", tmp_path / "verdict.json", "--quiet"),
-            ("bounds", "--name", "min-samples-laplace", "--zeta", "1", "--alpha", "1",
-             "--c-eps", "1", "--d", "3", "--lambda-min", "1"),
-        ]
-        for argv in commands:
-            assert "orjson" not in _loaded_by(*argv), argv[0]
-        # The probe sees orjson where a dataset CSV is written.
-        assert "orjson" in _loaded_by("gen", "--kind", "synthetic1", "--d", "2", "--m", "10",
-                                      "--mu", "0.0", "--seed", "1", "--out", tmp_path / "g",
-                                      "--quiet")
+    def test_each_readme_command_loads_what_it_runs(self, tmp_path):
+        prefix, bundle = tmp_path / "g", tmp_path / "bundle.csv"
+        gen = ("gen", "--kind", "synthetic1", "--d", "3", "--m", "200", "--mu", "0.0",
+               "--seed", "1", "--out", prefix, "--quiet")
+        assert _loaded_by(*gen) == ["numpy", "orjson"]
+        zeta = str(_truth(prefix)["bounds"]["zeta"])
+        publish = ("publish", "--input", f"{prefix}_survey.csv", "--output", bundle,
+                   "--alpha", "4.0", "--zeta", zeta, "--seed", "5", "--quiet")
+        assert _loaded_by(*publish) == ["numpy", "orjson"]
+        fit = ("fit", "--input", bundle, "--sigma-w", "from-sidecar", "--radius", "3.0",
+               "--output", tmp_path / "fit.json", "--quiet")
+        assert _loaded_by(*fit) == ["numpy", "survkit.solver"]
+        verify = ("verify", *TestVerify()._flags(prefix, 0.0),
+                  "--output", tmp_path / "verdict.json", "--quiet")
+        for argv in (verify, (*verify, "--alpha", "2.0")):
+            assert _loaded_by(*argv) == ["numpy", "survkit.solver", "survkit.tester"]
+        bounds = ("bounds", "--name", "min-samples-laplace", "--zeta", "1", "--alpha", "1",
+                  "--c-eps", "1", "--d", "3", "--lambda-min", "1",
+                  "--output", tmp_path / "bounds.json", "--config", tmp_path / "conf.json")
+        (tmp_path / "conf.json").write_text(json.dumps({"quiet": True}))
+        assert _loaded_by(*bounds) == []
+
+    def test_the_probe_sees_scipy_and_the_sweeps(self, tmp_path):
+        gen = ("gen", "--kind", "synthetic2", "--d", "2", "--m", "10", "--noise", "gaussian",
+               "--seed", "1", "--out", tmp_path / "g", "--quiet")
+        assert "scipy" in _loaded_by(*gen)
+        sweep = ("sweep", "--experiment", "model-distance", "--trials", "1", "--d", "2",
+                 "--m", "50", "--mu-grid", "0", "--tol-grid", "0.2", "--output", tmp_path,
+                 "--quiet")
+        assert "survkit.sweeps" in _loaded_by(*sweep)
+
+
+def test_commands_call_what_is_bound_on_the_cli(tmp_path, monkeypatch):
+    """The traced benchmark (bench/spans.py) wraps each function of its
+    ``survkit.cli`` bindings on that module; a handler that called it any
+    other way would drop its spans from a traced run."""
+    import survkit.cli as cli
+
+    calls = collections.Counter()
+    names = _load_bindings()["survkit.cli"]
+    for name in names:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    # The README chain, a fit on the clear survey and a one-trial sweep.
+    prefix, bundle = tmp_path / "demo", tmp_path / "demo_private.csv"
+    assert run("gen", "--kind", "synthetic1", "--d", "3", "--m", "400", "--seed", "3",
+               "--out", str(prefix), "--quiet") == EXIT_OK
+    b = _truth(prefix)["bounds"]
+    assert run("publish", "--input", f"{prefix}_survey.csv", "--output", str(bundle),
+               "--alpha", "2.0", "--zeta", str(b["zeta"]), "--quiet") == EXIT_OK
+    for sigma_w, data in (("from-sidecar", bundle), ("0.0", f"{prefix}_survey.csv")):
+        assert run("fit", "--input", str(data), "--sigma-w", sigma_w,
+                   "--radius", str(b["radius"]), "--quiet") == EXIT_OK
+    verify = ("verify", *TestVerify()._flags(prefix, 0.0), "--quiet")
+    assert run(*verify) in (EXIT_OK, EXIT_REJECT)
+    assert run(*verify, "--alpha", "2.0") in (EXIT_OK, EXIT_REJECT)
+    assert run("sweep", "--experiment", "model-distance", "--trials", "1", "--d", "2",
+               "--m", "50", "--mu-grid", "0", "--tol-grid", "0.2", "--output", str(tmp_path),
+               "--quiet") == EXIT_OK
+    # validate_dataset is wrapped there but called by no handler.
+    assert sorted(calls) == sorted(set(names) - {"validate_dataset"})
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_parser_for_one_command_matches_the_full_one(command):
+    full = _subcommands(build_parser())[command]
+    alone = _subcommands(build_parser(command))
+    assert list(alone) == [command]
+
+    def flags(p):
+        return [(a.option_strings, a.dest, a.default, a.type, a.choices) for a in p._actions]
+
+    assert flags(alone[command]) == flags(full)
+    assert alone[command].get_default("func") is full.get_default("func")
 
 
 class TestDeterminism:

@@ -8,8 +8,14 @@ definition; string constants count because cli's ``_BOUNDS`` table looks
 the bound functions up by name.  The re-exports in ``__init__.py`` do not
 count.  ``clip_to_bounds`` passes only through the ``sweeps`` import that
 the traced benchmark's binding needs (see test_bench_bindings.py), and
-``validate_dataset`` only through such imports in ``cli``, ``datagen`` and
-``tester``: ``publish`` leaves its zeta check to ``privatize``.
+``validate_dataset`` only through such imports in ``datagen`` and ``tester``
+and its entry in ``cli``'s ``_BINDINGS`` table, where ``cli`` resolves it
+on first use without importing it: ``publish`` leaves its zeta check to
+``privatize``.
+
+The package exports the 61 names of ``_EXPORTED``, each its defining
+module's own object, through ``__all__``, ``dir`` and ``import *``, and no
+other attribute resolves.
 
 Every field of the config types ``SolverConfig``, ``TestConfig``,
 ``PrivacyParams`` and ``SweepSpec`` is one a caller sets: some call of the
@@ -35,8 +41,12 @@ never changed afterwards, so no flag or cursor can go stale between calls.
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
+import survkit
 from survkit.cli import build_parser
 from test_bench_bindings import _load_bindings
 
@@ -182,3 +192,50 @@ def test_attributes_are_assigned_only_where_objects_are_built():
                 misplaced += [f"{path.stem}.{owner}: {ast.unparse(attr)}"
                               for t in targets for attr in _assigned_attributes(t)]
     assert not misplaced, f"attributes assigned outside {_ATTRIBUTE_SETTERS}: {misplaced}"
+
+
+# Every name the package exports, by its defining module.
+_EXPORTED = {
+    "core": ("Dataset", "ModelBounds", "RngSpec", "ValidationReport", "ValidationSource",
+             "mean_squared_loss", "model_distance", "validate_dataset"),
+    "mechanisms": ("Accounting", "NoiseKind", "NoiseSpec", "PrivacyParams", "PrivateDataset",
+                   "make_noise_spec", "privatize"),
+    "solver": ("CorrectedMoments", "SolveResult", "SolverConfig", "SolverDivergenceError",
+               "corrected_moments", "moments_from_arrays", "objective", "project_l1",
+               "soft_threshold", "solve", "spectral_bound"),
+    "tester": ("Decision", "InsufficientValidationError", "PooledSource", "TestConfig",
+               "Verdict", "privacy_penalty_gaussian", "privacy_penalty_laplace",
+               "survey_loss_bound", "validation_sample_size", "verify_private_survey",
+               "verify_survey"),
+    "bounds": ("BoundResult", "LowerREParams", "error_bound_gaussian", "error_bound_laplace",
+               "lower_re_params", "matrix_deviation_bound", "matrix_deviation_level",
+               "min_samples_gaussian", "min_samples_laplace", "one_sided_bernstein",
+               "squared_subexp_tail", "subweibull_right_tail"),
+    "datagen": ("ClipReport", "LinearModelSource", "clip_to_bounds", "gen_synthetic1",
+                "gen_synthetic2", "load_csv", "load_private", "save_csv", "save_private",
+                "sparse_coefficients"),
+    "sweeps": ("SweepSpec", "run_sweep"),
+}
+_NAMES = sorted(name for names in _EXPORTED.values() for name in names)
+
+
+def test_the_package_exports_its_names():
+    assert len(_NAMES) == 61
+    assert sorted(survkit.__all__) == _NAMES
+    star = {}
+    exec("from survkit import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == _NAMES
+    assert set(_NAMES) <= set(dir(survkit))
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in _EXPORTED.items()
+                                          for n in names])
+def test_each_export_is_its_modules_own_object(module, name):
+    obj = getattr(survkit, name)
+    assert obj is getattr(importlib.import_module(f"survkit.{module}"), name)
+    assert obj.__module__ == f"survkit.{module}"
+
+
+def test_an_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        survkit.no_such_name  # noqa: B018
