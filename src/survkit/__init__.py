@@ -2,7 +2,8 @@
 and credibility testing of fitted linear models.
 
 Every exported name is looked up in ``_EXPORTS`` on first use (PEP 562) and
-its module imported then, so ``import survkit`` loads no numpy.
+its module imported then, so ``import survkit`` loads no numpy.  The JSON
+file helpers live here, where a command that needs no numpy reaches them.
 """
 
 import importlib
