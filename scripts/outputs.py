@@ -7,6 +7,11 @@ Every command runs in process through ``survkit.cli.main``, on whichever
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/outputs.py out_other
     diff -r out_other out_change
 
+With ``--digests`` it then prints the SHA-256 of every file it wrote, in the
+form of ``tests/outputs.sha256``, which a tier-1 test checks:
+
+    PYTHONPATH=src python3 scripts/outputs.py --digests OUTDIR > tests/outputs.sha256
+
 OUTDIR gets four folders:
 
 * ``readme/`` - every ``survkit`` line of the README's ``sh`` blocks, in
@@ -25,12 +30,17 @@ runs of one checkout give no diff.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import re
 import shlex
 import sys
 from pathlib import Path
+
+import numpy
+import scipy
 
 import survkit
 from survkit.cli import main
@@ -45,7 +55,8 @@ def _run(argv: list[str]) -> None:
 
 
 def _readme_commands() -> list[list[str]]:
-    """The argv of every ``survkit`` line in the README's ``sh`` blocks."""
+    """The argv of every ``survkit`` line in the README's ``sh`` blocks, with
+    backslash continuations joined."""
     text = _README.read_text(encoding="utf-8")
     commands = []
     for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
@@ -130,9 +141,24 @@ def write_outputs(out: Path) -> None:
         os.chdir(here)
 
 
+def digests(out: Path) -> str:
+    """The SHA-256 and path under ``out`` of every file in it, one line each and
+    sorted by path, after a header naming what the bytes depend on."""
+    lines = ["# SHA-256 of each file scripts/outputs.py writes, by its path under OUTDIR",
+             f"# numpy {numpy.__version__}, scipy {scipy.__version__}, "
+             f"machine {platform.machine()}"]
+    paths = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    lines += [f"{hashlib.sha256((out / p).read_bytes()).hexdigest()}  {p}" for p in paths]
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path, help="a directory that does not exist yet")
-    out = parser.parse_args().outdir
+    parser.add_argument("--digests", action="store_true",
+                        help="then print the digest of every file written")
+    args = parser.parse_args()
     print(f"survkit from {os.path.dirname(survkit.__file__)}", file=sys.stderr)
-    write_outputs(out)
+    write_outputs(args.outdir)
+    if args.digests:
+        print(digests(args.outdir), end="")

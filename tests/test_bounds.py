@@ -167,6 +167,54 @@ def test_scales_and_constants_have_a_sign(fn, name, value):
         fn(**{**_VALID_CALLS[fn], name: value})
 
 
+# Bad domain inputs to each bound, with the message each raises.  Checks run
+# in a fixed order, so of two bad arguments the first one checked is named.
+_DOMAIN_ERRORS = [
+    (min_samples_gaussian, dict(d=1), "d must be >= 2"),
+    (min_samples_gaussian, dict(beta=0.0), "beta must be in (0, 1)"),
+    (min_samples_gaussian, dict(beta=1.0), "beta must be in (0, 1)"),
+    (min_samples_gaussian, dict(beta=1.0, d=1), "beta must be in (0, 1)"),
+    (min_samples_gaussian, dict(c=-1.0, beta=0.0), "c must be non-negative"),
+    (min_samples_laplace, dict(d=1), "d must be >= 2"),
+    (min_samples_laplace, dict(c_eps=0.0, d=1), "c_eps must be positive"),
+    (error_bound_gaussian, dict(d=1), "d must be >= 2"),
+    (error_bound_gaussian, dict(beta=0.0), "beta must be in (0, 1)"),
+    (error_bound_gaussian, dict(beta=1.0), "beta must be in (0, 1)"),
+    (error_bound_gaussian, dict(beta=0.0, d=1), "beta must be in (0, 1)"),
+    (error_bound_gaussian, dict(m=0.0, beta=1.0), "m must be positive"),
+    (error_bound_laplace, dict(d=1), "d must be >= 2"),
+    (error_bound_laplace, dict(c2=-1.0, d=1), "c2 must be non-negative"),
+    (lower_re_params, dict(d=1), "d must be >= 2"),
+    (lower_re_params, dict(c_max=math.nan, d=1), "c_max must be finite"),
+    (subweibull_right_tail, dict(beta_split=1.0), "beta_split must be in (0, 1)"),
+    (subweibull_right_tail, dict(beta_split=0.0), "beta_split must be in (0, 1)"),
+    (subweibull_right_tail, dict(alpha_shape=1.0, beta_split=1.0), "alpha_shape must exceed 1"),
+    (subweibull_right_tail, dict(beta_split=1.0, c_alpha=0.0), "beta_split must be in (0, 1)"),
+    (squared_subexp_tail, dict(c_x=0.5), "c_x must be >= 1"),
+    (squared_subexp_tail, dict(n=0, c_x=0.5), "need n >= 1 and t > 0"),
+    (squared_subexp_tail, dict(c_x=0.5, c=-1.0), "c must be non-negative"),
+    (one_sided_bernstein, dict(n=0), "need n >= 1, t >= 0, and a positive second moment"),
+    (one_sided_bernstein, dict(n=0, t=math.inf), "t must be finite"),
+    (matrix_deviation_bound, dict(d1=0), "need positive dimensions, c_max > 0, t >= 0"),
+    (matrix_deviation_bound, dict(d2=0, c=-1.0), "c must be non-negative"),
+    (matrix_deviation_level, dict(d=1), "need n >= 1, d >= 2, c_max > 0"),
+    (matrix_deviation_level, dict(d=1, c1=-1.0), "c1 must be non-negative"),
+]
+
+
+def test_every_bound_has_domain_cases():
+    assert {fn for fn, _, _ in _DOMAIN_ERRORS} == set(_VALID_CALLS)
+
+
+@pytest.mark.parametrize("fn, bad, message", _DOMAIN_ERRORS, ids=[
+    f"{fn.__name__}-{'-'.join(f'{k}={v}' for k, v in bad.items())}"
+    for fn, bad, _ in _DOMAIN_ERRORS])
+def test_domain_errors_keep_their_messages_and_order(fn, bad, message):
+    with pytest.raises(ValueError) as err:
+        fn(**{**_VALID_CALLS[fn], **bad})
+    assert str(err.value) == message
+
+
 class TestLowerRE:
     def test_curvature_is_half_lambda(self):
         re = lower_re_params(2.0, 1.0, 100, 5)

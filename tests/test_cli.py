@@ -879,6 +879,22 @@ def test_a_parser_for_one_command_matches_the_full_one(command):
     assert alone[command].get_default("func") is full.get_default("func")
 
 
+def test_fit_flags_are_solver_configs(capsys):
+    from survkit import SolverConfig
+    fit = {a.dest: a for a in _subcommands(build_parser("fit"))["fit"]._actions}
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    for dest, field in (("mode", "mode"), ("radius", "radius"), ("lambda", "lambda_n"),
+                        ("max_iter", "max_iter"), ("tol", "tol")):
+        assert repr(fit[dest].default) == repr(defaults[field]), dest
+    assert list(fit["mode"].choices) == ["constrained", "lagrangian"]
+    for mode in fit["mode"].choices:
+        assert SolverConfig(mode=mode, radius=1.0).mode == mode
+    with pytest.raises(ValueError, match="unknown solver mode 'penalized'"):
+        SolverConfig(mode="penalized", radius=1.0)
+    assert run("fit", "--input", "survey.csv", "--mode", "penalized") == EXIT_USAGE
+    assert "invalid choice: 'penalized'" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_gen_byte_identical_on_rerun(self, tmp_path):
         argv = ("gen", "--kind", "synthetic1", "--d", "4", "--m", "100", "--mu", "0.5",

@@ -121,10 +121,13 @@ class TestNoiseCalibration:
 
 
 class TestPrivatize:
-    def test_zero_noise_degenerate(self):
-        ds = _validated([[0.3, -0.2]], [0.1], ModelBounds(1, 1, 1))
-        pds = privatize(ds, NoiseSpec(NoiseKind.LAPLACE, 0.0), None, RngSpec(0))
-        assert np.array_equal(pds.z, ds.x)
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_zero_noise_is_the_identity_bit_for_bit(self, kind):
+        # -0.0 covariates come out +0.0, as from any sum with a +0.0 draw.
+        x = np.array([[0.3, -0.2, -0.0], [0.0, -0.0, 1.0]] * 50)
+        ds = _validated(x, np.zeros(100), ModelBounds(1, 1, 1))
+        pds = privatize(ds, NoiseSpec(kind, 0.0), None, RngSpec(0))
+        assert pds.z.tobytes() == (ds.x + 0.0).tobytes()
         assert pds.noise_variance == 0.0
 
     def test_covariance_bookkeeping(self):

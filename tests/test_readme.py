@@ -1,5 +1,6 @@
 """The README's command examples stay in step with the CLI."""
 
+import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -8,22 +9,19 @@ import pytest
 
 from survkit.cli import _BOUNDS, build_parser
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+_ROOT = Path(__file__).resolve().parents[1]
+README = (_ROOT / "README.md").read_text(encoding="utf-8")
 
 
-def _readme_commands() -> list[list[str]]:
-    """The argv of every ``survkit`` line in the README's ``sh`` blocks, with
-    backslash continuations joined."""
-    commands = []
-    for block in re.findall(r"^```sh\n(.*?)^```", README, re.MULTILINE | re.DOTALL):
-        for line in block.replace("\\\n", " ").splitlines():
-            argv = shlex.split(line, comments=True)
-            if argv and argv[0] == "survkit":
-                commands.append(argv[1:])
-    return commands
+def _outputs_script():
+    """``scripts/outputs.py``, which runs the README's commands, as a module."""
+    spec = importlib.util.spec_from_file_location("_outputs", _ROOT / "scripts" / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    return outputs
 
 
-_COMMANDS = _readme_commands()
+_COMMANDS = _outputs_script()._readme_commands()
 
 
 def test_readme_shows_every_command():
