@@ -68,10 +68,12 @@ def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
 
 def _check(kind: str, **values: float) -> None:
     """Each named value must be finite and, by ``kind``, "positive" (> 0),
-    "non-negative" (>= 0) or just "finite"; the message names the kind."""
+    "non-negative" (>= 0), "in (0, 1)", ">= 1", ">= 2" or just "finite"; the
+    message names the first value outside and the kind."""
     for name, value in values.items():
-        sign_ok = {"positive": value > 0, "non-negative": value >= 0, "finite": True}[kind]
-        if not (math.isfinite(value) and sign_ok):
+        in_kind = {"positive": value > 0, "non-negative": value >= 0, "in (0, 1)": 0 < value < 1,
+                   ">= 1": value >= 1, ">= 2": value >= 2, "finite": True}[kind]
+        if not (math.isfinite(value) and in_kind):
             raise ValueError(f"{name} must be {kind}")
 
 
@@ -85,10 +87,8 @@ def min_samples_gaussian(
     """
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     _check("non-negative", c=c)
-    if not (0 < beta < 1):
-        raise ValueError("beta must be in (0, 1)")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check("in (0, 1)", beta=beta)
+    _check(">= 2", d=d)
     inner = zeta * zeta + zeta * zeta * math.log(1.0 / beta) / (alpha * alpha)
     val = c / lambda_min**2 * inner * inner * d * math.log(d)
     return math.ceil(max(val, 1.0))
@@ -103,8 +103,7 @@ def min_samples_laplace(
     max( max(M / lambda_min, 1) * d ln d,  M * ln^3 d ).
     """
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, c_eps=c_eps)
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check(">= 2", d=d)
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     ld = math.log(d)
     val = max(max(big_m / lambda_min, 1.0) * d * ld, big_m * ld**3)
@@ -131,10 +130,8 @@ def error_bound_gaussian(
     """
     _check("non-negative", sigma_eps=sigma_eps, c2=c2)
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, radius=radius, m=m)
-    if not (0 < beta < 1):
-        raise ValueError("beta must be in (0, 1)")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check("in (0, 1)", beta=beta)
+    _check(">= 2", d=d)
     lb = math.log(1.0 / beta)
     lead = zeta * math.sqrt(lb / alpha + 1.0) * (zeta * math.sqrt(lb) / alpha + sigma_eps)
     return c2 * lead / lambda_min * radius * math.sqrt(d * math.log(d) / m)
@@ -160,8 +157,7 @@ def error_bound_laplace(
     _check("positive", c_eps=c_eps, lambda_min=lambda_min, zeta=zeta, alpha=alpha,
            radius=radius, m=m)
     _check("non-negative", c2=c2)
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check(">= 2", d=d)
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     return c2 / lambda_min * big_m * radius * math.sqrt(d * math.log(d) / m)
 
@@ -178,8 +174,7 @@ def lower_re_params(
     _check("positive", lambda_min=lambda_min, m=m)
     _check("non-negative", c1=c1)
     _check("finite", c_max=c_max)
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check(">= 2", d=d)
     lam = lambda_min
     alpha_ell = lam / 2.0
     tau_md = c1 * lam * max(c_max * c_max / (lam * lam), 1.0) * math.log(d) / m
@@ -209,8 +204,7 @@ def subweibull_right_tail(
     _check("finite", t=t, alpha_shape=alpha_shape)
     if alpha_shape <= 1:
         raise ValueError("alpha_shape must exceed 1")
-    if not (0 < beta_split < 1):
-        raise ValueError("beta_split must be in (0, 1)")
+    _check("in (0, 1)", beta_split=beta_split)
     _check("positive", c_alpha=c_alpha)
     _check("non-negative", sigma_minus_sq=sigma_minus_sq)
     nt = n * t
@@ -241,8 +235,7 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
     _check("non-negative", c=c)
     if n < 1 or t <= 0:
         raise ValueError("need n >= 1 and t > 0")
-    if c_x < 1:
-        raise ValueError("c_x must be >= 1")
+    _check(">= 1", c_x=c_x)
     raw = math.exp(-c * n * t * t / (c_x * c_x))
     conditions = {
         "t_within_range": t <= c_x ** (2.0 / 3.0) / n ** (1.0 / 3.0),

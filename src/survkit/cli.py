@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import importlib
 import inspect
 import json
 import math
@@ -26,22 +25,19 @@ from pathlib import Path
 from . import __version__, _read_json_object, _write_json
 from . import bounds as bnd
 
-# Each function a handler calls through this module -> its module, imported on
-# first use (module __getattr__), so a command loads only the modules it runs.
-# Handlers look them up here at call time (_bound), where the traced benchmark
-# (bench/spans.py) wraps them; validate_dataset is only wrapped.
-_BINDINGS = {
-    "load_csv": "datagen", "load_private": "datagen", "save_csv": "datagen",
-    "save_private": "datagen", "validate_dataset": "core", "privatize": "mechanisms",
-    "corrected_moments": "solver", "moments_from_arrays": "solver", "solve": "solver",
-    "verify_survey": "tester", "verify_private_survey": "tester", "run_sweep": "sweeps",
-}
+# The functions a handler calls through this module, each resolved through the
+# package's exports on first use (module __getattr__), so a command loads only
+# the modules it runs.  Handlers look them up here at call time (_bound), where
+# the traced benchmark (bench/spans.py) wraps them; validate_dataset is only wrapped.
+_BINDINGS = ("load_csv", "load_private", "save_csv", "save_private", "validate_dataset",
+             "privatize", "corrected_moments", "moments_from_arrays", "solve",
+             "verify_survey", "verify_private_survey", "run_sweep")
 
 
 def __getattr__(name: str):
     if name not in _BINDINGS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{_BINDINGS[name]}"), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -379,14 +375,16 @@ def _publish_flags(p: _Parser) -> None:
 
 
 def _fit_flags(p: _Parser) -> None:
+    from .solver import _MODES, SolverConfig
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     p.add_argument("--input", default=None, help="dataset CSV or private bundle CSV (required)")
     p.add_argument("--sigma-w", type=_sigma_w, default="0.0",
                    help="per-coordinate noise variance, or 'from-sidecar'")
-    p.add_argument("--mode", choices=("constrained", "lagrangian"), default="constrained")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--mode", choices=_MODES, default=defaults["mode"])
+    p.add_argument("--radius", type=float, default=defaults["radius"])
+    p.add_argument("--lambda", dest="lambda", type=float, default=defaults["lambda_n"])
+    p.add_argument("--max-iter", type=int, default=defaults["max_iter"])
+    p.add_argument("--tol", type=float, default=defaults["tol"])
 
 
 def _verify_flags(p: _Parser) -> None:

@@ -208,9 +208,7 @@ def privatize(
                          f"the first at (row, col) {first}; clip explicitly or raise zeta")
     gen = rng.derive(_RNG_TAGS["noise"])
     shape = (ds.size, ds.dim)
-    if spec.scale == 0.0:
-        w = np.zeros(shape)
-    elif spec.kind is NoiseKind.LAPLACE:
+    if spec.kind is NoiseKind.LAPLACE:
         w = gen.laplace(loc=0.0, scale=spec.scale, size=shape)
     else:
         w = gen.normal(loc=0.0, scale=spec.scale, size=shape)

@@ -44,6 +44,7 @@ _TIE_BREAK_EPS = 1e-8
 # the step comes from backtracking, which needs no eigendecomposition.
 _EXACT_STEP_MAX_DIM = 64
 _EPS = float(np.finfo(np.float64).eps)
+_MODES = ("constrained", "lagrangian")
 
 
 class SolverDivergenceError(RuntimeError):
@@ -204,7 +205,7 @@ class SolverConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.mode not in ("constrained", "lagrangian"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.radius is None and self.mode == "constrained":
             raise ValueError("constrained mode requires a radius")

@@ -152,7 +152,7 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
     privacy = PrivacyParams(alpha=alpha, beta=spec.beta)
     noise = make_noise_spec(privacy, ds.bounds.zeta, spec.d)
     pds = privatize(ds, noise, privacy, rng)
-    config = SolverConfig(mode="constrained", radius=ds.bounds.radius)
+    config = SolverConfig(radius=ds.bounds.radius)
     result = solve(corrected_moments(pds), config)
     return {
         "beta": spec.beta,
@@ -165,7 +165,7 @@ def _error_vs_samples_trial(spec: SweepSpec, alpha: float, m: int, rng: RngSpec)
 def _noise_comparison_trial(spec: SweepSpec, m: int, rng: RngSpec) -> dict:
     # gen_synthetic2 once per kind, with the shared data built once.
     clean, theta_star = _sparse_survey(spec.d, m, rng)
-    config = SolverConfig(mode="constrained", radius=clean.bounds.radius)
+    config = SolverConfig(radius=clean.bounds.radius)
     row = {}
     for kind in (NoiseKind.GAUSSIAN, NoiseKind.LAPLACE):
         result = solve(corrected_moments(_with_covariate_noise(clean, kind, rng)), config)

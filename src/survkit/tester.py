@@ -224,7 +224,7 @@ def _verify(
             j_hat = privacy_penalty_laplace(b, p.alpha, _C_EPS, lambda_min, m, d)
         if d == 1:
             notes.append("privacy penalty is 0 at d = 1 because the ln d factor vanishes")
-    config = SolverConfig(mode="constrained", radius=b.radius)
+    config = SolverConfig(radius=b.radius)
     theta_hat = solve(moments, config).theta_hat
     l_hat = mean_squared_loss(theta_hat, x, survey.y)
     gamma_s = survey_loss_bound(l_hat, m, d, b, cfg.delta) + j_hat

@@ -215,6 +215,16 @@ def test_domain_errors_keep_their_messages_and_order(fn, bad, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [min_samples_gaussian, min_samples_laplace, error_bound_gaussian,
+                                error_bound_laplace, lower_re_params],
+                         ids=lambda fn: fn.__name__)
+def test_a_non_finite_d_is_rejected(fn, value):
+    # The CLI parses --d as an int; a library caller may pass any number.
+    with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+        fn(**{**_VALID_CALLS[fn], "d": value})
+
+
 class TestLowerRE:
     def test_curvature_is_half_lambda(self):
         re = lower_re_params(2.0, 1.0, 100, 5)

@@ -9,9 +9,9 @@ the bound functions up by name.  The re-exports in ``__init__.py`` do not
 count.  ``clip_to_bounds`` passes only through the ``sweeps`` import that
 the traced benchmark's binding needs (see test_bench_bindings.py), and
 ``validate_dataset`` only through such imports in ``datagen`` and ``tester``
-and its entry in ``cli``'s ``_BINDINGS`` table, where ``cli`` resolves it
-on first use without importing it: ``publish`` leaves its zeta check to
-``privatize``.
+and its name in ``cli``'s ``_BINDINGS`` tuple, which ``cli`` resolves
+through the package's exports on first use, without importing it:
+``publish`` leaves its zeta check to ``privatize``.
 
 The package exports the 61 names of ``_EXPORTED``, each its defining
 module's own object, through ``__all__``, ``dir`` and ``import *``, and no
