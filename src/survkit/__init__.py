@@ -3,11 +3,13 @@ and credibility testing of fitted linear models.
 
 Every exported name is looked up in ``_EXPORTS`` on first use (PEP 562) and
 its module imported then, so ``import survkit`` loads no numpy.  The JSON
-file helpers live here, where a command that needs no numpy reaches them.
+file helpers and ``_check``, the one domain check of every scalar argument,
+live here, where a command that needs no numpy reaches them.
 """
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -48,6 +50,21 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+# Each kind of ``_check`` -> its test of a finite value.
+_KINDS = {"finite": lambda v: True, "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+          "in (0, 1)": lambda v: 0 < v < 1, "in (0, 1]": lambda v: 0 < v <= 1,
+          "in [0, 1)": lambda v: 0 <= v < 1, "> 1": lambda v: v > 1, ">= 1": lambda v: v >= 1,
+          ">= 2": lambda v: v >= 2}
+
+
+def _check(kind: str, **values: float) -> None:
+    """Each named value, in order, must be finite and of ``kind``; else
+    ValueError "<name> must be <kind>" names the first that is not."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and _KINDS[kind](value)):
+            raise ValueError(f"{name} must be {kind}")
 
 
 def _write_json(path, payload: dict) -> None:

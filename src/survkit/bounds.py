@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import _check
+
 
 @dataclass(frozen=True)
 class LowerREParams:
@@ -64,17 +66,6 @@ def _clamp(raw: float, side_conditions=None, constants=None) -> BoundResult:
         side_conditions=dict(side_conditions or {}),
         constants=dict(constants or {}),
     )
-
-
-def _check(kind: str, **values: float) -> None:
-    """Each named value must be finite and, by ``kind``, "positive" (> 0),
-    "non-negative" (>= 0), "in (0, 1)", ">= 1", ">= 2" or just "finite"; the
-    message names the first value outside and the kind."""
-    for name, value in values.items():
-        in_kind = {"positive": value > 0, "non-negative": value >= 0, "in (0, 1)": 0 < value < 1,
-                   ">= 1": value >= 1, ">= 2": value >= 2, "finite": True}[kind]
-        if not (math.isfinite(value) and in_kind):
-            raise ValueError(f"{name} must be {kind}")
 
 
 def min_samples_gaussian(
@@ -201,15 +192,13 @@ def subweibull_right_tail(
     c2 = beta c_alpha Gamma(3 alpha + 1) / (3 ((1 - beta) c_alpha)^(3 alpha)).
     beta_split is the free split parameter, fixed to 1/2 by default.
     """
-    _check("finite", t=t, alpha_shape=alpha_shape)
-    if alpha_shape <= 1:
-        raise ValueError("alpha_shape must exceed 1")
+    _check("> 1", alpha_shape=alpha_shape)
     _check("in (0, 1)", beta_split=beta_split)
     _check("positive", c_alpha=c_alpha)
     _check("non-negative", sigma_minus_sq=sigma_minus_sq)
+    _check(">= 1", n=n)
+    _check("positive", t=t)
     nt = n * t
-    if nt <= 0:
-        raise ValueError("n * t must be positive")
     a = alpha_shape
     c1 = math.gamma(2 * a + 1) / ((1 - beta_split) * c_alpha) ** (2 * a)
     c2 = beta_split * c_alpha * math.gamma(3 * a + 1) / (3 * ((1 - beta_split) * c_alpha) ** (3 * a))
@@ -231,11 +220,9 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
     Valid in the moderate-deviation region t <= c_x^(2/3) / n^(1/3) with
     n >= c_x^2 ln^3 n; both conditions are reported, not enforced.
     """
-    _check("finite", t=t, c_x=c_x)
     _check("non-negative", c=c)
-    if n < 1 or t <= 0:
-        raise ValueError("need n >= 1 and t > 0")
-    _check(">= 1", c_x=c_x)
+    _check("positive", t=t)
+    _check(">= 1", n=n, c_x=c_x)
     raw = math.exp(-c * n * t * t / (c_x * c_x))
     conditions = {
         "t_within_range": t <= c_x ** (2.0 / 3.0) / n ** (1.0 / 3.0),
@@ -246,9 +233,9 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
 
 def one_sided_bernstein(n: int, t: float, second_moment: float) -> BoundResult:
     """Lower-tail bound exp(-n t^2 / E[X^2]) for non-negative summands."""
-    _check("finite", t=t, second_moment=second_moment)
-    if n < 1 or t < 0 or second_moment <= 0:
-        raise ValueError("need n >= 1, t >= 0, and a positive second moment")
+    _check(">= 1", n=n)
+    _check("non-negative", t=t)
+    _check("positive", second_moment=second_moment)
     return _clamp(math.exp(-n * t * t / second_moment))
 
 
@@ -257,18 +244,17 @@ def matrix_deviation_bound(
 ) -> BoundResult:
     """Entrywise deviation bound for cross-Gram matrices of sub-exponential
     random matrices: min(1, d1 d2 exp(-c n t^2 / c_max^2))."""
-    _check("finite", c_max=c_max, t=t)
-    _check("non-negative", c=c)
-    if min(n, d1, d2) < 1 or c_max <= 0 or t < 0:
-        raise ValueError("need positive dimensions, c_max > 0, t >= 0")
+    _check("non-negative", c=c, t=t)
+    _check(">= 1", n=n, d1=d1, d2=d2)
+    _check("positive", c_max=c_max)
     raw = d1 * d2 * math.exp(-c * n * t * t / (c_max * c_max))
     return _clamp(raw, constants={"c": c})
 
 
 def matrix_deviation_level(n: int, d: int, c_max: float, c1: float = 1.0) -> float:
     """High-probability entrywise deviation level c1 c_max sqrt(ln d / n)."""
-    _check("finite", c_max=c_max)
     _check("non-negative", c1=c1)
-    if n < 1 or d < 2 or c_max <= 0:
-        raise ValueError("need n >= 1, d >= 2, c_max > 0")
+    _check(">= 1", n=n)
+    _check(">= 2", d=d)
+    _check("positive", c_max=c_max)
     return c1 * c_max * math.sqrt(math.log(d) / n)

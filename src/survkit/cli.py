@@ -18,11 +18,10 @@ import dataclasses
 import enum
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
-from . import __version__, _read_json_object, _write_json
+from . import __version__, _check, _read_json_object, _write_json
 from . import bounds as bnd
 
 # The functions a handler calls through this module, each resolved through the
@@ -84,13 +83,12 @@ def _sigma_w(text: str) -> str:
     """``--sigma-w``: 'from-sidecar' or a finite number >= 0, kept as typed
     so the manifest echoes it unchanged."""
     try:
-        if text == "from-sidecar" or 0.0 <= float(text) < math.inf:
-            return text
+        if text != "from-sidecar":
+            _check("non-negative", sigma_w=float(text))
+        return text
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected 'from-sidecar' or a finite number >= 0, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"expected 'from-sidecar' or a finite number >= 0, got {text!r}") from None
 
 
 def _jsonable(v):
@@ -112,14 +110,6 @@ def _manifest(args: argparse.Namespace) -> dict:
         "seed": getattr(args, "seed", None),
         "config": config,
     }
-
-
-def _check_finite(args: argparse.Namespace) -> None:
-    """Reject a non-finite float flag before the command runs: the manifest
-    echoes every flag, read or not, and JSON has no nan or inf."""
-    for k, v in sorted(vars(args).items()):
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"--{k.replace('_', '-')} must be finite, got {v}")
 
 
 def _record(result, args: argparse.Namespace) -> dict:
@@ -491,7 +481,10 @@ def main(argv=None) -> int:
         print(f"survkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _check_finite(args)
+        # A non-finite float flag is refused before the command runs: the
+        # manifest echoes every flag, read or not, and JSON has no nan or inf.
+        _check("finite", **{f"--{k.replace('_', '-')}": v for k, v in sorted(vars(args).items())
+                            if isinstance(v, float)})
         return args.func(args)
     except _UsageError as exc:
         print(f"survkit: error: {exc}", file=sys.stderr)

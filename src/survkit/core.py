@@ -5,8 +5,8 @@ declared envelope bounds: per-coordinate covariate bound ``zeta``, response
 bound ``tau``, and an l1 bound ``radius`` on admissible coefficient vectors.
 Everything downstream (noise calibration, the constrained solver, the
 credibility test thresholds) is expressed in terms of these three numbers,
-so they are checked hard at construction time and non-finite values are
-rejected everywhere.
+so they are checked hard at construction time, by ``survkit._check``: the
+one place that rejects non-finite values, for every scalar in the package.
 
 All types here keep no mutable state (arrays are marked read-only) and
 are safe to share across workers.  A check of the bounds is never recorded
@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _check
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
@@ -74,10 +76,7 @@ class ModelBounds:
     radius: float
 
     def __post_init__(self):
-        for name in ("zeta", "tau", "radius"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v}")
+        _check("positive", zeta=self.zeta, tau=self.tau, radius=self.radius)
 
 
 # The sub-stream tag of each consumer of an RngSpec.  A tag fixes its

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _read_json_object, _write_json
+from . import _check, _read_json_object, _write_json
 from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, ValidationSource, _rows, _within
 # Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
@@ -78,8 +78,8 @@ class LinearModelSource(ValidationSource):
         if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
             raise ValueError("theta must be a finite vector")
         self.theta.setflags(write=False)
-        if not (0 <= noise_var < math.inf and 0 < scale < math.inf):
-            raise ValueError("noise_var must be finite and >= 0, scale finite and > 0")
+        _check("non-negative", noise_var=noise_var)
+        _check("positive", scale=scale)
         if covariate not in ("normal", "uniform"):
             raise ValueError(f"unknown covariate kind {covariate!r}")
         self.noise_var = float(noise_var)
@@ -136,9 +136,8 @@ def clip_to_bounds(ds: Dataset, zeta: float, tau: float) -> tuple[Dataset, ClipR
     per-column clamp counts, taken only from the cells outside the envelope;
     data inside it is left untouched.  Idempotent.
     """
-    if zeta <= 0 or tau <= 0:
-        raise ValueError("zeta and tau must be positive")
-    return _clip(ds.x.copy(), ds.y.copy(), ModelBounds(zeta, tau, ds.bounds.radius))
+    bounds = ModelBounds(zeta, tau, ds.bounds.radius)  # checks zeta and tau
+    return _clip(ds.x.copy(), ds.y.copy(), bounds)
 
 
 def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, ClipReport]:
@@ -162,10 +161,8 @@ def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, C
 
 def _check_generator_args(d: int, m: int, mu: float = 0.0) -> None:
     """The generators' argument checks, which ``SweepSpec`` runs before any trial."""
-    if d < 1 or m < 1:
-        raise ValueError("need d >= 1 and m >= 1")
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
+    _check(">= 1", d=d, m=m)
+    _check("finite", mu=mu)
 
 
 def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:

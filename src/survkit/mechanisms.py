@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
 from .core import _RNG_TAGS, Dataset, RngSpec, _rows, _within
 
 
@@ -59,10 +60,8 @@ class PrivacyParams:
     accounting: Accounting = Accounting.PER_COORDINATE
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (0 <= self.beta < 1):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        _check("positive", alpha=self.alpha)
+        _check("in [0, 1)", beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ class NoiseSpec:
     scale: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale >= 0):
-            raise ValueError(f"noise scale must be non-negative, got {self.scale}")
+        _check("non-negative", scale=self.scale)
 
     @property
     def per_coordinate_variance(self) -> float:
@@ -117,10 +115,8 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
 
 def _calibrate(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     """:func:`make_noise_spec` without its warning."""
-    if not (zeta > 0):
-        raise ValueError("zeta must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check("positive", zeta=zeta)
+    _check(">= 1", d=d)
     # Coordinates per release: Delta_1 = 2*zeta*k and Delta_2 = 2*zeta*sqrt(k).
     k = d if params.accounting is Accounting.WHOLE_RECORD else 1
     if params.beta == 0.0:

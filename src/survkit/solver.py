@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
 from .mechanisms import PrivateDataset
 
 _ABS_OBJECTIVE_FLOOR = 1e-14
@@ -80,8 +81,7 @@ class CorrectedMoments:
             raise ValueError("gamma_vec length must match gamma_mat")
         if not np.all(np.isfinite(gm)) or not np.all(np.isfinite(gv)):
             raise ValueError("moments contain non-finite entries")
-        if self.m < 1:
-            raise ValueError("sample count must be >= 1")
+        _check(">= 1", m=self.m)
         gm = 0.5 * (gm + gm.T)
         gm.setflags(write=False)
         gv.setflags(write=False)
@@ -99,8 +99,7 @@ def moments_from_arrays(x, y, noise_variance: float = 0.0) -> CorrectedMoments:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise ValueError("need an (m, d) matrix and a length-m response vector")
-    if not (np.isfinite(noise_variance) and noise_variance >= 0):
-        raise ValueError("noise variance must be non-negative")
+    _check("non-negative", noise_variance=noise_variance)
     m = x.shape[0]
     gm = x.T @ x / m - noise_variance * np.eye(x.shape[1])
     gv = x.T @ y / m
@@ -114,8 +113,7 @@ def corrected_moments(pds: PrivateDataset) -> CorrectedMoments:
 
 def soft_threshold(v, level: float) -> np.ndarray:
     """Per-coordinate shrinkage sign(v_i) * max(|v_i| - level, 0)."""
-    if level < 0:
-        raise ValueError("threshold level must be non-negative")
+    _check("non-negative", level=level)
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
 
@@ -128,8 +126,7 @@ def project_l1(v, radius: float) -> np.ndarray:
     theta is found in closed form from the sorted absolute values.  Returns
     v unchanged when it is already feasible.
     """
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
+    _check("positive", radius=radius)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("v must be a vector")
@@ -209,14 +206,12 @@ class SolverConfig:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.radius is None and self.mode == "constrained":
             raise ValueError("constrained mode requires a radius")
-        if self.radius is not None and not 0 < self.radius < math.inf:
-            raise ValueError("radius must be finite and positive")
-        if self.lambda_n is not None and not 0 <= self.lambda_n < math.inf:
-            raise ValueError("lambda_n must be finite and non-negative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        if self.radius is not None:
+            _check("positive", radius=self.radius)
+        if self.lambda_n is not None:
+            _check("non-negative", lambda_n=self.lambda_n)
+        _check(">= 1", max_iter=self.max_iter)
+        _check("positive", tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -232,8 +227,7 @@ class SolveResult:
 
 def objective(moments: CorrectedMoments, theta, lambda_n: float = 0.0) -> float:
     """0.5 theta^T gamma_mat theta - <gamma_vec, theta> + lambda_n ||theta||_1."""
-    if lambda_n < 0:
-        raise ValueError("lambda_n must be non-negative")
+    _check("non-negative", lambda_n=lambda_n)
     t = np.asarray(theta, dtype=np.float64)
     if t.shape != moments.gamma_vec.shape:
         raise ValueError("theta dimension does not match moments")

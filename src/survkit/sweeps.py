@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _write_json
+from . import _check, _write_json
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
 from .datagen import (
     _check_generator_args, _sparse_survey, _with_covariate_noise, _write_csv, gen_synthetic1,
@@ -69,10 +69,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not 1 <= self.trials <= _TRIAL_CAP:
+        if self.trials > _TRIAL_CAP:
             raise ValueError(f"trials must be in [1, {_TRIAL_CAP}]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check(">= 1", trials=self.trials, workers=self.workers)
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
             grid = getattr(self, name)
             if not grid:

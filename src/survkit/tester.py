@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _check
 from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, _rows, _within, mean_squared_loss
 from .core import ValidationSource
 # validate_dataset and privatize are not called here; bench/spans.py wraps them at this
@@ -58,12 +59,8 @@ class TestConfig:
     bounds: ModelBounds
 
     def __post_init__(self):
-        if not 0 <= self.kappa < math.inf:
-            raise ValueError("kappa must be finite and non-negative")
-        if not (0 < self.tol <= 1):
-            raise ValueError("tol must lie in (0, 1]")
-        if not (0 < self.delta <= 1):
-            raise ValueError("delta must lie in (0, 1]")
+        _check("non-negative", kappa=self.kappa)
+        _check("in (0, 1]", tol=self.tol, delta=self.delta)
 
 
 class PooledSource(ValidationSource):
@@ -116,8 +113,8 @@ class Verdict:
 def validation_sample_size(tau: float, delta: float, tol: float) -> int:
     """Validation draws needed for a tol-accurate root-loss estimate:
     ceil(tau^2 ln(4/delta) / (2 tol^2))."""
-    if tau <= 0 or not (0 < delta <= 1) or not (0 < tol <= 1):
-        raise ValueError("need tau > 0, delta in (0, 1], tol in (0, 1]")
+    _check("positive", tau=tau)
+    _check("in (0, 1]", delta=delta, tol=tol)
     return math.ceil(tau * tau * math.log(4.0 / delta) / (2.0 * tol * tol))
 
 
@@ -126,12 +123,9 @@ def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: 
 
     l_hat + 8 tau zeta R^2 sqrt(2 ln(2d)) / sqrt(m) + 3 tau sqrt(ln(4/delta) / (2m))
     """
-    if l_hat < 0:
-        raise ValueError("l_hat must be non-negative")
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
-    if not (0 < delta <= 1):
-        raise ValueError("delta must lie in (0, 1]")
+    _check("non-negative", l_hat=l_hat)
+    _check(">= 1", m=m, d=d)
+    _check("in (0, 1]", delta=delta)
     tau, zeta, r = bounds.tau, bounds.zeta, bounds.radius
     mid = 8.0 * tau * zeta * r * r * math.sqrt(2.0 * math.log(2.0 * d)) / math.sqrt(m)
     conf = 3.0 * tau * math.sqrt(math.log(4.0 / delta) / (2.0 * m))
@@ -140,8 +134,8 @@ def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: 
 
 def _dimension_factor(lambda_min: float, m: int, d: int) -> float:
     """sqrt(d ln d / m), the last factor of both privacy penalties."""
-    if not 0 < lambda_min < math.inf or m < 1 or d < 1:
-        raise ValueError("need 0 < lambda_min < inf, m >= 1, d >= 1")
+    _check("positive", lambda_min=lambda_min)
+    _check(">= 1", m=m, d=d)
     return math.sqrt(d * math.log(d) / m)
 
 
@@ -155,8 +149,8 @@ def privacy_penalty_gaussian(
     Degenerates to 0 at d = 1 (ln d = 0); ``verify_private_survey`` notes
     that in the verdict.
     """
-    if not (0 < beta < 1):
-        raise ValueError("beta must lie in (0, 1)")
+    _check("positive", alpha=alpha)
+    _check("in (0, 1)", beta=beta)
     root = _dimension_factor(lambda_min, m, d)
     lb = math.log(1.0 / beta)
     zeta, r = bounds.zeta, bounds.radius
@@ -172,6 +166,7 @@ def privacy_penalty_laplace(
     * sqrt(d ln d / m), with c2 = 1.  Degenerates to 0 at d = 1;
     ``verify_private_survey`` notes that in the verdict.
     """
+    _check("positive", alpha=alpha, c_eps=c_eps)
     root = _dimension_factor(lambda_min, m, d)
     zeta, r = bounds.zeta, bounds.radius
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
@@ -184,10 +179,13 @@ def _verify(
     cfg: TestConfig,
     rng: RngSpec,
     lambda_min: float | None,
+    private: bool,
 ) -> Verdict:
-    """The credibility test of a clear survey or of a published ``PrivateDataset``."""
+    """The credibility test of a clear survey or, if ``private``, of a published one."""
+    if isinstance(survey, PrivateDataset) is not private:
+        want = "a published PrivateDataset" if private else "a clear Dataset"
+        raise TypeError(f"expected {want}, got {type(survey).__name__}")
     b = cfg.bounds
-    private = isinstance(survey, PrivateDataset)
     if private and survey.privacy is None:  # noise injected directly, as by gen_synthetic2
         raise ValueError("private survey has no privacy parameters to compute its penalty from")
     # Published covariates carry noise; zeta bounded them before publication.
@@ -256,9 +254,10 @@ def verify_survey(
 
     Fits the constrained model on the survey's clean moments, bounds its
     population loss, draws the validation batch, and applies the decision
-    rule.  The verdict carries every intermediate quantity.
+    rule.  The verdict carries every intermediate quantity.  A published
+    ``PrivateDataset`` is a TypeError: :func:`verify_private_survey` tests it.
     """
-    return _verify(survey, source, cfg, rng, None)
+    return _verify(survey, source, cfg, rng, None, private=False)
 
 
 def verify_private_survey(
@@ -282,6 +281,4 @@ def verify_private_survey(
     floored at 1e-6, and the verdict notes the heuristic, as it notes the
     penalty vanishing at d = 1.
     """
-    if not isinstance(survey, PrivateDataset):  # a clear survey would run the public test
-        raise TypeError(f"expected a published PrivateDataset, got {type(survey).__name__}")
-    return _verify(survey, source, cfg, rng, lambda_min)
+    return _verify(survey, source, cfg, rng, lambda_min, private=True)

@@ -188,17 +188,44 @@ _DOMAIN_ERRORS = [
     (lower_re_params, dict(c_max=math.nan, d=1), "c_max must be finite"),
     (subweibull_right_tail, dict(beta_split=1.0), "beta_split must be in (0, 1)"),
     (subweibull_right_tail, dict(beta_split=0.0), "beta_split must be in (0, 1)"),
-    (subweibull_right_tail, dict(alpha_shape=1.0, beta_split=1.0), "alpha_shape must exceed 1"),
+    (subweibull_right_tail, dict(alpha_shape=1.0, beta_split=1.0), "alpha_shape must be > 1"),
     (subweibull_right_tail, dict(beta_split=1.0, c_alpha=0.0), "beta_split must be in (0, 1)"),
     (squared_subexp_tail, dict(c_x=0.5), "c_x must be >= 1"),
-    (squared_subexp_tail, dict(n=0, c_x=0.5), "need n >= 1 and t > 0"),
+    (squared_subexp_tail, dict(n=0, c_x=0.5), "n must be >= 1"),
     (squared_subexp_tail, dict(c_x=0.5, c=-1.0), "c must be non-negative"),
-    (one_sided_bernstein, dict(n=0), "need n >= 1, t >= 0, and a positive second moment"),
-    (one_sided_bernstein, dict(n=0, t=math.inf), "t must be finite"),
-    (matrix_deviation_bound, dict(d1=0), "need positive dimensions, c_max > 0, t >= 0"),
+    (one_sided_bernstein, dict(n=0), "n must be >= 1"),
+    (one_sided_bernstein, dict(n=0, t=math.inf), "n must be >= 1"),
+    (matrix_deviation_bound, dict(d1=0), "d1 must be >= 1"),
     (matrix_deviation_bound, dict(d2=0, c=-1.0), "c must be non-negative"),
-    (matrix_deviation_level, dict(d=1), "need n >= 1, d >= 2, c_max > 0"),
+    (matrix_deviation_level, dict(d=1), "d must be >= 2"),
     (matrix_deviation_level, dict(d=1, c1=-1.0), "c1 must be non-negative"),
+]
+# The combined checks of the tails, one argument at a time.  n * t > 0 let
+# n = t = -1 through, and every combined check let a NaN count through.
+_DOMAIN_ERRORS += [
+    (subweibull_right_tail, dict(n=0), "n must be >= 1"),
+    (subweibull_right_tail, dict(t=0.0), "t must be positive"),
+    (subweibull_right_tail, dict(n=-1, t=-1.0), "n must be >= 1"),
+    (subweibull_right_tail, dict(t=0.0, sigma_minus_sq=-1.0),
+     "sigma_minus_sq must be non-negative"),
+    (squared_subexp_tail, dict(t=0.0), "t must be positive"),
+    (squared_subexp_tail, dict(n=0, t=0.0), "t must be positive"),
+    (one_sided_bernstein, dict(t=-0.5), "t must be non-negative"),
+    (one_sided_bernstein, dict(second_moment=0.0), "second_moment must be positive"),
+    (one_sided_bernstein, dict(t=-0.5, second_moment=0.0), "t must be non-negative"),
+    (matrix_deviation_bound, dict(n=0), "n must be >= 1"),
+    (matrix_deviation_bound, dict(d2=0), "d2 must be >= 1"),
+    (matrix_deviation_bound, dict(c_max=0.0), "c_max must be positive"),
+    (matrix_deviation_bound, dict(t=-0.5), "t must be non-negative"),
+    (matrix_deviation_bound, dict(d1=0, t=-0.5), "t must be non-negative"),
+    (matrix_deviation_bound, dict(d2=0, c_max=0.0), "d2 must be >= 1"),
+    (matrix_deviation_level, dict(n=0), "n must be >= 1"),
+    (matrix_deviation_level, dict(c_max=0.0), "c_max must be positive"),
+    (matrix_deviation_level, dict(n=0, d=1), "n must be >= 1"),
+    (matrix_deviation_level, dict(d=1, c_max=0.0), "d must be >= 2"),
+    (one_sided_bernstein, dict(n=math.nan), "n must be >= 1"),
+    (matrix_deviation_bound, dict(n=math.nan), "n must be >= 1"),
+    (matrix_deviation_level, dict(d=math.nan), "d must be >= 2"),
 ]
 # The CLI parses --d as an int, but a library caller may pass any number.
 _DOMAIN_ERRORS += [(fn, dict(d=d), "d must be >= 2") for d in (math.nan, math.inf)

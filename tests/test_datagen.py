@@ -160,10 +160,10 @@ class TestClipToBounds:
         assert rep2.total == 0
         assert np.array_equal(once.x, twice.x)
 
-    @pytest.mark.parametrize("zeta, tau", [(0.0, 1.0), (1.0, -1.0)])
-    def test_bounds_must_be_positive(self, zeta, tau):
+    @pytest.mark.parametrize("zeta, tau, name", [(0.0, 1.0, "zeta"), (1.0, -1.0, "tau")])
+    def test_bounds_must_be_positive(self, zeta, tau, name):
         ds = Dataset([[0.5]], [0.1], ModelBounds(1, 1, 1))
-        with pytest.raises(ValueError, match="zeta and tau must be positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
             clip_to_bounds(ds, zeta, tau)
 
 
@@ -934,10 +934,10 @@ class TestLinearModelSource:
     @pytest.mark.parametrize("args, message", [
         (([[1.0]], 0.1), "theta must be a finite vector"),
         (([1.0, math.nan], 0.1), "theta must be a finite vector"),
-        (([1.0], -0.1), "noise_var must be finite and >= 0, scale finite and > 0"),
-        (([1.0], math.nan), "noise_var must be finite and >= 0, scale finite and > 0"),
-        (([1.0], 0.1, "normal", 0.0), "noise_var must be finite and >= 0, scale finite and > 0"),
-        (([1.0], 0.1, "normal", math.inf), "noise_var must be finite and >= 0, scale finite"),
+        (([1.0], -0.1), "noise_var must be non-negative"),
+        (([1.0], math.nan), "noise_var must be non-negative"),
+        (([1.0], 0.1, "normal", 0.0), "scale must be positive"),
+        (([1.0], 0.1, "normal", math.inf), "scale must be positive"),
         (([1.0], 0.1, "cauchy"), "unknown covariate kind 'cauchy'"),
     ])
     def test_rejects_bad_arguments(self, args, message):

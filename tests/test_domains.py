@@ -1,0 +1,201 @@
+"""Every scalar domain check of the package, outside ``bounds``, goes through
+``survkit._check``: its message names the argument and the domain, checks
+run in a fixed order, and no NaN or infinity passes any of them.
+
+Each entry of ``_CALLS`` is one valid call of a function or config type:
+its fixed (non-scalar) arguments and its scalar arguments, all by keyword.
+The bounds' own valid calls come from ``test_bounds``.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from survkit import (
+    CorrectedMoments,
+    Dataset,
+    LinearModelSource,
+    ModelBounds,
+    NoiseKind,
+    NoiseSpec,
+    PrivacyParams,
+    SolverConfig,
+    SweepSpec,
+    TestConfig,
+    clip_to_bounds,
+    make_noise_spec,
+    moments_from_arrays,
+    objective,
+    privacy_penalty_gaussian,
+    privacy_penalty_laplace,
+    project_l1,
+    soft_threshold,
+    survey_loss_bound,
+    validation_sample_size,
+)
+from survkit.datagen import _check_generator_args
+from test_bounds import _VALID_CALLS as _BOUND_CALLS
+
+_UNIT = ModelBounds(1.0, 1.0, 1.0)
+_MOMENTS = CorrectedMoments(np.eye(2), np.ones(2), 10)
+_TRIAL_CAP = 10**6
+
+# Name -> (callable, fixed arguments, scalar arguments) of one valid call.
+_CALLS = {
+    "ModelBounds": (ModelBounds, {}, dict(zeta=1.0, tau=1.0, radius=1.0)),
+    "_check_generator_args": (_check_generator_args, {}, dict(d=2, m=10, mu=0.0)),
+    "clip_to_bounds": (clip_to_bounds, dict(ds=Dataset([[0.5]], [0.1], _UNIT)),
+                       dict(zeta=1.0, tau=1.0)),
+    "LinearModelSource": (LinearModelSource, dict(theta=[1.0], covariate="normal"),
+                          dict(noise_var=0.1, scale=1.0)),
+    "PrivacyParams": (PrivacyParams, {}, dict(alpha=1.0, beta=0.0)),
+    "NoiseSpec": (NoiseSpec, dict(kind=NoiseKind.LAPLACE), dict(scale=1.0)),
+    "make_noise_spec": (make_noise_spec, dict(params=PrivacyParams(1.0)), dict(zeta=1.0, d=2)),
+    "CorrectedMoments": (CorrectedMoments, dict(gamma_mat=np.eye(2), gamma_vec=np.ones(2)),
+                         dict(m=10)),
+    "moments_from_arrays": (moments_from_arrays, dict(x=np.ones((2, 1)), y=np.ones(2)),
+                            dict(noise_variance=0.0)),
+    "soft_threshold": (soft_threshold, dict(v=[1.0]), dict(level=0.5)),
+    "project_l1": (project_l1, dict(v=[1.0]), dict(radius=1.0)),
+    "objective": (objective, dict(moments=_MOMENTS, theta=np.zeros(2)), dict(lambda_n=0.0)),
+    "SolverConfig": (SolverConfig, dict(mode="lagrangian"),
+                     dict(radius=1.0, lambda_n=0.1, max_iter=10, tol=1e-6)),
+    "TestConfig": (TestConfig, dict(bounds=_UNIT), dict(kappa=0.0, tol=0.2, delta=0.1)),
+    "validation_sample_size": (validation_sample_size, {}, dict(tau=1.0, delta=0.1, tol=0.2)),
+    "survey_loss_bound": (survey_loss_bound, dict(bounds=_UNIT),
+                          dict(l_hat=0.1, m=10, d=2, delta=0.1)),
+    "privacy_penalty_gaussian": (privacy_penalty_gaussian, dict(bounds=_UNIT),
+                                 dict(alpha=1.0, beta=0.1, lambda_min=1.0, m=100, d=10)),
+    "privacy_penalty_laplace": (privacy_penalty_laplace, dict(bounds=_UNIT),
+                                dict(alpha=1.0, c_eps=1.0, lambda_min=1.0, m=100, d=10)),
+    # Its seed is an RngSpec's, a structural check; the others are the trials'.
+    "SweepSpec": (SweepSpec, dict(experiment="model-distance", seed=0, output_dir=Path(".")),
+                  dict(trials=1, workers=1, d=2, m=10, beta=0.0, delta=0.1, kappa=0.0)),
+}
+_ALL_CALLS = {**_CALLS, **{fn.__name__: (fn, {}, kw) for fn, kw in _BOUND_CALLS.items()}}
+
+
+def _call(name: str, **changes):
+    fn, fixed, scalars = _ALL_CALLS[name]
+    return fn(**{**fixed, **scalars, **changes})
+
+
+@pytest.mark.parametrize("name", list(_ALL_CALLS))
+def test_each_valid_call_runs(name):
+    _call(name)
+
+
+# One bad value for each check, and two bad arguments at once where a
+# function checks more than one: the first one checked is named.
+_DOMAIN_ERRORS = [
+    ("ModelBounds", dict(zeta=0.0), "zeta must be positive"),
+    ("ModelBounds", dict(tau=-1.0), "tau must be positive"),
+    ("ModelBounds", dict(radius=0.0), "radius must be positive"),
+    ("ModelBounds", dict(tau=0.0, radius=0.0), "tau must be positive"),
+    ("_check_generator_args", dict(d=0), "d must be >= 1"),
+    ("_check_generator_args", dict(m=0), "m must be >= 1"),
+    ("_check_generator_args", dict(mu=math.inf), "mu must be finite"),
+    ("_check_generator_args", dict(d=0, m=0), "d must be >= 1"),
+    ("_check_generator_args", dict(m=0, mu=math.nan), "m must be >= 1"),
+    ("clip_to_bounds", dict(zeta=0.0), "zeta must be positive"),
+    ("clip_to_bounds", dict(tau=-1.0), "tau must be positive"),
+    ("clip_to_bounds", dict(zeta=-1.0, tau=0.0), "zeta must be positive"),
+    ("LinearModelSource", dict(noise_var=-0.1), "noise_var must be non-negative"),
+    ("LinearModelSource", dict(scale=0.0), "scale must be positive"),
+    ("LinearModelSource", dict(noise_var=-0.1, scale=0.0), "noise_var must be non-negative"),
+    ("LinearModelSource", dict(theta=[[1.0]], noise_var=-0.1), "theta must be a finite vector"),
+    ("PrivacyParams", dict(alpha=0.0), "alpha must be positive"),
+    ("PrivacyParams", dict(beta=1.0), "beta must be in [0, 1)"),
+    ("PrivacyParams", dict(alpha=-1.0, beta=-0.5), "alpha must be positive"),
+    ("NoiseSpec", dict(scale=-1.0), "scale must be non-negative"),
+    ("make_noise_spec", dict(zeta=0.0), "zeta must be positive"),
+    ("make_noise_spec", dict(d=0), "d must be >= 1"),
+    ("make_noise_spec", dict(zeta=0.0, d=0), "zeta must be positive"),
+    ("CorrectedMoments", dict(m=0), "m must be >= 1"),
+    ("CorrectedMoments", dict(gamma_vec=[0.0, math.nan], m=0),
+     "moments contain non-finite entries"),
+    ("moments_from_arrays", dict(noise_variance=-1.0), "noise_variance must be non-negative"),
+    ("moments_from_arrays", dict(x=np.zeros(2), noise_variance=-1.0),
+     "need an (m, d) matrix and a length-m response vector"),
+    ("soft_threshold", dict(level=-0.5), "level must be non-negative"),
+    ("project_l1", dict(radius=0.0), "radius must be positive"),
+    ("project_l1", dict(v=[[1.0]], radius=0.0), "radius must be positive"),
+    ("objective", dict(lambda_n=-1.0), "lambda_n must be non-negative"),
+    ("objective", dict(theta=np.zeros(3), lambda_n=-1.0), "lambda_n must be non-negative"),
+    ("SolverConfig", dict(radius=0.0), "radius must be positive"),
+    ("SolverConfig", dict(lambda_n=-1.0), "lambda_n must be non-negative"),
+    ("SolverConfig", dict(max_iter=0), "max_iter must be >= 1"),
+    ("SolverConfig", dict(tol=0.0), "tol must be positive"),
+    ("SolverConfig", dict(radius=-1.0, lambda_n=-1.0), "radius must be positive"),
+    ("SolverConfig", dict(max_iter=0, tol=0.0), "max_iter must be >= 1"),
+    ("SolverConfig", dict(mode="constrained", radius=None, tol=0.0),
+     "constrained mode requires a radius"),
+    ("TestConfig", dict(kappa=-1.0), "kappa must be non-negative"),
+    ("TestConfig", dict(tol=0.0), "tol must be in (0, 1]"),
+    ("TestConfig", dict(delta=1.5), "delta must be in (0, 1]"),
+    ("TestConfig", dict(kappa=-1.0, tol=0.0), "kappa must be non-negative"),
+    ("TestConfig", dict(tol=1.5, delta=0.0), "tol must be in (0, 1]"),
+    ("validation_sample_size", dict(tau=0.0), "tau must be positive"),
+    ("validation_sample_size", dict(delta=0.0), "delta must be in (0, 1]"),
+    ("validation_sample_size", dict(tol=1.5), "tol must be in (0, 1]"),
+    ("validation_sample_size", dict(tau=0.0, delta=0.0), "tau must be positive"),
+    ("validation_sample_size", dict(delta=0.0, tol=0.0), "delta must be in (0, 1]"),
+    ("survey_loss_bound", dict(l_hat=-0.1), "l_hat must be non-negative"),
+    ("survey_loss_bound", dict(m=0), "m must be >= 1"),
+    ("survey_loss_bound", dict(d=0), "d must be >= 1"),
+    ("survey_loss_bound", dict(delta=1.5), "delta must be in (0, 1]"),
+    ("survey_loss_bound", dict(l_hat=-0.1, m=0), "l_hat must be non-negative"),
+    ("survey_loss_bound", dict(m=0, d=0), "m must be >= 1"),
+    ("survey_loss_bound", dict(d=0, delta=0.0), "d must be >= 1"),
+    ("privacy_penalty_gaussian", dict(alpha=0.0), "alpha must be positive"),
+    ("privacy_penalty_gaussian", dict(beta=1.0), "beta must be in (0, 1)"),
+    ("privacy_penalty_gaussian", dict(lambda_min=0.0), "lambda_min must be positive"),
+    ("privacy_penalty_gaussian", dict(m=0), "m must be >= 1"),
+    ("privacy_penalty_gaussian", dict(d=0), "d must be >= 1"),
+    ("privacy_penalty_gaussian", dict(alpha=-1.0, beta=0.0), "alpha must be positive"),
+    ("privacy_penalty_gaussian", dict(beta=0.0, lambda_min=0.0), "beta must be in (0, 1)"),
+    ("privacy_penalty_gaussian", dict(lambda_min=-1.0, m=0), "lambda_min must be positive"),
+    ("privacy_penalty_laplace", dict(alpha=-1.0), "alpha must be positive"),
+    ("privacy_penalty_laplace", dict(c_eps=0.0), "c_eps must be positive"),
+    ("privacy_penalty_laplace", dict(lambda_min=0.0), "lambda_min must be positive"),
+    ("privacy_penalty_laplace", dict(m=0), "m must be >= 1"),
+    ("privacy_penalty_laplace", dict(d=0), "d must be >= 1"),
+    ("privacy_penalty_laplace", dict(alpha=0.0, c_eps=0.0), "alpha must be positive"),
+    ("privacy_penalty_laplace", dict(c_eps=-1.0, lambda_min=0.0), "c_eps must be positive"),
+    ("SweepSpec", dict(trials=0), "trials must be >= 1"),
+    ("SweepSpec", dict(trials=_TRIAL_CAP + 1), f"trials must be in [1, {_TRIAL_CAP}]"),
+    ("SweepSpec", dict(workers=0), "workers must be >= 1"),
+    ("SweepSpec", dict(trials=0, workers=0), "trials must be >= 1"),
+    ("SweepSpec", dict(trials=_TRIAL_CAP + 1, workers=0), f"trials must be in [1, {_TRIAL_CAP}]"),
+    ("SweepSpec", dict(workers=0, d=0), "workers must be >= 1"),
+    ("SweepSpec", dict(d=0), "d must be >= 1"),
+    ("SweepSpec", dict(kappa=-1.0, beta=1.0), "beta must be in [0, 1)"),
+]
+
+
+def test_every_check_has_domain_cases():
+    assert {name for name, _, _ in _DOMAIN_ERRORS} == set(_CALLS)
+
+
+@pytest.mark.parametrize("name, bad, message", _DOMAIN_ERRORS, ids=[
+    f"{name}-{'-'.join(f'{k}={v}' for k, v in bad.items())}" for name, bad, _ in _DOMAIN_ERRORS])
+def test_domain_errors_keep_their_messages_and_order(name, bad, message):
+    with pytest.raises(ValueError) as err:
+        _call(name, **bad)
+    assert str(err.value) == message
+
+
+_SCALAR_ARGS = [(name, arg) for name, (_, _, scalars) in _ALL_CALLS.items() for arg in scalars]
+
+
+@pytest.mark.parametrize("name, arg", _SCALAR_ARGS, ids=[f"{n}-{a}" for n, a in _SCALAR_ARGS])
+@settings(max_examples=6)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       box=st.sampled_from([float, np.float64]))
+def test_no_scalar_domain_admits_a_non_finite_value(name, arg, value, box):
+    with pytest.raises(ValueError) as err:
+        _call(name, **{arg: box(value)})
+    assert str(err.value).startswith(f"{arg} must be ")

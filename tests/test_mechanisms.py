@@ -108,7 +108,7 @@ class TestNoiseCalibration:
 
     @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
     def test_noise_scale_must_be_finite_and_non_negative(self, scale):
-        with pytest.raises(ValueError, match="noise scale must be non-negative"):
+        with pytest.raises(ValueError, match="^scale must be non-negative$"):
             NoiseSpec(NoiseKind.LAPLACE, scale)
 
     @pytest.mark.parametrize("spec", [NoiseSpec(NoiseKind.LAPLACE, 1.5),

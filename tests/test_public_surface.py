@@ -34,6 +34,11 @@ Every use of the private ``_adopt`` path of ``Dataset`` and
 them, sits in a function of ``_ADOPT_CALLERS`` with the reason no copy is
 needed there, so a new caller fails here until its arrays are checked.
 
+Every scalar domain rule is stated once, in ``survkit._check``: no other
+``if`` in ``src/survkit`` compares a bare name or a ``self.<field>`` with a
+numeric literal and raises ValueError, unless it is in
+``_LITERAL_CHECKS_ALLOWED`` with the reason it is not a domain check.
+
 Every attribute assignment in ``src/survkit`` sits in an ``__init__``,
 ``_adopt`` or ``_hold``: an object is filled in once, where it is built, and
 never changed afterwards, so no flag or cursor can go stale between calls.
@@ -65,6 +70,13 @@ _ADOPT_CALLERS = {
     "datagen.load_csv": "the twin's arrays, read fresh from its file by _read_twin, "
                         "which no one else holds",
     "cli._cmd_publish": "the read-only arrays of the loaded Dataset, under new bounds",
+}
+# "module.Class.function" -> why its comparison with a literal is not a scalar domain.
+_LITERAL_CHECKS_ALLOWED = {
+    "tester.Verdict.__post_init__": "the margin rule ties the decision to the margin's sign; "
+                                    "it refuses no argument",
+    "datagen.load_csv": "a file format: a fast-path table needs a response column, and "
+                        "its ValueError only sends the file to the exact parser",
 }
 # The functions that may assign an attribute: those that build an object.
 _ATTRIBUTE_SETTERS = ("__init__", "_adopt", "_hold")
@@ -167,6 +179,60 @@ def test_every_import_is_used_by_its_module():
         allowed = set(bindings.get(f"survkit.{path.stem}", ()))
         unused += [f"{path.stem}.{name}" for name in sorted(imported - names - allowed)]
     assert not unused, f"imports that their module never uses: {unused}"
+
+
+def _qualified_nodes(node: ast.AST, owner: str = ""):
+    """Every node under ``node`` with the dotted name of the class or function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        yield child, owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _qualified_nodes(child, f"{owner}.{child.name}".lstrip(".") if named else owner)
+
+
+def _is_number(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def _is_argument(node: ast.AST) -> bool:
+    """A bare name or a ``self.<field>``."""
+    return isinstance(node, ast.Name) or (
+        isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self")
+
+
+def _literal_checks(tree: ast.AST, module: str) -> list[str]:
+    """The ``if`` statements outside ``_check`` that compare an argument with
+    a numeric literal and raise ValueError, as "module.owner: test"."""
+    found = []
+    for node, owner in _qualified_nodes(tree):
+        if not isinstance(node, ast.If) or owner == "_check":
+            continue
+        compares = any(
+            isinstance(c, ast.Compare) and any(map(_is_number, [c.left, *c.comparators]))
+            and any(map(_is_argument, [c.left, *c.comparators]))
+            for c in ast.walk(node.test))
+        raised = [getattr(r.exc, "func", r.exc) for stmt in node.body for r in ast.walk(stmt)
+                  if isinstance(r, ast.Raise)]
+        raises = any(getattr(e, "id", None) == "ValueError" for e in raised)
+        if compares and raises:
+            found.append(f"{module}.{owner}: {ast.unparse(node.test)}")
+    return found
+
+
+def test_scalar_domains_are_checked_only_by_check():
+    found = [f for path in sorted(_SRC.glob("*.py"))
+             for f in _literal_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    owners = {f.split(":")[0] for f in found}
+    unlisted = sorted(f for f in found if f.split(":")[0] not in _LITERAL_CHECKS_ALLOWED)
+    assert not unlisted, f"scalar domain checks outside survkit._check: {unlisted}"
+    assert owners == set(_LITERAL_CHECKS_ALLOWED), "stale _LITERAL_CHECKS_ALLOWED entries"
+
+
+def test_the_domain_guard_sees_a_hand_written_check():
+    source = "def soft_threshold(v, level):\n    if level < 0:\n        raise ValueError('x')\n"
+    assert _literal_checks(ast.parse(source), "solver") == ["solver.soft_threshold: level < 0"]
 
 
 def _assigned_attributes(target: ast.AST):

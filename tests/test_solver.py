@@ -67,7 +67,7 @@ class TestCorrectedMoments:
 
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_noise_variance_must_be_finite_and_non_negative(self, value):
-        with pytest.raises(ValueError, match="noise variance must be non-negative"):
+        with pytest.raises(ValueError, match="^noise_variance must be non-negative$"):
             moments_from_arrays(np.ones((2, 1)), np.ones(2), value)
 
     def test_symmetrized_exactly(self):
@@ -97,12 +97,12 @@ class TestCorrectedMoments:
      "gamma_vec length must match gamma_mat"),
     (lambda: CorrectedMoments(np.eye(2), np.array([0.0, math.nan]), 1),
      "moments contain non-finite entries"),
-    (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "sample count must be >= 1"),
+    (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "m must be >= 1"),
     (lambda: moments_from_arrays(np.zeros(3), np.zeros(3)),
      r"need an \(m, d\) matrix and a length-m response vector"),
     (lambda: moments_from_arrays(np.zeros((3, 2)), np.zeros(2)),
      r"need an \(m, d\) matrix and a length-m response vector"),
-    (lambda: soft_threshold([1.0], -0.5), "threshold level must be non-negative"),
+    (lambda: soft_threshold([1.0], -0.5), "level must be non-negative"),
     (lambda: project_l1([1.0], 0.0), "radius must be positive"),
     (lambda: project_l1([[1.0]], 1.0), "v must be a vector"),
     (lambda: spectral_bound(np.zeros((2, 3))), "matrix must be square"),
@@ -350,15 +350,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(mode="constrained")
         for lam in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="lambda_n must be finite and non-negative"):
+            with pytest.raises(ValueError, match="^lambda_n must be non-negative$"):
                 SolverConfig(mode="lagrangian", lambda_n=lam)
         with pytest.raises(ValueError):
             SolverConfig(mode="nonsense", radius=1.0)
         for mode in ("constrained", "lagrangian"):
             for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(ValueError, match="radius must be finite and positive"):
+                with pytest.raises(ValueError, match="^radius must be positive$"):
                     SolverConfig(mode=mode, radius=bad)
-                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                with pytest.raises(ValueError, match="^tol must be positive$"):
                     SolverConfig(mode=mode, radius=1.0, tol=bad)
 
 

@@ -35,7 +35,7 @@ from survkit import (
 
 @pytest.mark.parametrize("kappa", [-1.0, math.nan, math.inf])
 def test_kappa_must_be_finite_and_non_negative(kappa):
-    with pytest.raises(ValueError, match="kappa must be finite and non-negative"):
+    with pytest.raises(ValueError, match="^kappa must be non-negative$"):
         TestConfig(kappa=kappa, tol=0.2, delta=0.1, bounds=ModelBounds(1.0, 1.0, 1.0))
 
 
@@ -98,10 +98,10 @@ class TestSurveyLossBound:
 
     @pytest.mark.parametrize("l_hat, m, d, delta, message", [
         (-0.1, 10, 2, 0.1, "l_hat must be non-negative"),
-        (0.1, 0, 2, 0.1, "need m >= 1 and d >= 1"),
-        (0.1, 10, 0, 0.1, "need m >= 1 and d >= 1"),
-        (0.1, 10, 2, 0.0, r"delta must lie in \(0, 1\]"),
-        (0.1, 10, 2, 1.5, r"delta must lie in \(0, 1\]"),
+        (0.1, 0, 2, 0.1, "m must be >= 1"),
+        (0.1, 10, 0, 0.1, "d must be >= 1"),
+        (0.1, 10, 2, 0.0, r"delta must be in \(0, 1\]"),
+        (0.1, 10, 2, 1.5, r"delta must be in \(0, 1\]"),
     ])
     def test_argument_checks(self, l_hat, m, d, delta, message):
         with pytest.raises(ValueError, match=message):
@@ -135,15 +135,15 @@ class TestPrivacyPenalties:
     @pytest.mark.parametrize("lambda_min", [0.0, -1.0, math.nan, math.inf])
     def test_lambda_min_must_be_positive_and_finite(self, lambda_min):
         b = ModelBounds(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="need 0 < lambda_min < inf"):
+        with pytest.raises(ValueError, match="^lambda_min must be positive$"):
             privacy_penalty_laplace(b, 1.0, 1.0, lambda_min, 100, 3)
-        with pytest.raises(ValueError, match="need 0 < lambda_min < inf"):
+        with pytest.raises(ValueError, match="^lambda_min must be positive$"):
             privacy_penalty_gaussian(b, 1.0, 0.5, lambda_min, 100, 3)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_gaussian_beta_must_lie_in_the_open_unit_interval(self, beta):
         b = ModelBounds(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\)"):
+        with pytest.raises(ValueError, match=r"^beta must be in \(0, 1\)$"):
             privacy_penalty_gaussian(b, 1.0, beta, 1.0, 100, 3)
 
     @pytest.mark.filterwarnings("error")
@@ -425,6 +425,14 @@ class TestVerifyPrivateSurvey:
         survey, sampler, cfg, _ = _survey_and_cfg(0.0, m=500)
         with pytest.raises(TypeError, match="^expected a published PrivateDataset, got Dataset$"):
             verify_private_survey(survey, sampler, cfg, RngSpec(4), lambda_min=1.0)
+
+    def test_published_survey_refused_by_the_public_test(self):
+        # Each test reads its own survey type: a bundle given to verify_survey
+        # would otherwise run the private test under the public name.
+        survey, sampler, cfg, _ = _survey_and_cfg(0.0, d=5, m=2000)
+        pds = _publish(survey, PrivacyParams(alpha=2.0), RngSpec(3))
+        with pytest.raises(TypeError, match="^expected a clear Dataset, got PrivateDataset$"):
+            verify_survey(pds, sampler, cfg, RngSpec(4))
 
     def test_whole_record_bundle_verifies(self):
         # d times the per-coordinate Laplace scale; the penalty reads the
