@@ -52,18 +52,28 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-# Each kind of ``_check`` -> its test of a finite value.
+# Each kind of ``_check`` -> its test of a value: of a finite number, or of
+# the exact value of an integer for the kinds that name one.
 _KINDS = {"finite": lambda v: True, "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
           "in (0, 1)": lambda v: 0 < v < 1, "in (0, 1]": lambda v: 0 < v <= 1,
           "in [0, 1)": lambda v: 0 <= v < 1, "> 1": lambda v: v > 1, ">= 1": lambda v: v >= 1,
-          ">= 2": lambda v: v >= 2}
+          "an integer >= 1": lambda v: v >= 1, "an integer >= 2": lambda v: v >= 2,
+          "a non-negative integer": lambda v: v >= 0,
+          "an unsigned 64-bit integer": lambda v: 0 <= v < 2**64}
 
 
-def _check(kind: str, **values: float) -> None:
-    """Each named value, in order, must be finite and of ``kind``; else
-    ValueError "<name> must be <kind>" names the first that is not."""
+def _check(kind: str, **values) -> None:
+    """Each named value, in order, must be of ``kind``; else ValueError
+    "<name> must be <kind>" names the first that is not.  A real kind takes a
+    finite number.  An integer kind takes an int or a numpy integer, never a
+    bool or a float (not 2.0 either), and tests its exact value."""
     for name, value in values.items():
-        if not (math.isfinite(value) and _KINDS[kind](value)):
+        if "integer" in kind:
+            ok = (not isinstance(value, bool) and hasattr(type(value), "__index__")
+                  and _KINDS[kind](value.__index__()))
+        else:
+            ok = math.isfinite(value) and _KINDS[kind](value)
+        if not ok:
             raise ValueError(f"{name} must be {kind}")
 
 

@@ -79,7 +79,7 @@ def min_samples_gaussian(
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha)
     _check("non-negative", c=c)
     _check("in (0, 1)", beta=beta)
-    _check(">= 2", d=d)
+    _check("an integer >= 2", d=d)
     inner = zeta * zeta + zeta * zeta * math.log(1.0 / beta) / (alpha * alpha)
     val = c / lambda_min**2 * inner * inner * d * math.log(d)
     return math.ceil(max(val, 1.0))
@@ -94,7 +94,7 @@ def min_samples_laplace(
     max( max(M / lambda_min, 1) * d ln d,  M * ln^3 d ).
     """
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, c_eps=c_eps)
-    _check(">= 2", d=d)
+    _check("an integer >= 2", d=d)
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     ld = math.log(d)
     val = max(max(big_m / lambda_min, 1.0) * d * ld, big_m * ld**3)
@@ -122,7 +122,7 @@ def error_bound_gaussian(
     _check("non-negative", sigma_eps=sigma_eps, c2=c2)
     _check("positive", lambda_min=lambda_min, zeta=zeta, alpha=alpha, radius=radius, m=m)
     _check("in (0, 1)", beta=beta)
-    _check(">= 2", d=d)
+    _check("an integer >= 2", d=d)
     lb = math.log(1.0 / beta)
     lead = zeta * math.sqrt(lb / alpha + 1.0) * (zeta * math.sqrt(lb) / alpha + sigma_eps)
     return c2 * lead / lambda_min * radius * math.sqrt(d * math.log(d) / m)
@@ -148,7 +148,7 @@ def error_bound_laplace(
     _check("positive", c_eps=c_eps, lambda_min=lambda_min, zeta=zeta, alpha=alpha,
            radius=radius, m=m)
     _check("non-negative", c2=c2)
-    _check(">= 2", d=d)
+    _check("an integer >= 2", d=d)
     big_m = max(zeta / alpha, zeta * zeta, c_eps)
     return c2 / lambda_min * big_m * radius * math.sqrt(d * math.log(d) / m)
 
@@ -165,7 +165,7 @@ def lower_re_params(
     _check("positive", lambda_min=lambda_min, m=m)
     _check("non-negative", c1=c1)
     _check("finite", c_max=c_max)
-    _check(">= 2", d=d)
+    _check("an integer >= 2", d=d)
     lam = lambda_min
     alpha_ell = lam / 2.0
     tau_md = c1 * lam * max(c_max * c_max / (lam * lam), 1.0) * math.log(d) / m
@@ -196,7 +196,7 @@ def subweibull_right_tail(
     _check("in (0, 1)", beta_split=beta_split)
     _check("positive", c_alpha=c_alpha)
     _check("non-negative", sigma_minus_sq=sigma_minus_sq)
-    _check(">= 1", n=n)
+    _check("an integer >= 1", n=n)
     _check("positive", t=t)
     nt = n * t
     a = alpha_shape
@@ -204,7 +204,7 @@ def subweibull_right_tail(
     c2 = beta_split * c_alpha * math.gamma(3 * a + 1) / (3 * ((1 - beta_split) * c_alpha) ** (3 * a))
     root = nt ** (1.0 / a)
     denom = sigma_minus_sq + c1 + nt ** (1.0 / a - 1.0) * c2
-    raw = math.exp(-n * t * t / denom) + math.exp(-beta_split * c_alpha * root) + n * math.exp(
+    raw = math.exp(-(n * t * t) / denom) + math.exp(-beta_split * c_alpha * root) + n * math.exp(
         -c_alpha * root
     )
     return _clamp(
@@ -222,7 +222,8 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
     """
     _check("non-negative", c=c)
     _check("positive", t=t)
-    _check(">= 1", n=n, c_x=c_x)
+    _check("an integer >= 1", n=n)
+    _check(">= 1", c_x=c_x)
     raw = math.exp(-c * n * t * t / (c_x * c_x))
     conditions = {
         "t_within_range": t <= c_x ** (2.0 / 3.0) / n ** (1.0 / 3.0),
@@ -233,10 +234,10 @@ def squared_subexp_tail(n: int, t: float, c_x: float, c: float = 1.0) -> BoundRe
 
 def one_sided_bernstein(n: int, t: float, second_moment: float) -> BoundResult:
     """Lower-tail bound exp(-n t^2 / E[X^2]) for non-negative summands."""
-    _check(">= 1", n=n)
+    _check("an integer >= 1", n=n)
     _check("non-negative", t=t)
     _check("positive", second_moment=second_moment)
-    return _clamp(math.exp(-n * t * t / second_moment))
+    return _clamp(math.exp(-(n * t * t) / second_moment))
 
 
 def matrix_deviation_bound(
@@ -245,16 +246,16 @@ def matrix_deviation_bound(
     """Entrywise deviation bound for cross-Gram matrices of sub-exponential
     random matrices: min(1, d1 d2 exp(-c n t^2 / c_max^2))."""
     _check("non-negative", c=c, t=t)
-    _check(">= 1", n=n, d1=d1, d2=d2)
+    _check("an integer >= 1", n=n, d1=d1, d2=d2)
     _check("positive", c_max=c_max)
-    raw = d1 * d2 * math.exp(-c * n * t * t / (c_max * c_max))
+    raw = int(d1) * int(d2) * math.exp(-c * n * t * t / (c_max * c_max))  # no int64 wrap
     return _clamp(raw, constants={"c": c})
 
 
 def matrix_deviation_level(n: int, d: int, c_max: float, c1: float = 1.0) -> float:
     """High-probability entrywise deviation level c1 c_max sqrt(ln d / n)."""
     _check("non-negative", c1=c1)
-    _check(">= 1", n=n)
-    _check(">= 2", d=d)
+    _check("an integer >= 1", n=n)
+    _check("an integer >= 2", d=d)
     _check("positive", c_max=c_max)
     return c1 * c_max * math.sqrt(math.log(d) / n)

@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, _check, _read_json_object, _write_json
-from . import bounds as bnd
 
 # The functions a handler calls through this module, each resolved through the
 # package's exports on first use (module __getattr__), so a command loads only
@@ -293,6 +292,7 @@ _BOUND_DEFAULTS = {
 
 
 def _bound_dispatch(args) -> dict:
+    from . import bounds as bnd
     fn = getattr(bnd, _BOUNDS[args.name])
     params = inspect.signature(fn).parameters
     out = fn(*(getattr(args, p) for p in params))
@@ -393,6 +393,7 @@ def _verify_flags(p: _Parser) -> None:
 
 
 def _bounds_flags(p: _Parser) -> None:
+    from . import bounds as bnd
     p.add_argument("--name", default=None, choices=tuple(_BOUNDS), help="required")
     params = {q.name: q for fn in _BOUNDS.values()
               for q in inspect.signature(getattr(bnd, fn)).parameters.values()}

@@ -104,10 +104,8 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if int(self.stream) < 0:
-            raise ValueError("stream index must be non-negative")
+        _check("an unsigned 64-bit integer", seed=self.seed)
+        _check("a non-negative integer", stream=self.stream)
 
     def derive(self, *indices: int) -> np.random.Generator:
         """Child generator for the sub-stream (seed, stream, *indices)."""

@@ -159,15 +159,10 @@ def _clip(x: np.ndarray, y: np.ndarray, bounds: ModelBounds) -> tuple[Dataset, C
     return Dataset._adopt(x, y, bounds), ClipReport(cov, resp)
 
 
-def _check_generator_args(d: int, m: int, mu: float = 0.0) -> None:
-    """The generators' argument checks, which ``SweepSpec`` runs before any trial."""
-    _check(">= 1", d=d, m=m)
-    _check("finite", mu=mu)
-
-
 def sparse_coefficients(d: int, gen: np.random.Generator) -> np.ndarray:
     """Sparse coefficient vector: Unif(1, 10) with probability 1/sqrt(d),
     else 0.  Redraws the all-zero outcome so the vector is never empty."""
+    _check("an integer >= 1", d=d)
     while True:
         mask = gen.random(d) < 1.0 / math.sqrt(d)
         vals = gen.uniform(1.0, 10.0, size=d)
@@ -186,7 +181,8 @@ def gen_synthetic1(
     N(mu, 0.01) coordinates.  The returned sampler draws fresh rows from
     the theta_star model.
     """
-    _check_generator_args(d, m_survey, mu)
+    _check("an integer >= 1", d=d, m_survey=m_survey)
+    _check("finite", mu=mu)
     gen = rng.derive(_RNG_TAGS["data"])
     theta_s = gen.normal(0.0, math.sqrt(_COEFF_VAR_1), size=d)
     theta_star = gen.normal(mu, math.sqrt(_COEFF_VAR_1), size=d)
@@ -209,7 +205,7 @@ def gen_synthetic2(
     both kinds are inverse-CDF transforms of one uniform sub-stream, so
     the two noisy versions of the same RngSpec are coupled.
     """
-    _check_generator_args(d, m)
+    _check("an integer >= 1", d=d, m=m)
     if not isinstance(noise_kind, NoiseKind):
         raise ValueError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
     clean, theta_star = _sparse_survey(d, m, rng)

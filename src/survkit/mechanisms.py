@@ -116,7 +116,7 @@ def make_noise_spec(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
 def _calibrate(params: PrivacyParams, zeta: float, d: int) -> NoiseSpec:
     """:func:`make_noise_spec` without its warning."""
     _check("positive", zeta=zeta)
-    _check(">= 1", d=d)
+    _check("an integer >= 1", d=d)
     # Coordinates per release: Delta_1 = 2*zeta*k and Delta_2 = 2*zeta*sqrt(k).
     k = d if params.accounting is Accounting.WHOLE_RECORD else 1
     if params.beta == 0.0:

@@ -81,7 +81,7 @@ class CorrectedMoments:
             raise ValueError("gamma_vec length must match gamma_mat")
         if not np.all(np.isfinite(gm)) or not np.all(np.isfinite(gv)):
             raise ValueError("moments contain non-finite entries")
-        _check(">= 1", m=self.m)
+        _check("an integer >= 1", m=self.m)
         gm = 0.5 * (gm + gm.T)
         gm.setflags(write=False)
         gv.setflags(write=False)
@@ -210,7 +210,7 @@ class SolverConfig:
             _check("positive", radius=self.radius)
         if self.lambda_n is not None:
             _check("non-negative", lambda_n=self.lambda_n)
-        _check(">= 1", max_iter=self.max_iter)
+        _check("an integer >= 1", max_iter=self.max_iter)
         _check("positive", tol=self.tol)
 
 

@@ -35,9 +35,7 @@ import numpy as np
 
 from . import _check, _write_json
 from .core import _RNG_TAGS, ModelBounds, RngSpec, model_distance
-from .datagen import (
-    _check_generator_args, _sparse_survey, _with_covariate_noise, _write_csv, gen_synthetic1,
-)
+from .datagen import _sparse_survey, _with_covariate_noise, _write_csv, gen_synthetic1
 # Not called here; bench/spans.py wraps them at this binding site (see test_bench_bindings).
 from .datagen import clip_to_bounds, gen_synthetic2  # noqa: F401
 from .mechanisms import NoiseKind, PrivacyParams, make_noise_spec, privatize
@@ -71,7 +69,7 @@ class SweepSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials > _TRIAL_CAP:
             raise ValueError(f"trials must be in [1, {_TRIAL_CAP}]")
-        _check(">= 1", trials=self.trials, workers=self.workers)
+        _check("an integer >= 1", trials=self.trials, workers=self.workers)
         for name in ("mu_grid", "tol_grid", "m_grid", "alpha_grid"):
             grid = getattr(self, name)
             if not grid:
@@ -91,13 +89,14 @@ class SweepSpec:
                     raise ValueError(
                         f"{name} values {other!r} and {v!r} share the summary key {v:g}"
                     )
-        # The trials' own checks reject a bad value before any trial runs;
-        # TestConfig does not check its bounds, so any bounds do.
+        # Each value meets the check its trials give it before any trial runs,
+        # the generators' for d, m and mu; TestConfig does not check its
+        # bounds, so any bounds do.
         RngSpec(self.seed)
         for m in (self.m, *self.m_grid):
-            _check_generator_args(self.d, m)
+            _check("an integer >= 1", d=self.d, m=m)
         for mu in self.mu_grid:
-            _check_generator_args(self.d, self.m, mu)
+            _check("finite", mu=mu)
         for alpha in self.alpha_grid:
             PrivacyParams(alpha=alpha, beta=self.beta)
         for tol in self.tol_grid:

@@ -124,7 +124,7 @@ def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: 
     l_hat + 8 tau zeta R^2 sqrt(2 ln(2d)) / sqrt(m) + 3 tau sqrt(ln(4/delta) / (2m))
     """
     _check("non-negative", l_hat=l_hat)
-    _check(">= 1", m=m, d=d)
+    _check("an integer >= 1", m=m, d=d)
     _check("in (0, 1]", delta=delta)
     tau, zeta, r = bounds.tau, bounds.zeta, bounds.radius
     mid = 8.0 * tau * zeta * r * r * math.sqrt(2.0 * math.log(2.0 * d)) / math.sqrt(m)
@@ -135,7 +135,7 @@ def survey_loss_bound(l_hat: float, m: int, d: int, bounds: ModelBounds, delta: 
 def _dimension_factor(lambda_min: float, m: int, d: int) -> float:
     """sqrt(d ln d / m), the last factor of both privacy penalties."""
     _check("positive", lambda_min=lambda_min)
-    _check(">= 1", m=m, d=d)
+    _check("an integer >= 1", m=m, d=d)
     return math.sqrt(d * math.log(d) / m)
 
 

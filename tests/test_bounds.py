@@ -170,42 +170,42 @@ def test_scales_and_constants_have_a_sign(fn, name, value):
 # Bad domain inputs to each bound, with the message each raises.  Checks run
 # in a fixed order, so of two bad arguments the first one checked is named.
 _DOMAIN_ERRORS = [
-    (min_samples_gaussian, dict(d=1), "d must be >= 2"),
+    (min_samples_gaussian, dict(d=1), "d must be an integer >= 2"),
     (min_samples_gaussian, dict(beta=0.0), "beta must be in (0, 1)"),
     (min_samples_gaussian, dict(beta=1.0), "beta must be in (0, 1)"),
     (min_samples_gaussian, dict(beta=1.0, d=1), "beta must be in (0, 1)"),
     (min_samples_gaussian, dict(c=-1.0, beta=0.0), "c must be non-negative"),
-    (min_samples_laplace, dict(d=1), "d must be >= 2"),
+    (min_samples_laplace, dict(d=1), "d must be an integer >= 2"),
     (min_samples_laplace, dict(c_eps=0.0, d=1), "c_eps must be positive"),
-    (error_bound_gaussian, dict(d=1), "d must be >= 2"),
+    (error_bound_gaussian, dict(d=1), "d must be an integer >= 2"),
     (error_bound_gaussian, dict(beta=0.0), "beta must be in (0, 1)"),
     (error_bound_gaussian, dict(beta=1.0), "beta must be in (0, 1)"),
     (error_bound_gaussian, dict(beta=0.0, d=1), "beta must be in (0, 1)"),
     (error_bound_gaussian, dict(m=0.0, beta=1.0), "m must be positive"),
-    (error_bound_laplace, dict(d=1), "d must be >= 2"),
+    (error_bound_laplace, dict(d=1), "d must be an integer >= 2"),
     (error_bound_laplace, dict(c2=-1.0, d=1), "c2 must be non-negative"),
-    (lower_re_params, dict(d=1), "d must be >= 2"),
+    (lower_re_params, dict(d=1), "d must be an integer >= 2"),
     (lower_re_params, dict(c_max=math.nan, d=1), "c_max must be finite"),
     (subweibull_right_tail, dict(beta_split=1.0), "beta_split must be in (0, 1)"),
     (subweibull_right_tail, dict(beta_split=0.0), "beta_split must be in (0, 1)"),
     (subweibull_right_tail, dict(alpha_shape=1.0, beta_split=1.0), "alpha_shape must be > 1"),
     (subweibull_right_tail, dict(beta_split=1.0, c_alpha=0.0), "beta_split must be in (0, 1)"),
     (squared_subexp_tail, dict(c_x=0.5), "c_x must be >= 1"),
-    (squared_subexp_tail, dict(n=0, c_x=0.5), "n must be >= 1"),
+    (squared_subexp_tail, dict(n=0, c_x=0.5), "n must be an integer >= 1"),
     (squared_subexp_tail, dict(c_x=0.5, c=-1.0), "c must be non-negative"),
-    (one_sided_bernstein, dict(n=0), "n must be >= 1"),
-    (one_sided_bernstein, dict(n=0, t=math.inf), "n must be >= 1"),
-    (matrix_deviation_bound, dict(d1=0), "d1 must be >= 1"),
+    (one_sided_bernstein, dict(n=0), "n must be an integer >= 1"),
+    (one_sided_bernstein, dict(n=0, t=math.inf), "n must be an integer >= 1"),
+    (matrix_deviation_bound, dict(d1=0), "d1 must be an integer >= 1"),
     (matrix_deviation_bound, dict(d2=0, c=-1.0), "c must be non-negative"),
-    (matrix_deviation_level, dict(d=1), "d must be >= 2"),
+    (matrix_deviation_level, dict(d=1), "d must be an integer >= 2"),
     (matrix_deviation_level, dict(d=1, c1=-1.0), "c1 must be non-negative"),
 ]
 # The combined checks of the tails, one argument at a time.  n * t > 0 let
 # n = t = -1 through, and every combined check let a NaN count through.
 _DOMAIN_ERRORS += [
-    (subweibull_right_tail, dict(n=0), "n must be >= 1"),
+    (subweibull_right_tail, dict(n=0), "n must be an integer >= 1"),
     (subweibull_right_tail, dict(t=0.0), "t must be positive"),
-    (subweibull_right_tail, dict(n=-1, t=-1.0), "n must be >= 1"),
+    (subweibull_right_tail, dict(n=-1, t=-1.0), "n must be an integer >= 1"),
     (subweibull_right_tail, dict(t=0.0, sigma_minus_sq=-1.0),
      "sigma_minus_sq must be non-negative"),
     (squared_subexp_tail, dict(t=0.0), "t must be positive"),
@@ -213,22 +213,22 @@ _DOMAIN_ERRORS += [
     (one_sided_bernstein, dict(t=-0.5), "t must be non-negative"),
     (one_sided_bernstein, dict(second_moment=0.0), "second_moment must be positive"),
     (one_sided_bernstein, dict(t=-0.5, second_moment=0.0), "t must be non-negative"),
-    (matrix_deviation_bound, dict(n=0), "n must be >= 1"),
-    (matrix_deviation_bound, dict(d2=0), "d2 must be >= 1"),
+    (matrix_deviation_bound, dict(n=0), "n must be an integer >= 1"),
+    (matrix_deviation_bound, dict(d2=0), "d2 must be an integer >= 1"),
     (matrix_deviation_bound, dict(c_max=0.0), "c_max must be positive"),
     (matrix_deviation_bound, dict(t=-0.5), "t must be non-negative"),
     (matrix_deviation_bound, dict(d1=0, t=-0.5), "t must be non-negative"),
-    (matrix_deviation_bound, dict(d2=0, c_max=0.0), "d2 must be >= 1"),
-    (matrix_deviation_level, dict(n=0), "n must be >= 1"),
+    (matrix_deviation_bound, dict(d2=0, c_max=0.0), "d2 must be an integer >= 1"),
+    (matrix_deviation_level, dict(n=0), "n must be an integer >= 1"),
     (matrix_deviation_level, dict(c_max=0.0), "c_max must be positive"),
-    (matrix_deviation_level, dict(n=0, d=1), "n must be >= 1"),
-    (matrix_deviation_level, dict(d=1, c_max=0.0), "d must be >= 2"),
-    (one_sided_bernstein, dict(n=math.nan), "n must be >= 1"),
-    (matrix_deviation_bound, dict(n=math.nan), "n must be >= 1"),
-    (matrix_deviation_level, dict(d=math.nan), "d must be >= 2"),
+    (matrix_deviation_level, dict(n=0, d=1), "n must be an integer >= 1"),
+    (matrix_deviation_level, dict(d=1, c_max=0.0), "d must be an integer >= 2"),
+    (one_sided_bernstein, dict(n=math.nan), "n must be an integer >= 1"),
+    (matrix_deviation_bound, dict(n=math.nan), "n must be an integer >= 1"),
+    (matrix_deviation_level, dict(d=math.nan), "d must be an integer >= 2"),
 ]
 # The CLI parses --d as an int, but a library caller may pass any number.
-_DOMAIN_ERRORS += [(fn, dict(d=d), "d must be >= 2") for d in (math.nan, math.inf)
+_DOMAIN_ERRORS += [(fn, dict(d=d), "d must be an integer >= 2") for d in (math.nan, math.inf)
                    for fn in (min_samples_gaussian, min_samples_laplace, error_bound_gaussian,
                               error_bound_laplace, lower_re_params)]
 
@@ -330,8 +330,16 @@ class TestMatrixDeviation:
         r = matrix_deviation_bound(10, 3, 3, 1.0, 0.0)
         assert r.value == 1.0 and r.vacuous
 
+    def test_numpy_counts_do_not_wrap(self):
+        # d1 d2 = 2^64, past any numpy integer: clamped to 1, not wrapped to 0.
+        r = matrix_deviation_bound(1, np.int64(2**32), np.int64(2**32), 1.0, 0.0)
+        assert r == matrix_deviation_bound(1, 2**32, 2**32, 1.0, 0.0)
+        assert r.value == 1.0 and r.vacuous
+
     def test_level_constructed_to_one(self):
-        assert matrix_deviation_level(math.log(3), 3, 1.0) == pytest.approx(1.0, rel=1e-12)
+        # c_max sqrt(ln d / n) = 1 at n = 4, d = 3, c_max = 2 / sqrt(ln 3).
+        level = matrix_deviation_level(4, 3, 2.0 / math.sqrt(math.log(3)))
+        assert level == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_t_and_n(self):
         vals = [matrix_deviation_bound(50, 2, 3, 1.0, t).value for t in np.linspace(0, 2, 15)]

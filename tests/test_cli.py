@@ -692,8 +692,8 @@ class TestSweepCommand:
         ("model-distance", "--kappa", "nan", "--kappa must be finite"),
         ("model-distance", "--kappa", "-1", "kappa must be non-negative"),
         ("error-vs-samples", "--alpha-grid", "nan", "alpha must be positive"),
-        ("model-distance", "--d", "0", "d must be >= 1"),
-        ("noise-comparison", "--m-grid", "0", "m must be >= 1"),
+        ("model-distance", "--d", "0", "d must be an integer >= 1"),
+        ("noise-comparison", "--m-grid", "0", "m must be an integer >= 1"),
         ("model-distance", "--mu-grid", "nan", "mu must be finite"),
     ])
     def test_invalid_value_rejected_before_any_trial(self, tmp_path, capsys, experiment,
@@ -771,7 +771,8 @@ class TestConfigFile:
 
 # numpy holds every dataset, orjson formats a dataset CSV, scipy draws
 # Gaussian noise, and the three survkit modules fit, test and sweep.
-_WATCHED = ("numpy", "orjson", "scipy", "survkit.solver", "survkit.sweeps", "survkit.tester")
+_WATCHED = ("numpy", "orjson", "scipy", "survkit.bounds", "survkit.solver", "survkit.sweeps",
+            "survkit.tester")
 
 
 def _loaded_by(*argv) -> list[str]:
@@ -790,8 +791,9 @@ def _loaded_by(*argv) -> list[str]:
 
 class TestWhatACommandLoads:
     """A command loads only the modules it runs, which keeps its start-up
-    and RSS: ``bounds`` needs no numpy, only a dataset write loads orjson,
-    only Gaussian noise scipy, and only ``sweep`` the sweeps."""
+    and RSS: ``bounds`` needs no numpy and is the only command that loads
+    survkit.bounds, only a dataset write loads orjson, only Gaussian noise
+    scipy, and only ``sweep`` the sweeps."""
 
     def test_importing_the_cli_loads_none(self):
         assert _loaded_by() == []
@@ -816,7 +818,7 @@ class TestWhatACommandLoads:
         bounds = ("bounds", "--name", "min-samples-laplace", "--zeta", "1", "--alpha", "1",
                   "--c-eps", "1", "--d", "3", "--lambda-min", "1",
                   "--output", tmp_path / "bounds.json", "--config", tmp_path / "conf.json")
-        assert _loaded_by(*bounds) == []
+        assert _loaded_by(*bounds) == ["survkit.bounds"]
 
     def test_the_probe_sees_scipy_and_the_sweeps(self, tmp_path):
         gen = ("gen", "--kind", "synthetic2", "--d", "2", "--m", "10", "--noise", "gaussian",

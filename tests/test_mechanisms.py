@@ -59,7 +59,7 @@ class TestSensitivity:
         for zeta, d, message in [
             (0.0, 1, "zeta must be positive"),
             (math.nan, 1, "zeta must be positive"),
-            (1.0, 0, "d must be >= 1"),
+            (1.0, 0, "d must be an integer >= 1"),
         ]:
             for beta in (0.0, 0.1):
                 with pytest.raises(ValueError, match=message):

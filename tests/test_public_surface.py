@@ -38,6 +38,8 @@ Every scalar domain rule is stated once, in ``survkit._check``: no other
 ``if`` in ``src/survkit`` compares a bare name or a ``self.<field>`` with a
 numeric literal and raises ValueError, unless it is in
 ``_LITERAL_CHECKS_ALLOWED`` with the reason it is not a domain check.
+Nor does any comparison outside ``_check`` convert an argument with
+``int()``: an integer domain is ``_check``'s, which truncates nothing.
 
 Every attribute assignment in ``src/survkit`` sits in an ``__init__``,
 ``_adopt`` or ``_hold``: an object is filled in once, where it is built, and
@@ -228,6 +230,23 @@ def test_scalar_domains_are_checked_only_by_check():
     unlisted = sorted(f for f in found if f.split(":")[0] not in _LITERAL_CHECKS_ALLOWED)
     assert not unlisted, f"scalar domain checks outside survkit._check: {unlisted}"
     assert owners == set(_LITERAL_CHECKS_ALLOWED), "stale _LITERAL_CHECKS_ALLOWED entries"
+
+
+def _int_comparisons(tree: ast.AST, module: str) -> list[str]:
+    """The comparisons outside ``_check`` with an operand ``int(<name>)`` or
+    ``int(self.<field>)``, as "module.owner: comparison"."""
+    def converted(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+                and len(node.args) == 1 and _is_argument(node.args[0]))
+    return [f"{module}.{owner}: {ast.unparse(node)}" for node, owner in _qualified_nodes(tree)
+            if isinstance(node, ast.Compare) and owner != "_check"
+            and any(map(converted, [node.left, *node.comparators]))]
+
+
+def test_no_comparison_truncates_an_argument_with_int():
+    found = [f for path in sorted(_SRC.glob("*.py"))
+             for f in _int_comparisons(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert not found, f"integer domains checked outside survkit._check: {found}"
 
 
 def test_the_domain_guard_sees_a_hand_written_check():

@@ -97,7 +97,7 @@ class TestCorrectedMoments:
      "gamma_vec length must match gamma_mat"),
     (lambda: CorrectedMoments(np.eye(2), np.array([0.0, math.nan]), 1),
      "moments contain non-finite entries"),
-    (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "m must be >= 1"),
+    (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "m must be an integer >= 1"),
     (lambda: moments_from_arrays(np.zeros(3), np.zeros(3)),
      r"need an \(m, d\) matrix and a length-m response vector"),
     (lambda: moments_from_arrays(np.zeros((3, 2)), np.zeros(2)),

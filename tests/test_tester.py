@@ -98,8 +98,8 @@ class TestSurveyLossBound:
 
     @pytest.mark.parametrize("l_hat, m, d, delta, message", [
         (-0.1, 10, 2, 0.1, "l_hat must be non-negative"),
-        (0.1, 0, 2, 0.1, "m must be >= 1"),
-        (0.1, 10, 0, 0.1, "d must be >= 1"),
+        (0.1, 0, 2, 0.1, "m must be an integer >= 1"),
+        (0.1, 10, 0, 0.1, "d must be an integer >= 1"),
         (0.1, 10, 2, 0.0, r"delta must be in \(0, 1\]"),
         (0.1, 10, 2, 1.5, r"delta must be in \(0, 1\]"),
     ])
@@ -122,7 +122,8 @@ class TestPrivacyPenalties:
 
     def test_laplace_constructed_radical(self):
         b = ModelBounds(1.0, 1.0, 1.0)
-        got = privacy_penalty_laplace(b, 0.5, 1.0, 1.0, 3 * math.log(3), 3)
+        # 2 / lambda_min * sqrt(d ln d / m) = 2 at m = d = 3, lambda_min = sqrt(ln 3).
+        got = privacy_penalty_laplace(b, 0.5, 1.0, math.sqrt(math.log(3)), 3, 3)
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_laplace_alpha_saturates(self):
