@@ -10,6 +10,7 @@ live here, where a command that needs no numpy reaches them.
 import importlib
 import json
 import math
+import numbers
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -65,14 +66,17 @@ _KINDS = {"finite": lambda v: True, "positive": lambda v: v > 0, "non-negative":
 def _check(kind: str, **values) -> None:
     """Each named value, in order, must be of ``kind``; else ValueError
     "<name> must be <kind>" names the first that is not.  A real kind takes a
-    finite number.  An integer kind takes an int or a numpy integer, never a
-    bool or a float (not 2.0 either), and tests its exact value."""
+    finite real number, never a bool, a numpy bool, a string or a complex
+    number.  An integer kind takes an int or a numpy integer, never a bool
+    or a float (not 2.0 either), and tests its exact value."""
     for name, value in values.items():
         if "integer" in kind:
             ok = (not isinstance(value, bool) and hasattr(type(value), "__index__")
                   and _KINDS[kind](value.__index__()))
-        else:
-            ok = math.isfinite(value) and _KINDS[kind](value)
+        else:  # float first: a numbers.Real test costs more than the rest of this
+            ok = ((isinstance(value, float) or isinstance(value, numbers.Real)
+                   and not isinstance(value, bool)) and math.isfinite(value)
+                  and _KINDS[kind](value))
         if not ok:
             raise ValueError(f"{name} must be {kind}")
 

@@ -7,6 +7,8 @@ Everything downstream (noise calibration, the constrained solver, the
 credibility test thresholds) is expressed in terms of these three numbers,
 so they are checked hard at construction time, by ``survkit._check``: the
 one place that rejects non-finite values, for every scalar in the package.
+Every array argument of the package is read by :func:`_as_float_array`,
+which states the one array rule.
 
 All types here keep no mutable state (arrays are marked read-only) and
 are safe to share across workers.  A check of the bounds is never recorded
@@ -14,10 +16,9 @@ on a dataset: each consumer that relies on them checks them when called.
 
 Rows and ownership: every holder of (x, y) rows - :class:`Dataset`,
 ``mechanisms.PrivateDataset`` and ``tester.PooledSource`` - takes its
-arrays through :func:`_rows`, the one place where the row rule (an (m, d)
-matrix with m, d >= 1, m responses, every entry finite) and the ownership
-rule live.  The public constructors copy, since the caller may still hold
-and write the arrays.  The private ``_adopt`` classmethods keep the arrays
+arrays through :func:`_rows`, which states the row rule and the ownership
+rule.  The public constructors copy, since the caller may still hold and
+write the arrays.  The private ``_adopt`` classmethods keep the arrays
 themselves and only mark them read-only.  Only the package's own producers
 call ``_adopt``, with float64 C-contiguous arrays that are either fresh
 buffers no one else holds or the read-only arrays of another dataset; each
@@ -26,6 +27,7 @@ such caller is listed in ``tests/test_public_surface.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,33 +35,43 @@ import numpy as np
 from . import _check
 
 
-def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    # NaN and +-inf reach a min or a max; no m x d boolean temporary is built.
-    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-        raise ValueError(f"{name} contains non-finite entries")
+def _as_float_array(values, name: str, shape: tuple, finite: bool = True) -> np.ndarray:
+    """``values`` as a float64 array, by the array rule: an integer or float
+    dtype, not a ragged list, and ``len(shape)`` dimensions, each of the size
+    ``shape`` fixes, or of any size >= 1 where it holds None; if ``finite``,
+    no NaN or infinity.  Else ValueError "<name> must ...".  A float64 array
+    is returned itself, not a copy."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's error for a ragged list
+        raise ValueError(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    if arr.ndim != len(shape):
+        raise ValueError(f"{name} must be {len(shape)}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
+    want = tuple(size if fixed is None else fixed for size, fixed in zip(arr.shape, shape))
+    if arr.shape != want:
+        raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+    arr = np.asarray(arr, dtype=np.float64)
+    # NaN and +-inf reach a min or a max; no boolean temporary is built.
+    if finite and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
 def _rows(x, y, adopt: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` checked as an (m, d) covariate matrix with m, d >= 1
-    and m responses, every entry finite, and returned read-only: C-order
-    copies, or, when ``adopt``, the arrays themselves.  Adopted arrays must
-    be float64 and C-contiguous, so that keeping them gives the same bytes
-    and the same memory layout as a copy."""
+    """The row rule: ``x`` and ``y`` checked as an (m, d) ``covariates``
+    matrix and m ``responses`` by the array rule, and returned read-only:
+    C-order copies, or, when ``adopt``, the arrays themselves.  Adopted
+    arrays must be float64 and C-contiguous, so that keeping them gives the
+    same bytes and the same memory layout as a copy."""
     if adopt and not all(isinstance(a, np.ndarray) and a.dtype == np.float64
                          and a.flags.c_contiguous for a in (x, y)):
         raise ValueError("only float64 C-contiguous arrays are adopted")
-    x = _as_float_array(x, "covariates", 2)
-    y = _as_float_array(y, "responses", 1)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"row count mismatch: {x.shape[0]} covariate rows, {y.shape[0]} responses"
-        )
-    if min(x.shape) < 1:
-        raise ValueError(f"need at least one row and one column, got shape {x.shape}")
+    x = _as_float_array(x, "covariates", (None, None))
+    y = _as_float_array(y, "responses", x.shape[:1])
     if not adopt:
         x, y = x.copy(), y.copy()  # ndarray.copy is C-order
     x.setflags(write=False)
@@ -210,13 +222,17 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
 
 
 def mean_squared_loss(theta, x, y) -> float:
-    """Mean of (<theta, x_i> - y_i)^2 over the given rows."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError("x and y must hold the same positive number of rows")
-    r = x @ np.asarray(theta, dtype=np.float64) - y
-    return float(np.mean(r * r))
+    """Mean of (<theta, x_i> - y_i)^2 over the given rows.  A NaN or infinity
+    in x or y shows as a non-finite loss, which raises ValueError."""
+    x = _as_float_array(x, "x", (None, None), finite=False)
+    y = _as_float_array(y, "y", x.shape[:1], finite=False)
+    theta = _as_float_array(theta, "theta", x.shape[1:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = x @ theta - y
+        loss = float(np.mean(r * r))
+    if not math.isfinite(loss):
+        raise ValueError(f"x and y must give a finite loss, got {loss}")
+    return loss
 
 
 def model_distance(theta_a, theta_b, xs) -> float:
@@ -228,14 +244,8 @@ def model_distance(theta_a, theta_b, xs) -> float:
     difference pushed through the fixed design, hence symmetric and
     triangle-inequality compliant for fixed xs.
     """
-    theta_a = _as_float_array(theta_a, "theta_a", 1)
-    theta_b = _as_float_array(theta_b, "theta_b", 1)
-    if theta_a.shape != theta_b.shape:
-        raise ValueError("coefficient vectors must have equal dimension")
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] < 1:
-        raise ValueError("xs must be a non-empty matrix of covariate rows")
-    if xs.shape[1] != theta_a.shape[0]:
-        raise ValueError("covariate dimension does not match coefficients")
+    theta_a = _as_float_array(theta_a, "theta_a", (None,))
+    theta_b = _as_float_array(theta_b, "theta_b", theta_a.shape)
+    xs = _as_float_array(xs, "xs", (None, theta_a.shape[0]))
     g = xs @ (theta_a - theta_b)
     return float(np.sqrt(np.mean(g * g)))

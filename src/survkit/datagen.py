@@ -33,7 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _check, _read_json_object, _write_json
-from .core import _RNG_TAGS, Dataset, ModelBounds, RngSpec, ValidationSource, _rows, _within
+from .core import (
+    _RNG_TAGS, Dataset, ModelBounds, RngSpec, ValidationSource, _as_float_array, _rows, _within,
+)
 # Not called here; bench/spans.py wraps it at this binding site (see test_bench_bindings).
 from .core import validate_dataset  # noqa: F401
 from .mechanisms import (
@@ -74,9 +76,7 @@ class LinearModelSource(ValidationSource):
     """
 
     def __init__(self, theta, noise_var: float, covariate: str = "normal", scale: float = 1.0):
-        self.theta = np.array(theta, dtype=np.float64)  # a copy: the caller may write theirs
-        if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
-            raise ValueError("theta must be a finite vector")
+        self.theta = _as_float_array(theta, "theta", (None,)).copy()  # the caller may write theirs
         self.theta.setflags(write=False)
         _check("non-negative", noise_var=noise_var)
         _check("positive", scale=scale)
@@ -471,12 +471,12 @@ def _json_field(obj: dict, key: str, cast, path, error=ValueError):
         raise error(f"{path}: key {key!r}: {exc}") from None
 
 
-def _number(value, kind=float):
-    """``kind(value)`` if ``value`` is a JSON number (an integer where ``kind``
-    is int); else a TypeError: no string or boolean is cast, no 2.7 truncated."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise TypeError(f"expected a JSON {'integer' if kind is int else 'number'}, got {value!r}")
-    return kind(value)
+def _number(value) -> float:
+    """``float(value)`` if ``value`` is a JSON number; else a TypeError: no
+    string or boolean is cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -534,8 +534,8 @@ def load_private(path) -> PrivateDataset:
         alpha = field("alpha", lambda v: PrivacyParams(_number(v)).alpha)
         beta = field("beta", lambda v: PrivacyParams(alpha, _number(v)).beta)
         privacy = PrivacyParams(alpha, beta, field("accounting", Accounting))
-    seeds = (field(k, partial(_number, kind=int)) for k in ("seed", "stream"))
-    rng = None if meta.get("seed") is None else RngSpec(*seeds)
+    rng = None if meta.get("seed") is None else field(
+        "stream", partial(RngSpec, field("seed", lambda v: RngSpec(v).seed)))
     kind = field("noise_kind", NoiseKind)
     noise = field("noise_scale", lambda v: NoiseSpec(kind, _number(v)))
     # 1e-12 relative: older gen_synthetic2 sidecars record 1.0 for the Laplace

@@ -183,6 +183,8 @@ def privatize(
 ) -> PrivateDataset:
     """Add one independent noise draw to every covariate coordinate.
 
+    ``spec`` must be the noise ``params`` calibrates at ds.bounds.zeta and
+    ds.dim (see :func:`make_noise_spec`), unless ``params`` is None: injected noise.
     Requires every |x_ij| <= ds.bounds.zeta, since the calibration in
     ``spec`` is only meaningful for bounded covariates; two reductions check
     it on every call, and only a failed check looks for the cells outside,
@@ -197,6 +199,11 @@ def privatize(
     docstring).
     """
     zeta = ds.bounds.zeta
+    if params is not None and spec != (want := _calibrate(params, zeta, ds.dim)):
+        raise ValueError(
+            f"spec must be the {want.kind.value} noise at scale {want.scale!r} that params "
+            f"calibrate at zeta = {zeta!r} and d = {ds.dim}, got {spec.kind.value} noise "
+            f"at scale {spec.scale!r}")
     if not _within(ds.x, zeta):
         out = np.flatnonzero(np.abs(ds.x) > zeta)  # only on failure: 8 bytes a cell outside
         first = list(zip(*(a.tolist() for a in divmod(out[:5], ds.dim))))

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _check
+from .core import _as_float_array
 from .mechanisms import PrivateDataset
 
 _ABS_OBJECTIVE_FLOOR = 1e-14
@@ -73,14 +74,8 @@ class CorrectedMoments:
     m: int
 
     def __post_init__(self):
-        gm = np.array(self.gamma_mat, dtype=np.float64)
-        gv = np.array(self.gamma_vec, dtype=np.float64)
-        if gm.ndim != 2 or gm.shape[0] != gm.shape[1]:
-            raise ValueError("gamma_mat must be square")
-        if gv.ndim != 1 or gv.shape[0] != gm.shape[0]:
-            raise ValueError("gamma_vec length must match gamma_mat")
-        if not np.all(np.isfinite(gm)) or not np.all(np.isfinite(gv)):
-            raise ValueError("moments contain non-finite entries")
+        gv = _as_float_array(self.gamma_vec, "gamma_vec", (None,)).copy()
+        gm = _as_float_array(self.gamma_mat, "gamma_mat", gv.shape * 2)
         _check("an integer >= 1", m=self.m)
         gm = 0.5 * (gm + gm.T)
         gm.setflags(write=False)
@@ -94,16 +89,19 @@ class CorrectedMoments:
 
 
 def moments_from_arrays(x, y, noise_variance: float = 0.0) -> CorrectedMoments:
-    """Build (Z^T Z / m - noise_variance * I, Z^T Y / m) from raw arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError("need an (m, d) matrix and a length-m response vector")
+    """Build (Z^T Z / m - noise_variance * I, Z^T Y / m) from raw arrays.  A
+    NaN or infinity in x or y reaches the moments, which CorrectedMoments checks."""
+    x = _as_float_array(x, "x", (None, None), finite=False)
+    y = _as_float_array(y, "y", x.shape[:1], finite=False)
     _check("non-negative", noise_variance=noise_variance)
     m = x.shape[0]
-    gm = x.T @ x / m - noise_variance * np.eye(x.shape[1])
-    gv = x.T @ y / m
-    return CorrectedMoments(gm, gv, m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gm = x.T @ x / m - noise_variance * np.eye(x.shape[1])
+        gv = x.T @ y / m
+    try:
+        return CorrectedMoments(gm, gv, m)
+    except ValueError:  # gm, gv and m are well formed: only an entry is not finite
+        raise ValueError("x and y must give finite moments") from None
 
 
 def corrected_moments(pds: PrivateDataset) -> CorrectedMoments:
@@ -131,7 +129,10 @@ def project_l1(v, radius: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("v must be a vector")
     a = np.abs(v)
-    if a.sum() <= radius:
+    l1 = a.sum()
+    if not math.isfinite(l1):
+        raise ValueError("v must be finite")
+    if l1 <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
@@ -148,9 +149,8 @@ def spectral_bound(gamma_mat) -> float:
     guarantees; only the lower triangle is read.  Returns exactly 0 for the
     zero matrix.
     """
-    g = np.asarray(gamma_mat, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("matrix must be square")
+    g = _as_float_array(gamma_mat, "gamma_mat", (None, None), finite=False)
+    g = _as_float_array(g, "gamma_mat", g.shape[:1] * 2)  # square
     return float(np.max(np.abs(np.linalg.eigvalsh(g)), initial=0.0))
 
 
@@ -228,9 +228,7 @@ class SolveResult:
 def objective(moments: CorrectedMoments, theta, lambda_n: float = 0.0) -> float:
     """0.5 theta^T gamma_mat theta - <gamma_vec, theta> + lambda_n ||theta||_1."""
     _check("non-negative", lambda_n=lambda_n)
-    t = np.asarray(theta, dtype=np.float64)
-    if t.shape != moments.gamma_vec.shape:
-        raise ValueError("theta dimension does not match moments")
+    t = _as_float_array(theta, "theta", moments.gamma_vec.shape)
     quad = 0.5 * float(t @ (moments.gamma_mat @ t)) - float(moments.gamma_vec @ t)
     return quad + lambda_n * float(np.sum(np.abs(t)))
 

@@ -186,8 +186,8 @@ class TestPublishAndFit:
         # Only JSON numbers, and only integers for the seed: nothing is cast.
         ({"noise_scale": "0.5"}, "key 'noise_scale': expected a JSON number, got '0.5'"),
         ({"alpha": True}, "key 'alpha': expected a JSON number, got True"),
-        ({"seed": 2.7}, "key 'seed': expected a JSON integer, got 2.7"),
-        ({"seed": 7, "stream": "0"}, "key 'stream': expected a JSON integer, got '0'"),
+        ({"seed": 2.7}, "key 'seed': seed must be an unsigned 64-bit integer"),
+        ({"seed": 7, "stream": "0"}, "key 'stream': stream must be a non-negative integer"),
         ({"noise_kind": "uniform"}, "key 'noise_kind': 'uniform' is not a valid NoiseKind"),
         # An edited variance, finite or not, is not the noise the sidecar declares.
         ({"sigma_w_diagonal": math.nan},
@@ -305,7 +305,7 @@ class TestVerify:
         ({"type": "linear-model", "theta": [0.0] * 6, "noise_var": 1.0, "scale": 0},
          "{path}: scale must be positive"),
         ({"type": "linear-model", "theta": [[0.0] * 6], "noise_var": 1.0},
-         "{path}: theta must be a finite vector"),
+         "{path}: theta must be 1-dimensional, got shape (1, 6)"),
     ])
     def test_malformed_validation_spec(self, survey_files, tmp_path, capsys, spec, message):
         path = tmp_path / "v.json"

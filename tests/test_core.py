@@ -138,15 +138,16 @@ def test_every_row_holder_applies_the_row_rule(holder, x, y):
 
 
 @pytest.mark.parametrize("x, y, message", [
-    (np.zeros((0, 2)), np.zeros(0), r"need at least one row and one column, got shape \(0, 2\)"),
-    (np.zeros((4, 0)), np.zeros(4), r"need at least one row and one column, got shape \(4, 0\)"),
-    (np.zeros((0, 2)), np.zeros(1), "row count mismatch: 0 covariate rows, 1 responses"),
-    (_with(np.nan, "x"), np.zeros(3), "covariates contains non-finite entries"),
-    (_with(-np.inf, "x"), np.zeros(3), "covariates contains non-finite entries"),
-    (np.zeros((3, 2)), _with(np.inf, "y"), "responses contains non-finite entries"),
+    (np.zeros((0, 2)), np.zeros(0), r"covariates must be non-empty, got shape \(0, 2\)"),
+    (np.zeros((4, 0)), np.zeros(4), r"covariates must be non-empty, got shape \(4, 0\)"),
+    (np.zeros((0, 2)), np.zeros(1), r"covariates must be non-empty, got shape \(0, 2\)"),
+    (np.zeros((3, 2)), np.zeros(2), r"responses must have shape \(3,\), got \(2,\)"),
+    (_with(np.nan, "x"), np.zeros(3), "covariates must be finite"),
+    (_with(-np.inf, "x"), np.zeros(3), "covariates must be finite"),
+    (np.zeros((3, 2)), _with(np.inf, "y"), "responses must be finite"),
 ])
 def test_row_rule_messages(x, y, message):
-    # An empty array passes the finiteness check and fails on its shape.
+    # An empty array fails on its shape before the finiteness check.
     with pytest.raises(ValueError, match=f"^{message}$"):
         _rows(x, y)
 
@@ -159,7 +160,7 @@ def test_finiteness_check_agrees_with_isfinite(values):
     if np.all(np.isfinite(y)):
         _rows(np.zeros((y.size, 1)), y)
     else:
-        with pytest.raises(ValueError, match="^responses contains non-finite entries$"):
+        with pytest.raises(ValueError, match="^responses must be finite$"):
             _rows(np.zeros((y.size, 1)), y)
 
 
@@ -227,8 +228,8 @@ class TestModelDistance:
             assert dab <= model_distance(a, c, xs) + model_distance(c, b, xs) + 1e-12
 
     @pytest.mark.parametrize("a, b, xs, message", [
-        ([1.0], [1.0, 2.0], [[1.0]], "coefficient vectors must have equal dimension"),
-        ([1.0, 2.0], [0.0, 0.0], [[1.0]], "covariate dimension does not match coefficients"),
+        ([1.0], [1.0, 2.0], [[1.0]], r"theta_b must have shape \(1,\), got \(2,\)"),
+        ([1.0, 2.0], [0.0, 0.0], [[1.0]], r"xs must have shape \(1, 2\), got \(1, 1\)"),
     ])
     def test_rejects_mismatched_shapes(self, a, b, xs, message):
         with pytest.raises(ValueError, match=message):

@@ -93,7 +93,7 @@ class TestClipKernel:
 
     def test_nan_still_fails_the_row_rule(self):
         x = np.array([[0.5, math.nan]])
-        with pytest.raises(ValueError, match="covariates contains non-finite entries"):
+        with pytest.raises(ValueError, match="^covariates must be finite$"):
             datagen._clip(x, np.zeros(1), ModelBounds(1.0, 1.0, 1.0))
 
     def test_arrays_inside_are_kept_untouched(self):
@@ -914,6 +914,20 @@ class TestSidecarBudget:
                            + ".*" + re.escape(message)):
             load_private(csv_path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2.7, "seed must be an unsigned 64-bit integer"),
+        ("seed", True, "seed must be an unsigned 64-bit integer"),
+        ("stream", -1, "stream must be a non-negative integer"),
+        ("stream", 1.5, "stream must be a non-negative integer"),
+    ])
+    def test_a_bad_seed_or_stream_is_named_by_file_and_key(self, tmp_path, key, value, message):
+        csv_path, side = _publish(tmp_path / "pub.csv", PrivacyParams(2.0))
+        side.write_text(json.dumps({**json.loads(side.read_text()), key: value}))
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(f'{side}: key {key!r}: {message}')}$"):
+            load_private(csv_path)
+
     def test_sidecar_without_zeta_is_not_checked(self, tmp_path):
         csv_path, side = _publish(tmp_path / "pub.csv", PrivacyParams(2.0))
         meta = json.loads(side.read_text())
@@ -932,8 +946,8 @@ class TestLinearModelSource:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     @pytest.mark.parametrize("args, message", [
-        (([[1.0]], 0.1), "theta must be a finite vector"),
-        (([1.0, math.nan], 0.1), "theta must be a finite vector"),
+        (([[1.0]], 0.1), r"theta must be 1-dimensional, got shape \(1, 1\)"),
+        (([1.0, math.nan], 0.1), "theta must be finite"),
         (([1.0], -0.1), "noise_var must be non-negative"),
         (([1.0], math.nan), "noise_var must be non-negative"),
         (([1.0], 0.1, "normal", 0.0), "scale must be positive"),

@@ -3,6 +3,8 @@
 run in a fixed order, no NaN or infinity passes any of them, and no float
 or bool passes a count, seed or stream.
 
+No bool, numpy bool, string or complex number passes a real domain either.
+
 Each entry of ``_CALLS`` is one valid call of a function or config type:
 its fixed (non-scalar) arguments and its scalar arguments, all by keyword.
 A scalar given as an int is an integer argument, one given as a float a
@@ -123,7 +125,7 @@ _DOMAIN_ERRORS = [
     ("LinearModelSource", dict(noise_var=-0.1), "noise_var must be non-negative"),
     ("LinearModelSource", dict(scale=0.0), "scale must be positive"),
     ("LinearModelSource", dict(noise_var=-0.1, scale=0.0), "noise_var must be non-negative"),
-    ("LinearModelSource", dict(theta=[[1.0]], noise_var=-0.1), "theta must be a finite vector"),
+    ("LinearModelSource", dict(theta=[[1.0]], noise_var=-0.1), "theta must be 1-dimensional, got shape (1, 1)"),
     ("PrivacyParams", dict(alpha=0.0), "alpha must be positive"),
     ("PrivacyParams", dict(beta=1.0), "beta must be in [0, 1)"),
     ("PrivacyParams", dict(alpha=-1.0, beta=-0.5), "alpha must be positive"),
@@ -133,10 +135,10 @@ _DOMAIN_ERRORS = [
     ("make_noise_spec", dict(zeta=0.0, d=0), "zeta must be positive"),
     ("CorrectedMoments", dict(m=0), "m must be an integer >= 1"),
     ("CorrectedMoments", dict(gamma_vec=[0.0, math.nan], m=0),
-     "moments contain non-finite entries"),
+     "gamma_vec must be finite"),
     ("moments_from_arrays", dict(noise_variance=-1.0), "noise_variance must be non-negative"),
     ("moments_from_arrays", dict(x=np.zeros(2), noise_variance=-1.0),
-     "need an (m, d) matrix and a length-m response vector"),
+     "x must be 2-dimensional, got shape (2,)"),
     ("soft_threshold", dict(level=-0.5), "level must be non-negative"),
     ("project_l1", dict(radius=0.0), "radius must be positive"),
     ("project_l1", dict(v=[[1.0]], radius=0.0), "radius must be positive"),
@@ -217,6 +219,19 @@ _SCALAR_ARGS = [(name, arg) for name, (_, _, scalars) in _ALL_CALLS.items() for 
 def test_no_scalar_domain_admits_a_non_finite_value(name, arg, value, box):
     with pytest.raises(ValueError) as err:
         _call(name, **{arg: box(value)})
+    assert str(err.value).startswith(f"{arg} must be ")
+
+
+_REAL_ARGS = [(name, arg) for name, (_, _, scalars) in _ALL_CALLS.items()
+              for arg, value in scalars.items() if type(value) is float]
+
+
+@pytest.mark.parametrize("name, arg", _REAL_ARGS, ids=[f"{n}-{a}" for n, a in _REAL_ARGS])
+@pytest.mark.parametrize("value", [True, False, np.True_, "1", 1 + 0j],
+                         ids=["True", "False", "np.True_", "str", "complex"])
+def test_no_bool_string_or_complex_passes_a_real_domain(name, arg, value):
+    with pytest.raises(ValueError) as err:
+        _call(name, **{arg: value})
     assert str(err.value).startswith(f"{arg} must be ")
 
 

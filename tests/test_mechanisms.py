@@ -166,6 +166,29 @@ class TestPrivatize:
         with pytest.raises(ValueError, match="covariates exceed zeta = 1;"):
             privatize(ds, spec, None, RngSpec(0))
 
+    @pytest.mark.parametrize("spec, message", [
+        (NoiseSpec(NoiseKind.LAPLACE, 0.0), "got laplace noise at scale 0.0"),
+        (NoiseSpec(NoiseKind.LAPLACE, 1.0), "got laplace noise at scale 1.0"),
+        (NoiseSpec(NoiseKind.GAUSSIAN, 2.0), "got gaussian noise at scale 2.0"),
+    ])
+    def test_a_budget_its_noise_does_not_meet_is_rejected(self, spec, message):
+        ds = Dataset([[0.5]], [0.1], ModelBounds(1, 1, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                "spec must be the laplace noise at scale 2.0 that params calibrate at zeta = 1 "
+                f"and d = 1, {message}")):
+            privatize(ds, spec, PrivacyParams(1.0), RngSpec(0))
+        # Noise injected directly records no budget, so any spec goes.
+        assert privatize(ds, spec, None, RngSpec(0)).noise == spec
+
+    @pytest.mark.parametrize("params", [
+        PrivacyParams(1.0), PrivacyParams(0.5, 0.1), PrivacyParams(2.0, 0.0, WR),
+        PrivacyParams(0.8, 1e-5, WR),
+    ])
+    def test_the_calibrated_spec_is_accepted(self, params):
+        ds = Dataset(np.full((4, 3), 0.25), np.zeros(4), ModelBounds(0.5, 1, 1))
+        pds = privatize(ds, make_noise_spec(params, 0.5, 3), params, RngSpec(3))
+        assert (pds.privacy, pds.noise) == (params, make_noise_spec(params, 0.5, 3))
+
     def test_rejection_holds_no_object_per_cell_outside(self):
         # The message needs a count and five cells: the failed check holds
         # |x|, a mask and the flat indices outside, 17 bytes a cell at most.

@@ -41,6 +41,10 @@ numeric literal and raises ValueError, unless it is in
 Nor does any comparison outside ``_check`` convert an argument with
 ``int()``: an integer domain is ``_check``'s, which truncates nothing.
 
+Every array argument is read by ``core._as_float_array``: no other
+``np.asarray`` or ``np.array`` call in ``src/survkit`` converts to float64,
+unless its function is in ``_FLOAT_READERS_ALLOWED`` with the reason.
+
 Every attribute assignment in ``src/survkit`` sits in an ``__init__``,
 ``_adopt`` or ``_hold``: an object is filled in once, where it is built, and
 never changed afterwards, so no flag or cursor can go stale between calls.
@@ -79,6 +83,14 @@ _LITERAL_CHECKS_ALLOWED = {
                                     "it refuses no argument",
     "datagen.load_csv": "a file format: a fast-path table needs a response column, and "
                         "its ValueError only sends the file to the exact parser",
+}
+# "module.function" -> why it converts an argument to float64 itself.
+_FLOAT_READERS_ALLOWED = {
+    "core._as_float_array": "the array rule itself",
+    "solver.soft_threshold": "a kernel of the solver's loop, where a full check of v would "
+                             "cost more than the shrinkage",
+    "solver.project_l1": "a kernel of the solver's loop; it checks only the l1 norm of v, "
+                         "which it computes anyway",
 }
 # The functions that may assign an attribute: those that build an object.
 _ATTRIBUTE_SETTERS = ("__init__", "_adopt", "_hold")
@@ -252,6 +264,40 @@ def test_no_comparison_truncates_an_argument_with_int():
 def test_the_domain_guard_sees_a_hand_written_check():
     source = "def soft_threshold(v, level):\n    if level < 0:\n        raise ValueError('x')\n"
     assert _literal_checks(ast.parse(source), "solver") == ["solver.soft_threshold: level < 0"]
+
+
+def _float_conversions(tree: ast.AST, module: str) -> list[str]:
+    """The ``np.asarray`` and ``np.array`` calls with a float64 dtype, as
+    "module.owner: call"."""
+    found = []
+    for node, owner in _qualified_nodes(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array")
+                and getattr(node.func.value, "id", None) == "np"):
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+        if any(ast.unparse(t) in ("np.float64", "float", "'float64'") for t in dtypes):
+            found.append(f"{module}.{owner}: {ast.unparse(node)}")
+    return found
+
+
+def test_array_arguments_are_read_only_by_as_float_array():
+    found = [f for path in sorted(_SRC.glob("*.py"))
+             for f in _float_conversions(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    owners = {f.split(":")[0] for f in found}
+    unlisted = sorted(f for f in found if f.split(":")[0] not in _FLOAT_READERS_ALLOWED)
+    assert not unlisted, f"array arguments read outside core._as_float_array: {unlisted}"
+    assert owners == set(_FLOAT_READERS_ALLOWED), "stale _FLOAT_READERS_ALLOWED entries"
+
+
+def test_the_array_guard_sees_a_hand_written_conversion():
+    source = ("class CorrectedMoments:\n    def __post_init__(self):\n"
+              "        gm = np.array(self.gamma_mat, dtype=np.float64)\n"
+              "        gv = np.asarray(self.gamma_vec, np.float64)\n")
+    assert _float_conversions(ast.parse(source), "solver") == [
+        "solver.CorrectedMoments.__post_init__: np.array(self.gamma_mat, dtype=np.float64)",
+        "solver.CorrectedMoments.__post_init__: np.asarray(self.gamma_vec, np.float64)",
+    ]
 
 
 def _assigned_attributes(target: ast.AST):

@@ -92,24 +92,26 @@ class TestCorrectedMoments:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: CorrectedMoments(np.zeros((2, 3)), np.zeros(2), 1), "gamma_mat must be square"),
+    (lambda: CorrectedMoments(np.zeros((2, 3)), np.zeros(2), 1),
+     r"gamma_mat must have shape \(2, 2\), got \(2, 3\)"),
     (lambda: CorrectedMoments(np.eye(2), np.zeros(3), 1),
-     "gamma_vec length must match gamma_mat"),
+     r"gamma_mat must have shape \(3, 3\), got \(2, 2\)"),
     (lambda: CorrectedMoments(np.eye(2), np.array([0.0, math.nan]), 1),
-     "moments contain non-finite entries"),
+     "gamma_vec must be finite"),
     (lambda: CorrectedMoments(np.eye(2), np.zeros(2), 0), "m must be an integer >= 1"),
     (lambda: moments_from_arrays(np.zeros(3), np.zeros(3)),
-     r"need an \(m, d\) matrix and a length-m response vector"),
+     r"x must be 2-dimensional, got shape \(3,\)"),
     (lambda: moments_from_arrays(np.zeros((3, 2)), np.zeros(2)),
-     r"need an \(m, d\) matrix and a length-m response vector"),
+     r"y must have shape \(3,\), got \(2,\)"),
     (lambda: soft_threshold([1.0], -0.5), "level must be non-negative"),
     (lambda: project_l1([1.0], 0.0), "radius must be positive"),
     (lambda: project_l1([[1.0]], 1.0), "v must be a vector"),
-    (lambda: spectral_bound(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: spectral_bound(np.zeros((2, 3))),
+     r"gamma_mat must have shape \(2, 2\), got \(2, 3\)"),
     (lambda: objective(CorrectedMoments(np.eye(2), np.zeros(2), 1), np.zeros(2), -1.0),
      "lambda_n must be non-negative"),
     (lambda: objective(CorrectedMoments(np.eye(2), np.zeros(2), 1), np.zeros(3)),
-     "theta dimension does not match moments"),
+     r"theta must have shape \(2,\), got \(3,\)"),
 ])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=message):
